@@ -6,8 +6,7 @@
 //!   --workloads N   run only the first N workloads (CI smoke uses 3)
 //!   --full          full-width configuration (default: quick widths)
 //!   --no-memo       disable verdict/env/SMT-term memoization
-//!   --no-parallel   disable intra-job parallel lifting
-//!   --jobs N        worker threads (also the shared lifting thread budget)
+//!   --jobs N        worker threads
 //!   --out PATH      output path (default: BENCH_4.json)
 //!   --check PATH    validate an existing snapshot's structure and exit
 //!   --trace-out PATH  record structured spans and write a Chrome
@@ -19,9 +18,9 @@
 //! cargo run --release -p rake-bench --bin perf -- --check BENCH_4.json
 //! ```
 //!
-//! Comparing a default run against `--no-memo --no-parallel` (same machine,
-//! same flags otherwise) isolates the hot-path speedup; the programs
-//! synthesized are identical either way.
+//! Comparing a default run against `--no-memo` (same machine, same flags
+//! otherwise) isolates the memoization speedup; the programs synthesized
+//! are identical either way.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -33,7 +32,6 @@ struct Args {
     workloads: Option<usize>,
     full: bool,
     memo: bool,
-    parallel: bool,
     jobs: Option<usize>,
     out: String,
     check: Option<String>,
@@ -46,7 +44,6 @@ fn parse_args() -> Args {
         workloads: None,
         full: false,
         memo: true,
-        parallel: true,
         jobs: None,
         out: "BENCH_4.json".to_owned(),
         check: None,
@@ -60,7 +57,6 @@ fn parse_args() -> Args {
             "--workloads" => args.workloads = it.next().and_then(|v| v.parse().ok()),
             "--full" => args.full = true,
             "--no-memo" => args.memo = false,
-            "--no-parallel" => args.parallel = false,
             "--jobs" => args.jobs = it.next().and_then(|v| v.parse().ok()),
             "--out" => {
                 if let Some(v) = it.next() {
@@ -90,10 +86,9 @@ fn main() -> ExitCode {
         return check_snapshot(path);
     }
 
-    // The toggles flow to `bench_verifier` through the environment so the
-    // harness and the golden/property tests share one switch.
+    // The toggle flows to `bench_verifier` through the environment so the
+    // harness and the golden tests share one switch.
     std::env::set_var("RAKE_MEMO", if args.memo { "1" } else { "0" });
-    std::env::set_var("RAKE_PARALLEL_LIFT", if args.parallel { "1" } else { "0" });
 
     if args.trace_out.is_some() || args.trace_slow_ms.is_some() {
         trace::enable();
@@ -187,7 +182,6 @@ fn main() -> ExitCode {
             Json::obj([
                 ("quick", (!args.full).into()),
                 ("memoize", args.memo.into()),
-                ("parallel_lifting", args.parallel.into()),
                 ("jobs", args.jobs.map_or(Json::Null, Json::from)),
                 ("workloads", count.into()),
             ]),

@@ -136,11 +136,9 @@ fn env_toggle(name: &str) -> bool {
 
 /// Verifier effort for harness runs: differential-heavy, SMT proofs on.
 ///
-/// Two environment toggles select the hot-path configuration so the same
-/// harness (and the golden tests) can run both ways: `RAKE_MEMO=0`
-/// disables verdict/env/SMT-term memoization, `RAKE_PARALLEL_LIFT=0`
-/// disables intra-job parallel candidate screening. Synthesized programs
-/// are identical under every combination.
+/// `RAKE_MEMO=0` in the environment disables verdict/env/SMT-term
+/// memoization, so the same harness (and the golden tests) can run both
+/// ways. Synthesized programs are identical either way.
 pub fn bench_verifier(cfg: RunConfig) -> Verifier {
     Verifier {
         lanes: cfg.lanes,
@@ -152,7 +150,6 @@ pub fn bench_verifier(cfg: RunConfig) -> Verifier {
         smt_conflict_budget: 10_000,
         smt_lowering: false,
         memoize: env_toggle("RAKE_MEMO"),
-        parallel_lifting: env_toggle("RAKE_PARALLEL_LIFT"),
         ..Verifier::default()
     }
 }

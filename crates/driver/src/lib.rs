@@ -130,12 +130,6 @@ pub struct DriverConfig {
     /// when a client disconnects. The flag must stay readable until the
     /// batch returns; release it to the pool only afterwards.
     pub cancel: Option<synth::CancelFlag>,
-    /// Whether the batch sets the process-wide [`synth::pool`] thread
-    /// budget to [`DriverConfig::workers`] before running (the historical
-    /// single-driver behavior). A server hosting many concurrent drivers
-    /// sets this to `false` and configures the budget once at startup, so
-    /// one request's worker count does not clobber the shared cap.
-    pub manage_thread_budget: bool,
 }
 
 impl Default for DriverConfig {
@@ -153,7 +147,6 @@ impl Default for DriverConfig {
             journal_rotate_bytes: None,
             validate: false,
             cancel: None,
-            manage_thread_budget: true,
         }
     }
 }
@@ -730,16 +723,6 @@ impl Driver {
         let queue: Mutex<std::collections::VecDeque<usize>> = Mutex::new((0..jobs.len()).collect());
         let slots: Mutex<Vec<Option<UniqueResult>>> = Mutex::new(vec![None; jobs.len()]);
         let workers = self.config.workers.max(1).min(jobs.len().max(1));
-        // The batch shares one process-wide thread budget of
-        // `config.workers`: each spawned worker holds a permit for its
-        // lifetime, and intra-job parallel lifting claims only what is
-        // left (e.g. the idle worker slots of a one-job batch). A server
-        // hosting many concurrent drivers opts out and sets the budget
-        // once at startup instead.
-        if self.config.manage_thread_budget {
-            synth::pool::set_thread_budget(self.config.workers.max(1));
-        }
-        let permits = synth::pool::global().reserve_up_to(workers);
         // Worker threads inherit the batch's span context explicitly:
         // thread-local span stacks do not cross thread::scope.
         let span_ctx = trace::current();
@@ -803,7 +786,6 @@ impl Driver {
                 });
             }
         });
-        drop(permits);
         slots
             .into_inner()
             .unwrap()

@@ -21,7 +21,6 @@
 //!   --journal-rotate-bytes N  journal size that triggers rotation into a
 //!                      replay snapshot (default 8 MiB; 0 = never rotate)
 //!   --timeout SEC      default per-job synthesis budget (default 30)
-//!   --threads N        process-wide synthesis thread budget
 //!   --verdict-ttl SEC  how long a timed-out verdict is served from memory
 //!                      instead of re-running synthesis (default 300; 0 off)
 //!   --verdict-cap N    timeout verdicts remembered at most (default 1024;
@@ -146,10 +145,6 @@ fn main() -> ExitCode {
                 Some(secs) => config.default_timeout = Some(Duration::from_secs_f64(secs)),
                 None => return usage("--timeout needs seconds"),
             },
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.thread_budget = v,
-                None => return usage("--threads needs an integer"),
-            },
             "--verdict-ttl" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(secs) => config.timeout_verdict_ttl = Duration::from_secs_f64(secs),
                 None => return usage("--verdict-ttl needs seconds"),
@@ -237,7 +232,7 @@ fn usage(err: &str) -> ExitCode {
         "usage: rake-served [--addr HOST:PORT] [--port-file FILE] [--permits N] [--queue N] \
          [--cache DIR] [--cache-max-entries N] [--cache-max-bytes N] \
          [--cache-log-max-bytes N] [--log FILE] [--journal-rotate-bytes N] [--timeout SEC] \
-         [--threads N] [--verdict-ttl SEC] [--verdict-cap N] [--read-timeout-ms N] \
+         [--verdict-ttl SEC] [--verdict-cap N] [--read-timeout-ms N] \
          [--isolate] [--workers N] [--worker-rss-mb N] [--worker-grace-ms N] \
          [--crash-threshold N] [--quarantine-ttl-s N] [--chaos] [--trace-out DIR] \
          [--trace-slow-ms N]"

@@ -16,10 +16,9 @@
 //!
 //! A fixed number of compile permits bounds concurrent synthesis; a
 //! bounded wait queue sits in front of the permits, and everything past
-//! it is answered `429 Too Many Requests` with `Retry-After`. The
-//! process-wide [`synth::pool`] thread budget is set once at startup
-//! (per-request drivers run with `manage_thread_budget: false`), so a
-//! request cannot resize the global cap under its neighbors.
+//! it is answered `429 Too Many Requests` with `Retry-After`. Synthesis
+//! is serial within a job, so a request runs at most its driver's four
+//! worker threads, and the permits bound how many requests run at once.
 //!
 //! ## Cancellation
 //!
@@ -114,8 +113,6 @@ pub struct ServerConfig {
     /// the connection is answered 408. `None` disables the deadline
     /// (the idle timeout still bounds fully-silent peers).
     pub read_timeout: Option<Duration>,
-    /// Process-wide [`synth::pool`] thread budget, set once at startup.
-    pub thread_budget: usize,
     /// How long [`ServerHandle::shutdown`] waits for in-flight work.
     pub drain_timeout: Duration,
     /// Run synthesis in isolated worker subprocesses ([`WorkerPool`])
@@ -174,7 +171,6 @@ impl Default for ServerConfig {
             timeout_verdict_ttl: Duration::from_secs(300),
             idle_timeout: Duration::from_secs(60),
             read_timeout: Some(Duration::from_secs(10)),
-            thread_budget: cores,
             drain_timeout: Duration::from_secs(30),
             isolate: false,
             pool_workers: 0,
@@ -491,7 +487,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    synth::pool::set_thread_budget(config.thread_budget.max(1));
     if config.trace_out.is_some() || config.trace_slow_ms.is_some() {
         trace::enable();
         if let Some(ms) = config.trace_slow_ms {
@@ -917,7 +912,6 @@ fn handle_compile_inner(
             log_path: None,
             validate: parsed.validate,
             cancel: None,
-            manage_thread_budget: false,
             ..DriverConfig::default()
         })
         .with_shared_cache(Arc::clone(&shared.cache))

@@ -338,7 +338,6 @@ fn tier_floor_request_recompiles_degraded_cache_entries() {
         .with_config(driver::DriverConfig {
             workers: 1,
             tiers: vec![driver::Tier::Direct],
-            manage_thread_budget: false,
             ..driver::DriverConfig::default()
         })
         .with_shared_cache(handle.cache());

@@ -9,7 +9,7 @@
 //!
 //! Flags are `&'static AtomicBool` rather than `Arc<AtomicBool>` so
 //! [`crate::LoweringOptions`] stays `Copy` (the options value is copied
-//! into every search stage and helper thread). Statics cannot be freed, so
+//! into every search stage). Statics cannot be freed, so
 //! the pool recycles them: [`acquire`] pops a cleared flag from the
 //! free list (leaking a fresh one only when the list is empty) and
 //! [`release`] returns it. The number of live flags is therefore bounded

@@ -292,7 +292,7 @@ mod tests {
                 |ctx| {
                     let th = encode_halide_lane(ctx, h, 0);
                     let tu = encode_uber_lane(ctx, u, 0);
-                    ctx.ne(th, tu)
+                    Some(ctx.ne(th, tu))
                 },
                 u64::MAX,
             )

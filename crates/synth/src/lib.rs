@@ -31,7 +31,6 @@ pub mod linear;
 pub mod lower;
 #[cfg(test)]
 mod lower_proptests;
-pub mod pool;
 pub mod range;
 pub mod stats;
 pub mod swizzle;

@@ -197,97 +197,23 @@ impl Lifter<'_> {
 
     /// Screen `cands` against the oracle and return the index of the
     /// first (in input order) accepted candidate.
-    ///
-    /// When the verifier enables parallel lifting and the process-wide
-    /// [`crate::pool`] has spare permits, screening fans across helper
-    /// threads. Helpers claim candidate indices from a shared atomic
-    /// counter (so claims are monotone: whenever index `i` is claimed,
-    /// every index below `i` has been claimed too), record accepts with
-    /// `fetch_min`, and stop once their next claim exceeds the current
-    /// best. A claim is only ever abandoned when it exceeds the best at
-    /// that moment — and the best never increases — so every index up to
-    /// the final winner is fully checked. The returned index is therefore
-    /// exactly the serial first-accept, and synthesized programs are
-    /// byte-identical to the serial path. Only `lifting_queries` may
-    /// differ: helpers past the winner may have been mid-check.
     fn screen(
         &mut self,
         e: &Expr,
         cands: &[(LiftRule, &'static str, UberExpr)],
     ) -> Option<usize> {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-        let reservation = if self.verifier.parallel_lifting && cands.len() >= 2 {
-            Some(crate::pool::global().reserve_up_to(cands.len() - 1))
-        } else {
-            None
-        };
-        let helpers = reservation.as_ref().map_or(0, |r| r.count());
-        if helpers == 0 {
-            for (i, (_, _, cand)) in cands.iter().enumerate() {
-                let expired = self.deadline.is_some_and(|deadline| Instant::now() >= deadline);
-                if expired || crate::cancel::cancelled(self.cancel) {
-                    self.stats.deadline_exceeded = true;
-                    return None;
-                }
-                self.stats.lifting_queries += 1;
-                if self.verifier.equiv_halide_uber(e, cand) {
-                    return Some(i);
-                }
+        for (i, (_, _, cand)) in cands.iter().enumerate() {
+            let expired = self.deadline.is_some_and(|deadline| Instant::now() >= deadline);
+            if expired || crate::cancel::cancelled(self.cancel) {
+                self.stats.deadline_exceeded = true;
+                return None;
             }
-            return None;
+            self.stats.lifting_queries += 1;
+            if self.verifier.equiv_halide_uber(e, cand) {
+                return Some(i);
+            }
         }
-
-        let next = AtomicUsize::new(0);
-        let best = AtomicUsize::new(usize::MAX);
-        let timed_out = AtomicBool::new(false);
-        let queries = AtomicUsize::new(0);
-        let verifier = self.verifier;
-        let deadline = self.deadline;
-        let cancel = self.cancel;
-        // Helper threads start with an empty span stack; hand them the
-        // calling thread's context so their oracle spans stitch under it.
-        let span_ctx = trace::current();
-        let worker = || {
-            let _adopted = span_ctx.map(trace::adopt);
-            loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= cands.len() || i > best.load(Ordering::SeqCst) {
-                    break;
-                }
-                let expired = deadline.is_some_and(|d| Instant::now() >= d);
-                if expired || crate::cancel::cancelled(cancel) {
-                    timed_out.store(true, Ordering::SeqCst);
-                    break;
-                }
-                queries.fetch_add(1, Ordering::SeqCst);
-                if verifier.equiv_halide_uber(e, &cands[i].2) {
-                    best.fetch_min(i, Ordering::SeqCst);
-                    break;
-                }
-            }
-        };
-        std::thread::scope(|scope| {
-            let worker = &worker;
-            for _ in 0..helpers {
-                scope.spawn(worker);
-            }
-            // The calling thread participates too; its permit is implicit.
-            worker();
-        });
-        drop(reservation);
-        self.stats.lifting_queries += queries.load(Ordering::SeqCst) as u64;
-        match best.load(Ordering::SeqCst) {
-            usize::MAX => {
-                if timed_out.load(Ordering::SeqCst) {
-                    self.stats.deadline_exceeded = true;
-                }
-                None
-            }
-            // An accepted candidate is oracle-verified even if the
-            // deadline passed while other helpers were still checking.
-            i => Some(i),
-        }
+        None
     }
 
     fn accept_silently(&mut self, e: &Expr, rule: LiftRule, site: &'static str, u: &UberExpr) {

@@ -475,15 +475,15 @@ pub fn smt_equiv_uber_hvx(
     conflict_budget: u64,
     solver: &smt::SharedSolver,
 ) -> Option<bool> {
-    use smt::{BvSolver, SmtResult};
-    solver.run(|ctx| {
+    let build = |ctx: &mut Context| {
         let uber_lanes: Vec<TermId> =
             (0..lanes).map(|i| crate::encode::encode_uber_lane(ctx, u, i)).collect();
         let mut sx = SymExec { ctx: &mut *ctx, lanes, vec_bytes };
         let val = sx.eval(h).ok()?;
         let got = val.natural_lanes(&mut *ctx, u.ty());
         if got.len() != uber_lanes.len() {
-            return Some(false);
+            // Lane counts differ: a trivially satisfiable query refutes.
+            return Some(ctx.tt());
         }
         let mut any_ne = ctx.ff();
         for (i, &g) in got.iter().enumerate() {
@@ -500,10 +500,9 @@ pub fn smt_equiv_uber_hvx(
             let ne = ctx.ne(g, uber_lanes[want_idx]);
             any_ne = ctx.or(any_ne, ne);
         }
-        let mut solver = BvSolver::new(ctx);
-        solver.assert_term(any_ne);
-        solver.check_limited(conflict_budget).map(|r| r == SmtResult::Unsat)
-    })
+        Some(any_ne)
+    };
+    solver.prove_unsat(build, conflict_budget)
 }
 
 fn ext(ctx: &mut Context, t: TermId, signed: bool, extra: u32) -> TermId {

@@ -60,10 +60,6 @@ pub struct Verifier {
     /// Off reproduces the unmemoized path exactly (fresh contexts and
     /// envs per query); verdicts are identical either way.
     pub memoize: bool,
-    /// Fan lifting candidate screening across helper threads drawn from
-    /// [`crate::pool`]. Winner selection is input-order equivalent, so
-    /// output programs are byte-identical to the serial path.
-    pub parallel_lifting: bool,
     /// Shared memo state (verdict cache, env cache, SMT context, query
     /// counters). Clones share it; a fresh handle starts cold.
     pub memo: MemoHandle,
@@ -81,7 +77,6 @@ impl Default for Verifier {
             smt_conflict_budget: 50_000,
             smt_lowering: false,
             memoize: true,
-            parallel_lifting: true,
             memo: MemoHandle::default(),
         }
     }
@@ -645,7 +640,7 @@ impl Verifier {
                 any_ne = ctx.or(any_ne, ne);
             }
             sp.arg("lanes", self.smt_lanes);
-            any_ne
+            Some(any_ne)
         };
         let result = if self.memoize {
             self.memo.solver().prove_unsat(build, self.smt_conflict_budget)

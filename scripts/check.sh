@@ -71,6 +71,15 @@ cargo run -q --release --offline --locked -p rake-bench --bin perf -- \
   --check "$perf_snapshot"
 rm -f "$perf_snapshot"
 
+echo "== rakebench (unit tests + fuzz-batch contract smoke)"
+# The benchmark of record is a package of its own, outside the workspace,
+# so the workspace steps above never build it. Its unit tests, then one
+# short fuzz-batch run: `bench` exits non-zero on a wrong output or a
+# failed unit. No timing thresholds.
+cargo test -q --release --offline --locked --manifest-path rakebench/Cargo.toml
+cargo run -q --release --offline --locked --manifest-path rakebench/Cargo.toml -- \
+  bench --workload fuzz-batch --seconds 3 --trace 0
+
 echo "== server smoke (rake-served round-trip, warm cache, metrics)"
 # Boots the compilation server on an ephemeral port, compiles three
 # expressions through rake-client, then repeats them and asserts the

@@ -8,10 +8,9 @@
 //! UPDATE_GOLDEN=1 cargo test --release -p rake-bench --test golden
 //! ```
 //!
-//! The suite runs twice — once with memoization and parallel lifting on
-//! (the default) and once with both off — and requires byte-identical
-//! output under both configurations: the hot-path machinery must be a
-//! pure speedup, never a behavioral change.
+//! The suite runs twice — once with memoization on (the default) and once
+//! with it off — and requires byte-identical output under both: the memo
+//! tables must be a pure speedup, never a behavioral change.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -52,11 +51,10 @@ fn golden_snapshots_hold_under_both_hot_path_configs() {
     if update {
         std::fs::create_dir_all(&dir).expect("create golden dir");
     }
-    // The toggles are read per `Rake` construction, and this binary holds
-    // only this test, so setting them here is race-free.
-    for (memo, parallel) in [(true, true), (false, false)] {
+    // The toggle is read per `Rake` construction, and this binary holds
+    // only this test, so setting it here is race-free.
+    for memo in [true, false] {
         std::env::set_var("RAKE_MEMO", if memo { "1" } else { "0" });
-        std::env::set_var("RAKE_PARALLEL_LIFT", if parallel { "1" } else { "0" });
         for w in workloads::all() {
             let got = snapshot(&w);
             let path = dir.join(format!("{}.txt", w.name));
@@ -69,13 +67,11 @@ fn golden_snapshots_hold_under_both_hot_path_configs() {
             });
             assert_eq!(
                 got, want,
-                "{} diverged from its golden snapshot under memo={memo} \
-                 parallel={parallel}; if the change is intended, regenerate \
-                 with UPDATE_GOLDEN=1",
+                "{} diverged from its golden snapshot under memo={memo}; \
+                 if the change is intended, regenerate with UPDATE_GOLDEN=1",
                 w.name
             );
         }
     }
     std::env::remove_var("RAKE_MEMO");
-    std::env::remove_var("RAKE_PARALLEL_LIFT");
 }

@@ -1,22 +1,22 @@
-//! Hot-path equivalence and regression properties: memoization and
-//! parallel lifting must be pure speedups. Verdicts, lifted programs and
-//! compiled output are identical with them on or off, and the memoized
-//! path never issues more SMT queries than the unmemoized one.
+//! Hot-path equivalence and regression properties: memoization must be a
+//! pure speedup. Verdicts, lifted programs and compiled output are
+//! identical with it on or off, and the memoized path never issues more
+//! SMT queries than the unmemoized one.
 
 use oracle::{gen_expr, GenConfig};
 use rake::{Rake, Target};
-use synth::{lift_expr, SynthStats, Verifier};
+use synth::Verifier;
 
-fn verifier(memoize: bool, parallel_lifting: bool) -> Verifier {
+fn verifier(memoize: bool) -> Verifier {
     // fast() with a tighter proof budget: generated streams hit a few
     // adversarial queries that would otherwise burn the full 50k-conflict
     // budget twice per expression. Both sides share the budget, so the
     // equivalence property is unaffected.
-    Verifier { memoize, parallel_lifting, smt_conflict_budget: 5_000, ..Verifier::fast() }
+    Verifier { memoize, smt_conflict_budget: 5_000, ..Verifier::fast() }
 }
 
 fn rake(memoize: bool) -> Rake {
-    Rake::new(Target::hvx_small(8)).with_verifier(verifier(memoize, false))
+    Rake::new(Target::hvx_small(8)).with_verifier(verifier(memoize))
 }
 
 /// Property: over a seeded stream of generated expressions, the memoized
@@ -60,38 +60,6 @@ fn memoized_and_unmemoized_compilations_agree_on_generated_streams() {
     assert!(m.smt_queries <= p.smt_queries, "memoization increased SMT queries");
 }
 
-/// Property: parallel candidate screening selects exactly the candidate
-/// serial screening selects, over a seeded generated stream.
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "lifts a generated stream twice; run with: cargo test --release"
-)]
-fn parallel_and_serial_lifting_agree_on_generated_streams() {
-    // Grant helpers explicitly: on a single-core machine the pool would
-    // otherwise hand out zero permits and the parallel path would never
-    // be exercised.
-    synth::pool::set_thread_budget(4);
-    let cfg = GenConfig::default();
-    let mut rng = lanes::rng::Rng::seed_from_u64(0xF00D_4);
-    let par = verifier(true, true);
-    let ser = verifier(true, false);
-    for i in 0..40 {
-        let e = gen_expr(&mut rng, &cfg);
-        let mut sa = SynthStats::default();
-        let mut sb = SynthStats::default();
-        let a = lift_expr(&e, &par, &mut sa);
-        let b = lift_expr(&e, &ser, &mut sb);
-        match (&a, &b) {
-            (Some((ua, _)), Some((ub, _))) => {
-                assert_eq!(ua, ub, "lifted programs differ on #{i}: {e}");
-            }
-            (None, None) => {}
-            _ => panic!("lift outcomes differ on #{i}: {e}\n{a:?}\nvs\n{b:?}"),
-        }
-    }
-}
-
 /// Regression: with memoization on, compiling the sobel workload issues no
 /// more SMT queries than the unmemoized pre-memo path did — the cache can
 /// only remove proofs, never add them.
@@ -113,7 +81,6 @@ fn sobel_smt_queries_are_monotone_non_increasing_under_memoization() {
         smt_conflict_budget: 10_000,
         smt_lowering: false,
         memoize,
-        parallel_lifting: false,
         ..Verifier::default()
     };
     let target = Target { lanes, vec_bytes: 16 };
