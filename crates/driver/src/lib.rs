@@ -1113,7 +1113,11 @@ impl UniqueResult {
     }
 }
 
-fn default_compile_fn(rake: &Rake) -> CompileFn {
+/// The compile function a [`Driver`] runs unless
+/// [`Driver::with_compile_fn`] replaces it: [`Rake::compile`] under the
+/// tier's budget reductions, with the attempt deadline and cancellation
+/// flag.
+pub fn default_compile_fn(rake: &Rake) -> CompileFn {
     let full = rake.clone();
     let reduced = Tier::Reduced.apply(rake);
     let direct = Tier::Direct.apply(rake);

@@ -138,7 +138,8 @@ pub struct ServerConfig {
     /// How long a quarantined key stays poisoned; `None` is forever.
     pub quarantine_ttl: Option<Duration>,
     /// Accept the per-request `chaos` field (fault injection inside
-    /// workers). Test/benchmark plumbing; off by default.
+    /// workers; `sleep:<ms>` also applies without `--isolate`).
+    /// Test/benchmark plumbing; off by default.
     pub chaos: bool,
     /// Directory for per-request Chrome trace-event exports
     /// (`trace-<id>.json`, schema `rake-trace-v1`). Setting it turns the
@@ -709,7 +710,8 @@ struct CompileRequest {
     validate: bool,
     tiers: Vec<Tier>,
     /// Chaos fault to inject worker-side (`abort` / `oom` /
-    /// `sleep:<ms>`); only accepted when the server runs `--chaos`.
+    /// `sleep:<ms>`; only the sleep applies in-process); only accepted
+    /// when the server runs `--chaos`.
     fault: Option<String>,
 }
 
@@ -797,7 +799,7 @@ fn parse_compile_request(shared: &Shared, body: &[u8]) -> Result<CompileRequest,
         }
         Some(v) => {
             let f = v.as_str().ok_or_else(|| bad("`chaos` must be a string"))?;
-            let valid = f == "abort" || f == "oom" || f.strip_prefix("sleep:").is_some_and(|ms| ms.parse::<u64>().is_ok());
+            let valid = f == "abort" || f == "oom" || sleep_fault_ms(f).is_some();
             if !valid {
                 return Err(bad("`chaos` must be `abort`, `oom`, or `sleep:<ms>`"));
             }
@@ -903,7 +905,8 @@ fn handle_compile_inner(
     };
 
     let base = shared.base_rake(parsed.lanes);
-    let mut driver = Driver::new(base)
+    let sleep_ms = parsed.fault.as_deref().and_then(sleep_fault_ms);
+    let mut driver = Driver::new(base.clone())
         .with_config(DriverConfig {
             workers: parsed.exprs.len().clamp(1, 4),
             job_timeout: parsed.timeout,
@@ -921,6 +924,8 @@ fn handle_compile_inner(
     }
     if let Some(pool) = &shared.pool {
         driver = driver.with_compile_fn(isolated_compile_fn(shared, pool, &parsed));
+    } else if let Some(ms) = sleep_ms {
+        driver = driver.with_compile_fn(sleeping_compile_fn(&base, ms));
     }
 
     let expr_keys: Vec<String> =
@@ -1199,6 +1204,39 @@ fn isolated_compile_fn(
             }
             DispatchOutcome::Cancelled => Err(CompileError::DeadlineExceeded),
         }
+    }
+}
+
+/// The milliseconds of a `sleep:<ms>` chaos fault.
+pub(crate) fn sleep_fault_ms(fault: &str) -> Option<u64> {
+    fault.strip_prefix("sleep:").and_then(|ms| ms.parse().ok())
+}
+
+/// The in-process path's `sleep:<ms>` chaos fault: each job sleeps before
+/// compiling, as an isolated worker does, so a test can hold a permit for
+/// a known time. The sleep ends early when the request is cancelled.
+fn sleeping_compile_fn(
+    rake: &Rake,
+    ms: u64,
+) -> impl Fn(
+    &Expr,
+    Option<Instant>,
+    Tier,
+    Option<synth::CancelFlag>,
+) -> Result<Compiled, CompileError>
+       + Send
+       + Sync
+       + 'static {
+    let compile = driver::default_compile_fn(rake);
+    move |e, deadline, tier, cancel| {
+        let until = Instant::now() + Duration::from_millis(ms);
+        while let Some(left) = until.checked_duration_since(Instant::now()) {
+            if synth::cancel::cancelled(cancel) {
+                return Err(CompileError::DeadlineExceeded);
+            }
+            std::thread::sleep(left.min(Duration::from_millis(10)));
+        }
+        compile(e, deadline, tier, cancel)
     }
 }
 

@@ -271,7 +271,7 @@ fn compile_reply(job: &Job, rakes: &mut HashMap<(usize, Tier), Rake>) -> Json {
             oom_hog();
         }
         Some(f) => {
-            if let Some(ms) = f.strip_prefix("sleep:").and_then(|ms| ms.parse::<u64>().ok()) {
+            if let Some(ms) = crate::server::sleep_fault_ms(f) {
                 std::thread::sleep(Duration::from_millis(ms));
             }
         }

@@ -63,8 +63,9 @@ fn outcome_of(doc: &Json, i: usize) -> &str {
         .unwrap_or("?")
 }
 
-/// The heaviest seed workload, as (lanes, S-expression strings) — slow
-/// enough cold that a test can act while it is still compiling.
+/// The heaviest seed workload, as (lanes, S-expression strings). It
+/// compiles in milliseconds, so a test that must act while it is in
+/// flight also sends a [`hold`].
 fn heavy_workload() -> (usize, Vec<String>) {
     let w = workloads::all()
         .into_iter()
@@ -72,6 +73,13 @@ fn heavy_workload() -> (usize, Vec<String>) {
         .expect("seed workloads exist");
     let exprs = w.exprs.iter().take(4).map(halide_ir::sexpr::to_sexpr).collect();
     (w.lanes, exprs)
+}
+
+/// The `sleep:<ms>` chaos fault: every job of the request sleeps this
+/// long before compiling, holding the request's permit; a cancelled
+/// request stops sleeping.
+fn hold(ms: u64) -> (&'static str, Json) {
+    ("chaos", format!("sleep:{ms}").into())
 }
 
 #[test]
@@ -217,10 +225,11 @@ fn busy_server_answers_429_with_retry_after() {
         c.permits = 1;
         c.queue_slots = 0;
         c.default_timeout = Some(Duration::from_secs(20));
+        c.chaos = true;
     });
     let (lanes, heavy) = heavy_workload();
     let refs: Vec<&str> = heavy.iter().map(String::as_str).collect();
-    let body = compile_body(&refs, &[("lanes", lanes.into())]);
+    let body = compile_body(&refs, &[("lanes", lanes.into()), hold(5_000)]);
     let addr = handle.addr();
     let holder = std::thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -248,10 +257,12 @@ fn client_disconnect_cancels_and_frees_the_worker() {
     let handle = start(|c| {
         c.permits = 1;
         c.default_timeout = Some(Duration::from_secs(60));
+        c.chaos = true;
     });
     let (lanes, heavy) = heavy_workload();
     let refs: Vec<&str> = heavy.iter().map(String::as_str).collect();
-    let body = compile_body(&refs, &[("lanes", lanes.into())]);
+    // Held for the whole 60-second budget unless cancellation works.
+    let body = compile_body(&refs, &[("lanes", lanes.into()), hold(60_000)]);
 
     // Send the heavy request, then vanish without reading the response.
     let metrics = handle.metrics();

@@ -20,8 +20,8 @@ mod common;
 use common::start_with_retry;
 
 /// A tile that lifts and lowers in milliseconds but still reaches the
-/// solver: absd is non-linear, so its lift verification cannot take the
-/// linear fast path and must issue a real `smt.prove_unsat` query.
+/// solver: its lift verification issues an `smt.prove_unsat` query (one
+/// that normalization decides while the query is built).
 const SMT_TILE: &str = "(absd (load a u8 0 0) (load b u8 0 0))";
 /// A distinct key for the crash half of the test.
 const CRASH_TILE: &str = "(add (load a u8 3 0) (load b u8 3 0))";

@@ -7,7 +7,7 @@
 //!
 //! The flow is:
 //!
-//! 1. build terms in a [`Context`] (hash-consed, constant-folding),
+//! 1. build terms in a [`Context`] (hash-consed, normalized at word level),
 //! 2. assert width-1 terms on a [`BvSolver`],
 //! 3. [`BvSolver::check`] returns [`SmtResult::Unsat`] or a counterexample
 //!    [`BvModel`] assigning every bit-vector variable.
@@ -30,6 +30,8 @@
 //! ```
 
 mod blast;
+#[cfg(test)]
+mod normalize_tests;
 mod shared;
 mod solver;
 mod term;

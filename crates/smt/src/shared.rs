@@ -137,6 +137,16 @@ mod tests {
         }
     }
 
+    /// 16-bit multiplication commutes: true, but no rewrite reorders a
+    /// product's operands, so only the CDCL search can show it.
+    fn mul_commutes(ctx: &mut Context) -> TermId {
+        let x = ctx.var("hx", 16);
+        let y = ctx.var("hy", 16);
+        let l = ctx.mul(x, y);
+        let r = ctx.mul(y, x);
+        ctx.ne(l, r)
+    }
+
     fn double_is_shift(ctx: &mut Context) -> Option<TermId> {
         let x = ctx.var("x", 16);
         let two = ctx.constant(2, 16);
@@ -209,10 +219,19 @@ mod tests {
 
     #[test]
     fn search_runs_outside_the_context_lock() {
-        // A hard query (16-bit multiplication commutes) with a budget it
-        // cannot finish quickly; while it searches, another thread on the
-        // same solver must complete 100 queries. If the search held the
-        // lock, they would all queue behind it and finish after it.
+        // A hard query with a budget it cannot finish quickly; while it
+        // searches, another thread on the same solver must complete 100
+        // queries. If the search held the lock, they would all queue
+        // behind it and finish after it.
+        let mut ctx = Context::new();
+        let miter = mul_commutes(&mut ctx);
+        let mut blaster = Blaster::new(&ctx);
+        blaster.assert_true(miter);
+        assert!(
+            blaster.sat.num_vars() > 1,
+            "normalization decided the hard query: it never reaches the search"
+        );
+
         let s = SharedSolver::new();
         let hard_done = AtomicBool::new(false);
         let hard_started = AtomicBool::new(false);
@@ -220,12 +239,9 @@ mod tests {
             scope.spawn(|| {
                 let _ = s.prove_unsat(
                     |ctx| {
-                        let x = ctx.var("hx", 16);
-                        let y = ctx.var("hy", 16);
-                        let l = ctx.mul(x, y);
-                        let r = ctx.mul(y, x);
+                        let miter = mul_commutes(ctx);
                         hard_started.store(true, Ordering::SeqCst);
-                        Some(ctx.ne(l, r))
+                        Some(miter)
                     },
                     HARD_BUDGET,
                 );

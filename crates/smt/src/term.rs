@@ -1,4 +1,23 @@
-//! Hash-consed bit-vector terms with constant folding.
+//! Hash-consed bit-vector terms, normalized at word level as they are built.
+//!
+//! Every constructor returns its term in a small normal form, so that two
+//! encodings of one computation — the Halide side and the uber side of a
+//! lifting miter — intern to the same DAG and the miter folds to a
+//! constant before anything is bit-blasted:
+//!
+//! - constants fold;
+//! - `extract[k-1:0]` is pushed towards the leaves, and other extracts are
+//!   re-indexed onto the operands of shifts, extensions and concatenations;
+//! - sums, differences and constant multiples flatten into a linear normal
+//!   form whose atoms keep the order in which they first occur;
+//! - every term carries a conservative unsigned interval, which decides
+//!   comparisons and drops min/max operations (and so clamps) whose
+//!   outcome the operands' ranges already fix.
+//!
+//! No rewrite orders anything by [`TermId`] value, so the term a query
+//! builds is a function of the query's own structure, never of what else
+//! the context holds. DESIGN.md ("Word-level normalization") gives the
+//! full rewrite list and the soundness argument.
 
 use std::collections::HashMap;
 
@@ -45,13 +64,46 @@ fn mask(width: u32) -> u64 {
     }
 }
 
+/// The sign bit of a `width`-bit value.
+fn half(width: u32) -> u64 {
+    1u64 << (width - 1)
+}
+
 fn sext_val(v: u64, width: u32) -> i64 {
     let shift = 64 - width;
     ((v << shift) as i64) >> shift
 }
 
+/// The smallest all-ones value `>= v`.
+fn smear(v: u64) -> u64 {
+    if v == 0 {
+        0
+    } else {
+        u64::MAX >> v.leading_zeros()
+    }
+}
+
+/// A linear normal form `Σ coef·atom + constant` modulo `2^width`. Atoms
+/// are the terms that are not sums, differences, constants or constant
+/// multiples; they keep the order in which they first occur.
+#[derive(Debug, Default)]
+struct Lin {
+    terms: Vec<(TermId, u64)>,
+    constant: u64,
+}
+
+impl Lin {
+    /// Add `coef·atom`, merging with an earlier occurrence of `atom`.
+    fn push(&mut self, atom: TermId, coef: u64, m: u64) {
+        match self.terms.iter_mut().find(|(t, _)| *t == atom) {
+            Some((_, c)) => *c = c.wrapping_add(coef) & m,
+            None => self.terms.push((atom, coef & m)),
+        }
+    }
+}
+
 /// A term-building context. Terms are immutable, hash-consed and
-/// constant-folded at construction.
+/// normalized at construction (see the module docs).
 ///
 /// # Panics
 ///
@@ -61,7 +113,12 @@ fn sext_val(v: u64, width: u32) -> i64 {
 pub struct Context {
     pub(crate) nodes: Vec<Node>,
     widths: Vec<u32>,
+    /// A conservative unsigned interval `[lo, hi]` of every term's value.
+    ranges: Vec<(u64, u64)>,
     dedup: HashMap<Node, TermId>,
+    /// `extract[k-1:0]` of a term after pushing it towards the leaves,
+    /// keyed by `(term, k)`, so shared subterms are narrowed once.
+    low_bits: HashMap<(TermId, u32), TermId>,
 }
 
 impl Context {
@@ -89,16 +146,122 @@ impl Context {
         &self.nodes[t.0 as usize]
     }
 
+    /// The unsigned interval every value of `t` lies in.
+    pub(crate) fn range(&self, t: TermId) -> (u64, u64) {
+        self.ranges[t.0 as usize]
+    }
+
+    /// The signed interval of `t`; the full signed range when `t`'s
+    /// unsigned interval straddles the sign bit.
+    fn srange(&self, t: TermId) -> (i128, i128) {
+        let w = self.width(t);
+        let (lo, hi) = self.range(t);
+        if hi < half(w) {
+            (i128::from(lo), i128::from(hi))
+        } else if lo >= half(w) {
+            (i128::from(sext_val(lo, w)), i128::from(sext_val(hi, w)))
+        } else {
+            (-i128::from(half(w)), i128::from(half(w)) - 1)
+        }
+    }
+
+    fn nonneg(&self, t: TermId) -> bool {
+        self.range(t).1 < half(self.width(t))
+    }
+
+    /// Intern a node as is. A node whose interval is a single point is
+    /// that constant.
     fn intern(&mut self, node: Node, width: u32) -> TermId {
         assert!((1..=64).contains(&width), "width {width} out of range");
         if let Some(&id) = self.dedup.get(&node) {
             return id;
         }
+        let (lo, hi) = self.node_range(&node, width);
+        if lo == hi && !matches!(node, Node::Const { .. }) {
+            return self.constant(lo, width);
+        }
         let id = TermId(self.nodes.len() as u32);
         self.nodes.push(node.clone());
         self.widths.push(width);
+        self.ranges.push((lo, hi));
         self.dedup.insert(node, id);
         id
+    }
+
+    /// The interval of a node's value, from its children's intervals.
+    fn node_range(&self, node: &Node, w: u32) -> (u64, u64) {
+        let m = mask(w);
+        let full = (0, m);
+        // `[lo, hi]` when the exact bounds fit the width, else `full`.
+        let fit =
+            |lo: u128, hi: u128| if hi <= u128::from(m) { (lo as u64, hi as u64) } else { full };
+        let r = |t: TermId| self.range(t);
+        let wide = |t: TermId| {
+            let (lo, hi) = self.range(t);
+            (u128::from(lo), u128::from(hi))
+        };
+        match *node {
+            Node::Const { value, .. } => (value, value),
+            Node::Var { .. } => full,
+            Node::Add(a, b) => {
+                let ((al, ah), (bl, bh)) = (wide(a), wide(b));
+                fit(al + bl, ah + bh)
+            }
+            Node::Sub(a, b) => {
+                let ((al, ah), (bl, bh)) = (r(a), r(b));
+                if al >= bh {
+                    (al - bh, ah - bl)
+                } else {
+                    full
+                }
+            }
+            Node::Mul(a, b) => {
+                let ((al, ah), (bl, bh)) = (wide(a), wide(b));
+                fit(al * bl, ah * bh)
+            }
+            Node::And(a, b) => (0, r(a).1.min(r(b).1)),
+            Node::Or(a, b) => (r(a).0.max(r(b).0), smear(r(a).1 | r(b).1)),
+            Node::Xor(a, b) => (0, smear(r(a).1 | r(b).1)),
+            Node::Not(a) => (m - r(a).1, m - r(a).0),
+            Node::Shl(a, n) => {
+                let (lo, hi) = wide(a);
+                fit(lo << n, hi << n)
+            }
+            Node::Lshr(a, n) => (r(a).0 >> n, r(a).1 >> n),
+            Node::Ashr(a, n) => {
+                let (lo, hi) = r(a);
+                // Monotone within one sign half.
+                if hi < half(w) || lo >= half(w) {
+                    ((sext_val(lo, w) >> n) as u64 & m, (sext_val(hi, w) >> n) as u64 & m)
+                } else {
+                    full
+                }
+            }
+            Node::ZeroExt(a, _) => r(a),
+            Node::SignExt(a, _) => {
+                let aw = self.width(a);
+                let (lo, hi) = r(a);
+                if hi < half(aw) || lo >= half(aw) {
+                    (sext_val(lo, aw) as u64 & m, sext_val(hi, aw) as u64 & m)
+                } else {
+                    full
+                }
+            }
+            Node::Extract(a, _, lo) => {
+                let (al, ah) = r(a);
+                if ah >> lo <= m {
+                    (al >> lo, ah >> lo)
+                } else {
+                    full
+                }
+            }
+            Node::Concat(hi, lo) => {
+                let lw = self.width(lo);
+                ((r(hi).0 << lw) | r(lo).0, (r(hi).1 << lw) | r(lo).1)
+            }
+            Node::Eq(..) | Node::Ult(..) | Node::Slt(..) => (0, 1),
+            Node::Ite(_, a, b) => (r(a).0.min(r(b).0), r(a).1.max(r(b).1)),
+        }
     }
 
     fn const_of(&self, t: TermId) -> Option<u64> {
@@ -140,31 +303,122 @@ impl Context {
         wa
     }
 
+    // ---- Linear normal form ---------------------------------------------
+
+    /// Add `scale·t` to `out`, flattening `t`'s sums, differences and
+    /// constant multiples; atoms are visited left to right.
+    fn lin_into(&self, out: &mut Lin, t: TermId, scale: u64) {
+        let m = mask(self.width(t));
+        let mut stack = vec![(t, scale & m)];
+        while let Some((t, s)) = stack.pop() {
+            if s == 0 {
+                continue;
+            }
+            match *self.node(t) {
+                Node::Const { value, .. } => {
+                    out.constant = out.constant.wrapping_add(value.wrapping_mul(s)) & m;
+                }
+                Node::Add(a, b) => {
+                    stack.push((b, s));
+                    stack.push((a, s));
+                }
+                Node::Sub(a, b) => {
+                    stack.push((b, s.wrapping_neg() & m));
+                    stack.push((a, s));
+                }
+                Node::Shl(a, n) => stack.push((a, (s << n) & m)),
+                Node::Mul(a, b) => match (self.const_of(a), self.const_of(b)) {
+                    (_, Some(c)) => stack.push((a, s.wrapping_mul(c) & m)),
+                    (Some(c), None) => stack.push((b, s.wrapping_mul(c) & m)),
+                    (None, None) => out.push(t, s, m),
+                },
+                _ => out.push(t, s, m),
+            }
+        }
+    }
+
+    /// The canonical term of a linear form: one left fold over the atoms
+    /// in order. A power-of-two coefficient becomes a shift, a coefficient
+    /// in the top half of the range (a negative one) a subtraction.
+    fn rebuild(&mut self, lin: Lin, w: u32) -> TermId {
+        let m = mask(w);
+        let mut constant = lin.constant;
+        let mut acc: Option<TermId> = None;
+        for (atom, c) in lin.terms {
+            if c == 0 {
+                continue;
+            }
+            let neg = c > half(w);
+            let term = self.scaled(atom, if neg { c.wrapping_neg() & m } else { c }, w);
+            acc = Some(match acc {
+                // A leading negative term subtracts from the constant.
+                None if neg => {
+                    let k = self.constant(constant, w);
+                    constant = 0;
+                    self.intern(Node::Sub(k, term), w)
+                }
+                None => term,
+                Some(a) if neg => self.intern(Node::Sub(a, term), w),
+                Some(a) => self.intern(Node::Add(a, term), w),
+            });
+        }
+        match acc {
+            None => self.constant(constant, w),
+            Some(a) if constant == 0 => a,
+            Some(a) if constant > half(w) => {
+                let k = self.constant(constant.wrapping_neg(), w);
+                self.intern(Node::Sub(a, k), w)
+            }
+            Some(a) => {
+                let k = self.constant(constant, w);
+                self.intern(Node::Add(a, k), w)
+            }
+        }
+    }
+
+    /// `c·atom` for a coefficient `c` in `1..2^w`.
+    fn scaled(&mut self, atom: TermId, c: u64, w: u32) -> TermId {
+        if c == 1 {
+            atom
+        } else if c.is_power_of_two() {
+            self.intern(Node::Shl(atom, c.trailing_zeros()), w)
+        } else {
+            let k = self.constant(c, w);
+            self.intern(Node::Mul(atom, k), w)
+        }
+    }
+
+    /// `Σ scale·t` over `parts`, normalized.
+    fn linear(&mut self, parts: &[(TermId, u64)], w: u32) -> TermId {
+        let mut lin = Lin::default();
+        for &(t, scale) in parts {
+            self.lin_into(&mut lin, t, scale);
+        }
+        self.rebuild(lin, w)
+    }
+
+    // ---- Arithmetic and bitwise constructors -----------------------------
+
     /// Wrapping addition.
     pub fn add(&mut self, a: TermId, b: TermId) -> TermId {
         let w = self.bin_width(a, b, "add");
-        if let (Some(x), Some(y)) = (self.const_of(a), self.const_of(b)) {
-            return self.constant(x.wrapping_add(y), w);
-        }
-        self.intern(Node::Add(a, b), w)
+        self.linear(&[(a, 1), (b, 1)], w)
     }
 
     /// Wrapping subtraction.
     pub fn sub(&mut self, a: TermId, b: TermId) -> TermId {
         let w = self.bin_width(a, b, "sub");
-        if let (Some(x), Some(y)) = (self.const_of(a), self.const_of(b)) {
-            return self.constant(x.wrapping_sub(y), w);
-        }
-        self.intern(Node::Sub(a, b), w)
+        self.linear(&[(a, 1), (b, mask(w))], w)
     }
 
     /// Wrapping multiplication.
     pub fn mul(&mut self, a: TermId, b: TermId) -> TermId {
         let w = self.bin_width(a, b, "mul");
-        if let (Some(x), Some(y)) = (self.const_of(a), self.const_of(b)) {
-            return self.constant(x.wrapping_mul(y), w);
+        match (self.const_of(a), self.const_of(b)) {
+            (_, Some(c)) => self.linear(&[(a, c)], w),
+            (Some(c), None) => self.linear(&[(b, c)], w),
+            (None, None) => self.intern(Node::Mul(a, b), w),
         }
-        self.intern(Node::Mul(a, b), w)
     }
 
     /// Bitwise and.
@@ -210,10 +464,7 @@ impl Context {
         if n == 0 {
             return a;
         }
-        if let Some(x) = self.const_of(a) {
-            return self.constant(x << n, w);
-        }
-        self.intern(Node::Shl(a, n), w)
+        self.linear(&[(a, 1u64 << n)], w)
     }
 
     /// Logical shift right by a constant; `n` must be `< width`.
@@ -229,7 +480,8 @@ impl Context {
         self.intern(Node::Lshr(a, n), w)
     }
 
-    /// Arithmetic shift right by a constant; `n` must be `< width`.
+    /// Arithmetic shift right by a constant; `n` must be `< width`. On a
+    /// provably non-negative operand this is [`Context::lshr`].
     pub fn ashr(&mut self, a: TermId, n: u32) -> TermId {
         let w = self.width(a);
         assert!(n < w, "shift amount {n} out of range for width {w}");
@@ -238,6 +490,9 @@ impl Context {
         }
         if let Some(x) = self.const_of(a) {
             return self.constant((sext_val(x, w) >> n) as u64, w);
+        }
+        if self.nonneg(a) {
+            return self.lshr(a, n);
         }
         self.intern(Node::Ashr(a, n), w)
     }
@@ -248,13 +503,15 @@ impl Context {
             return a;
         }
         let w = self.width(a) + extra;
-        if let Some(x) = self.const_of(a) {
-            return self.constant(x, w);
+        match *self.node(a) {
+            Node::Const { value, .. } => self.constant(value, w),
+            Node::ZeroExt(b, e) => self.zero_ext(b, e + extra),
+            _ => self.intern(Node::ZeroExt(a, extra), w),
         }
-        self.intern(Node::ZeroExt(a, extra), w)
     }
 
-    /// Sign-extend by `extra` bits.
+    /// Sign-extend by `extra` bits. On a provably non-negative operand
+    /// this is [`Context::zero_ext`].
     pub fn sign_ext(&mut self, a: TermId, extra: u32) -> TermId {
         if extra == 0 {
             return a;
@@ -264,8 +521,16 @@ impl Context {
         if let Some(x) = self.const_of(a) {
             return self.constant(sext_val(x, aw) as u64, w);
         }
+        if self.nonneg(a) {
+            return self.zero_ext(a, extra);
+        }
+        if let Node::SignExt(b, e) = *self.node(a) {
+            return self.sign_ext(b, e + extra);
+        }
         self.intern(Node::SignExt(a, extra), w)
     }
+
+    // ---- Extraction -------------------------------------------------------
 
     /// Bits `hi..=lo` (LSB-indexed, inclusive).
     pub fn extract(&mut self, a: TermId, hi: u32, lo: u32) -> TermId {
@@ -278,26 +543,163 @@ impl Context {
         if let Some(x) = self.const_of(a) {
             return self.constant(x >> lo, w);
         }
+        if lo == 0 {
+            return self.low(a, w);
+        }
+        // Re-index onto the operand when the bits stay in range.
+        match *self.node(a) {
+            Node::Extract(b, _, l) => return self.extract(b, hi + l, lo + l),
+            Node::Lshr(b, n) | Node::Ashr(b, n) if hi + n < aw => {
+                return self.extract(b, hi + n, lo + n);
+            }
+            Node::Shl(b, n) if lo >= n => return self.extract(b, hi - n, lo - n),
+            Node::ZeroExt(b, _) | Node::SignExt(b, _) if hi < self.width(b) => {
+                return self.extract(b, hi, lo);
+            }
+            Node::ZeroExt(b, _) if lo < self.width(b) => {
+                let bw = self.width(b);
+                let t = self.extract(b, bw - 1, lo);
+                return self.zero_ext(t, hi + 1 - bw);
+            }
+            Node::SignExt(b, _) if lo < self.width(b) => {
+                let bw = self.width(b);
+                let t = self.extract(b, bw - 1, lo);
+                return self.sign_ext(t, hi + 1 - bw);
+            }
+            Node::Concat(h, l) => {
+                let lw = self.width(l);
+                if hi < lw {
+                    return self.extract(l, hi, lo);
+                }
+                if lo >= lw {
+                    return self.extract(h, hi - lw, lo - lw);
+                }
+            }
+            _ => {}
+        }
+        // Otherwise narrow the operand to `hi + 1` bits first, when that
+        // pushes the truncation anywhere.
+        if hi + 1 < aw {
+            let narrow = self.low(a, hi + 1);
+            if !matches!(*self.node(narrow), Node::Extract(b, _, 0) if b == a) {
+                return self.extract(narrow, hi, lo);
+            }
+        }
         self.intern(Node::Extract(a, hi, lo), w)
     }
 
+    /// `extract[k-1:0]` of `a` for `k <= width(a)`, pushed towards the
+    /// leaves: the low `k` bits of a sum, product, bitwise operation,
+    /// shift left or `ite` depend only on the low `k` bits of its
+    /// operands.
+    fn low(&mut self, a: TermId, k: u32) -> TermId {
+        if self.width(a) == k {
+            return a;
+        }
+        if let Some(&t) = self.low_bits.get(&(a, k)) {
+            return t;
+        }
+        let t = self.push_low(a, k);
+        self.low_bits.insert((a, k), t);
+        t
+    }
+
+    fn push_low(&mut self, a: TermId, k: u32) -> TermId {
+        let aw = self.width(a);
+        let mut lin = Lin::default();
+        self.lin_into(&mut lin, a, 1);
+        if lin.terms != [(a, 1)] {
+            // A constant or a sum: narrow every atom.
+            let mut parts = Vec::with_capacity(lin.terms.len() + 1);
+            for (atom, c) in lin.terms {
+                parts.push((self.low(atom, k), c));
+            }
+            parts.push((self.constant(lin.constant, k), 1));
+            return self.linear(&parts, k);
+        }
+        match *self.node(a) {
+            Node::Mul(x, y) => {
+                let (x, y) = (self.low(x, k), self.low(y, k));
+                self.mul(x, y)
+            }
+            Node::And(x, y) => {
+                let (x, y) = (self.low(x, k), self.low(y, k));
+                self.and(x, y)
+            }
+            Node::Or(x, y) => {
+                let (x, y) = (self.low(x, k), self.low(y, k));
+                self.or(x, y)
+            }
+            Node::Xor(x, y) => {
+                let (x, y) = (self.low(x, k), self.low(y, k));
+                self.xor(x, y)
+            }
+            Node::Not(x) => {
+                let x = self.low(x, k);
+                self.not(x)
+            }
+            Node::Ite(c, x, y) => {
+                let (x, y) = (self.low(x, k), self.low(y, k));
+                self.ite(c, x, y)
+            }
+            Node::ZeroExt(x, _) | Node::SignExt(x, _) if k <= self.width(x) => self.low(x, k),
+            Node::ZeroExt(x, _) => {
+                let extra = k - self.width(x);
+                self.zero_ext(x, extra)
+            }
+            Node::SignExt(x, _) => {
+                let extra = k - self.width(x);
+                self.sign_ext(x, extra)
+            }
+            Node::Concat(h, l) => {
+                let lw = self.width(l);
+                if k <= lw {
+                    self.low(l, k)
+                } else {
+                    let h = self.low(h, k - lw);
+                    self.concat(h, l)
+                }
+            }
+            Node::Extract(x, _, lo) => self.extract(x, lo + k - 1, lo),
+            Node::Lshr(x, n) | Node::Ashr(x, n) if n + k <= aw => self.extract(x, n + k - 1, n),
+            _ => self.intern(Node::Extract(a, k - 1, 0), k),
+        }
+    }
+
     /// Concatenation `hi ++ lo`; `hi` becomes the most-significant bits.
+    /// Adjacent slices of one term merge back into one slice.
     pub fn concat(&mut self, hi: TermId, lo: TermId) -> TermId {
-        let w = self.width(hi) + self.width(lo);
+        let lw = self.width(lo);
+        let w = self.width(hi) + lw;
         if let (Some(h), Some(l)) = (self.const_of(hi), self.const_of(lo)) {
-            return self.constant((h << self.width(lo)) | l, w);
+            return self.constant((h << lw) | l, w);
+        }
+        if let Node::Extract(b, h, l) = *self.node(hi) {
+            if l >= lw && self.extract(b, l - 1, l - lw) == lo {
+                return self.extract(b, h, l - lw);
+            }
         }
         self.intern(Node::Concat(hi, lo), w)
     }
 
-    /// Equality (width-1 result).
+    // ---- Predicates and selection ----------------------------------------
+
+    /// Equality (width-1 result). Decided when the two sides' linear forms
+    /// differ by a constant, or when their intervals are disjoint.
     pub fn eq(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bin_width(a, b, "eq");
+        let w = self.bin_width(a, b, "eq");
         if a == b {
             return self.tt();
         }
-        if let (Some(x), Some(y)) = (self.const_of(a), self.const_of(b)) {
-            return self.constant(u64::from(x == y), 1);
+        let mut diff = Lin::default();
+        self.lin_into(&mut diff, a, 1);
+        self.lin_into(&mut diff, b, mask(w));
+        if diff.terms.iter().all(|&(_, c)| c == 0) {
+            return self.constant(u64::from(diff.constant == 0), 1);
+        }
+        let ((al, ah), (bl, bh)) = (self.range(a), self.range(b));
+        if ah < bl || bh < al {
+            return self.ff();
         }
         self.intern(Node::Eq(a, b), 1)
     }
@@ -308,20 +710,36 @@ impl Context {
         self.not(e)
     }
 
-    /// Unsigned less-than (width-1 result).
+    /// Unsigned less-than (width-1 result); decided by the intervals when
+    /// they order the operands.
     pub fn ult(&mut self, a: TermId, b: TermId) -> TermId {
         self.bin_width(a, b, "ult");
-        if let (Some(x), Some(y)) = (self.const_of(a), self.const_of(b)) {
-            return self.constant(u64::from(x < y), 1);
+        let ((al, ah), (bl, bh)) = (self.range(a), self.range(b));
+        if ah < bl {
+            return self.tt();
+        }
+        if al >= bh || a == b {
+            return self.ff();
         }
         self.intern(Node::Ult(a, b), 1)
     }
 
-    /// Signed less-than (width-1 result).
+    /// Signed less-than (width-1 result); decided by the signed intervals
+    /// when they order the operands, and an unsigned comparison when both
+    /// operands lie in one sign half.
     pub fn slt(&mut self, a: TermId, b: TermId) -> TermId {
         let w = self.bin_width(a, b, "slt");
-        if let (Some(x), Some(y)) = (self.const_of(a), self.const_of(b)) {
-            return self.constant(u64::from(sext_val(x, w) < sext_val(y, w)), 1);
+        let ((al, ah), (bl, bh)) = (self.srange(a), self.srange(b));
+        if ah < bl {
+            return self.tt();
+        }
+        if al >= bh || a == b {
+            return self.ff();
+        }
+        let (ua, ub) = (self.range(a), self.range(b));
+        let same_half = (ua.1 < half(w) && ub.1 < half(w)) || (ua.0 >= half(w) && ub.0 >= half(w));
+        if same_half {
+            return self.ult(a, b);
         }
         self.intern(Node::Slt(a, b), 1)
     }
@@ -340,27 +758,58 @@ impl Context {
     }
 
     // ---- Derived constructors -------------------------------------------
+    //
+    // Each returns an operand outright when the intervals already order
+    // the two, which removes a clamp whose input provably fits.
 
     /// Signed minimum.
     pub fn smin(&mut self, a: TermId, b: TermId) -> TermId {
+        let ((al, ah), (bl, bh)) = (self.srange(a), self.srange(b));
+        if ah <= bl {
+            return a;
+        }
+        if bh <= al {
+            return b;
+        }
         let c = self.slt(a, b);
         self.ite(c, a, b)
     }
 
     /// Signed maximum.
     pub fn smax(&mut self, a: TermId, b: TermId) -> TermId {
+        let ((al, ah), (bl, bh)) = (self.srange(a), self.srange(b));
+        if ah <= bl {
+            return b;
+        }
+        if bh <= al {
+            return a;
+        }
         let c = self.slt(a, b);
         self.ite(c, b, a)
     }
 
     /// Unsigned minimum.
     pub fn umin(&mut self, a: TermId, b: TermId) -> TermId {
+        let ((al, ah), (bl, bh)) = (self.range(a), self.range(b));
+        if ah <= bl {
+            return a;
+        }
+        if bh <= al {
+            return b;
+        }
         let c = self.ult(a, b);
         self.ite(c, a, b)
     }
 
     /// Unsigned maximum.
     pub fn umax(&mut self, a: TermId, b: TermId) -> TermId {
+        let ((al, ah), (bl, bh)) = (self.range(a), self.range(b));
+        if ah <= bl {
+            return b;
+        }
+        if bh <= al {
+            return a;
+        }
         let c = self.ult(a, b);
         self.ite(c, b, a)
     }
@@ -376,55 +825,61 @@ impl Context {
 
     /// Evaluate a term under an assignment of variable names to values
     /// (used to validate counterexamples and for differential testing).
+    /// Shared subterms are evaluated once.
     ///
     /// # Panics
     ///
     /// Panics if a variable is missing from `env`.
     pub fn eval(&self, t: TermId, env: &HashMap<String, u64>) -> u64 {
+        self.eval_in(t, env, &mut HashMap::new())
+    }
+
+    fn eval_in(
+        &self,
+        t: TermId,
+        env: &HashMap<String, u64>,
+        memo: &mut HashMap<TermId, u64>,
+    ) -> u64 {
+        if let Some(&v) = memo.get(&t) {
+            return v;
+        }
         let w = self.width(t);
-        let v = match self.node(t) {
-            Node::Const { value, .. } => *value,
-            Node::Var { name, .. } => {
+        let mut ev = |x: TermId| self.eval_in(x, env, memo);
+        let v = match *self.node(t) {
+            Node::Const { value, .. } => value,
+            Node::Var { ref name, .. } => {
                 *env.get(name).unwrap_or_else(|| panic!("unbound variable `{name}`"))
             }
-            Node::Add(a, b) => self.eval(*a, env).wrapping_add(self.eval(*b, env)),
-            Node::Sub(a, b) => self.eval(*a, env).wrapping_sub(self.eval(*b, env)),
-            Node::Mul(a, b) => self.eval(*a, env).wrapping_mul(self.eval(*b, env)),
-            Node::And(a, b) => self.eval(*a, env) & self.eval(*b, env),
-            Node::Or(a, b) => self.eval(*a, env) | self.eval(*b, env),
-            Node::Xor(a, b) => self.eval(*a, env) ^ self.eval(*b, env),
-            Node::Not(a) => !self.eval(*a, env),
-            Node::Shl(a, n) => self.eval(*a, env) << n,
-            Node::Lshr(a, n) => (self.eval(*a, env) & mask(self.width(*a))) >> n,
-            Node::Ashr(a, n) => (sext_val(self.eval(*a, env), self.width(*a)) >> n) as u64,
-            Node::ZeroExt(a, _) => self.eval(*a, env) & mask(self.width(*a)),
-            Node::SignExt(a, _) => sext_val(self.eval(*a, env), self.width(*a)) as u64,
-            Node::Extract(a, _, lo) => self.eval(*a, env) >> lo,
-            Node::Concat(hi, lo) => {
-                let lw = self.width(*lo);
-                ((self.eval(*hi, env)) << lw) | (self.eval(*lo, env) & mask(lw))
-            }
-            Node::Eq(a, b) => {
-                let w = self.width(*a);
-                u64::from(self.eval(*a, env) & mask(w) == self.eval(*b, env) & mask(w))
-            }
-            Node::Ult(a, b) => {
-                let w = self.width(*a);
-                u64::from((self.eval(*a, env) & mask(w)) < (self.eval(*b, env) & mask(w)))
-            }
+            Node::Add(a, b) => ev(a).wrapping_add(ev(b)),
+            Node::Sub(a, b) => ev(a).wrapping_sub(ev(b)),
+            Node::Mul(a, b) => ev(a).wrapping_mul(ev(b)),
+            Node::And(a, b) => ev(a) & ev(b),
+            Node::Or(a, b) => ev(a) | ev(b),
+            Node::Xor(a, b) => ev(a) ^ ev(b),
+            Node::Not(a) => !ev(a),
+            Node::Shl(a, n) => ev(a) << n,
+            Node::Lshr(a, n) => ev(a) >> n,
+            Node::Ashr(a, n) => (sext_val(ev(a), w) >> n) as u64,
+            Node::ZeroExt(a, _) => ev(a),
+            Node::SignExt(a, _) => sext_val(ev(a), self.width(a)) as u64,
+            Node::Extract(a, _, lo) => ev(a) >> lo,
+            Node::Concat(hi, lo) => (ev(hi) << self.width(lo)) | ev(lo),
+            Node::Eq(a, b) => u64::from(ev(a) == ev(b)),
+            Node::Ult(a, b) => u64::from(ev(a) < ev(b)),
             Node::Slt(a, b) => {
-                let w = self.width(*a);
-                u64::from(sext_val(self.eval(*a, env), w) < sext_val(self.eval(*b, env), w))
+                let aw = self.width(a);
+                u64::from(sext_val(ev(a), aw) < sext_val(ev(b), aw))
             }
             Node::Ite(c, a, b) => {
-                if self.eval(*c, env) & 1 == 1 {
-                    self.eval(*a, env)
+                if ev(c) == 1 {
+                    ev(a)
                 } else {
-                    self.eval(*b, env)
+                    ev(b)
                 }
             }
-        };
-        v & mask(w)
+        } & mask(w);
+        memo.insert(t, v);
+        v
     }
 }
 

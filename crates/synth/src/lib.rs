@@ -27,7 +27,6 @@ pub mod coverage;
 pub mod encode;
 pub mod envs;
 pub mod lift;
-pub mod linear;
 pub mod lower;
 #[cfg(test)]
 mod lower_proptests;

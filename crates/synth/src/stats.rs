@@ -18,8 +18,8 @@ pub struct SynthStats {
     pub sketching_time: Duration,
     /// Wall-clock time in swizzle synthesis.
     pub swizzling_time: Duration,
-    /// SMT solver queries actually issued (after the linear fast path and
-    /// the verdict cache; counted whether or not memoization is on).
+    /// SMT solver queries actually issued (after the verdict and proof
+    /// caches; counted whether or not memoization is on).
     pub smt_queries: u64,
     /// Wall-clock time inside the SMT solver (term construction through
     /// the CDCL search), across all stages.

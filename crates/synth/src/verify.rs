@@ -598,12 +598,6 @@ impl Verifier {
 
     fn smt_equiv(&self, h: &Expr, u: &UberExpr) -> bool {
         let mut sp = trace::span("verify.smt_equiv", "smt");
-        // Fast path: wrap-free linear combinations are decided exactly by
-        // coefficient comparison (most multiply-add lifting queries).
-        if let Some(eq) = crate::linear::decide_linear(h, u) {
-            sp.arg("path", "linear");
-            return eq;
-        }
         // The proof cache keys on the translation-canonicalized pair: the
         // encoder names variables by per-buffer relative offsets, so two
         // queries that differ only in a uniform per-buffer shift produce
@@ -918,8 +912,8 @@ mod tests {
     fn translated_queries_share_one_proof() {
         // Two queries whose loads differ only by a uniform per-buffer
         // offset shift: distinct verdict-cache entries (the differential
-        // data differs), but one shared SMT proof. absd is outside the
-        // linear fast path, so each verdict would otherwise prove afresh.
+        // data differs), but one shared SMT proof, so the second verdict
+        // does not prove afresh.
         let ver = v();
         let query = |(ax, ay): (i32, i32), (bx, by): (i32, i32)| {
             let h = hb::absd(

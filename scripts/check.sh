@@ -229,19 +229,27 @@ echo "== trace smoke (end-to-end spans: CLI, isolated server, trace_report)"
 # server pid) riding back over the job frame into the request's file.
 # trace_report --check strictly validates every event in both files.
 trace_dir="$(mktemp -d /tmp/rake-trace-XXXXXX)"
-# absd is non-linear, so its lift verification must issue a real solver
-# query — the trace has to show it.
+# The absd lift is verified by an SMT query, so the trace must show an
+# smt.prove_unsat span, even though word-level normalization decides that
+# query while it is built.
 echo '(absd (load a u8 0 0) (load b u8 0 0))' \
   | ./target/release/rakec --trace-out "$trace_dir/cli.json" >/dev/null
 grep -q '"rake-trace-v1"' "$trace_dir/cli.json" \
   || { echo "trace smoke: rakec trace missing its schema tag"; exit 1; }
 grep -q '"smt.prove_unsat"' "$trace_dir/cli.json" \
   || { echo "trace smoke: rakec trace has no SMT query spans"; exit 1; }
-# Three real paper workloads through the perf harness, one trace file.
-./target/release/perf --workloads 3 \
+# The whole quick suite through the perf harness, one trace file.
+./target/release/perf \
   --out "$trace_dir/perf-snapshot.json" --trace-out "$trace_dir/perf.json" >/dev/null
 grep -q '"perf.workload"' "$trace_dir/perf.json" \
   || { echo "trace smoke: perf trace has no per-workload spans"; exit 1; }
+# Every proof in those traces must be decided. An "unknown" is a lifting
+# step accepted on differential evidence alone; a "sat" is a compiler bug
+# (minimize it through the oracle and fix it; never regenerate a golden).
+if grep -oE '"outcome":"(unknown|sat)"' "$trace_dir/cli.json" "$trace_dir/perf.json"; then
+  echo "trace smoke: SMT proofs above ended unknown or sat"
+  exit 1
+fi
 mkdir "$trace_dir/served"
 ./target/release/rake-served --addr 127.0.0.1:0 --port-file "$trace_dir/port" \
   --cache "$trace_dir/cache" --log "$trace_dir/journal.jsonl" \

@@ -1,23 +1,62 @@
-//! Integration across the solver stack: lifting queries discharged by the
-//! linear decision procedure and by the bit-blasting solver must agree,
-//! and the end-to-end verifier must be sound on engineered near-misses.
+//! Integration across the solver stack: lifting queries decided while the
+//! query is built (word-level normalization in `smt::Context`) and by the
+//! bit-blasting solver must agree with the full oracle, and the
+//! end-to-end verifier must be sound on engineered near-misses.
 
 use halide_ir::builder::*;
-use halide_ir::Expr;
-use lanes::ElemType::{I16, U16, U8};
+use halide_ir::{Expr, Load};
 use lanes::rng::Rng;
-use synth::linear::{decide_linear, linear_halide};
+use lanes::ElemType::{I16, U16, U8};
+use smt::SharedSolver;
+use synth::encode::{encode_halide_lane, encode_uber_lane};
 use synth::Verifier;
-use uber_ir::UberExpr;
+use uber_ir::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
 
 fn v() -> Verifier {
     Verifier::fast()
 }
 
+/// Decide `h ≡ u` over two lanes, as the lifting oracle does, within
+/// `budget` CDCL conflicts. `Some(true)` is a proof of equivalence.
+fn prove(h: &Expr, u: &UberExpr, budget: u64) -> Option<bool> {
+    SharedSolver::new().prove_unsat(
+        |ctx| {
+            let mut any_ne = ctx.ff();
+            for lane in 0..2 {
+                let th = encode_halide_lane(ctx, h, lane);
+                let tu = encode_uber_lane(ctx, u, lane);
+                let ne = ctx.ne(th, tu);
+                any_ne = ctx.or(any_ne, ne);
+            }
+            Some(any_ne)
+        },
+        budget,
+    )
+}
+
+/// Accepted by normalization alone: no conflict may be spent.
+fn decided_while_built(h: &Expr, u: &UberExpr) -> bool {
+    prove(h, u, 0) == Some(true)
+}
+
+/// Refuted by the solver with an unbounded budget.
+fn refuted(h: &Expr, u: &UberExpr) -> bool {
+    prove(h, u, u64::MAX) == Some(false)
+}
+
+fn data(buffer: &str, dx: i32, dy: i32) -> UberExpr {
+    UberExpr::Data(Load { buffer: buffer.into(), dx, dy, ty: U8 })
+}
+
+fn vs_mpy_add(inputs: Vec<UberExpr>, kernel: &[i64]) -> UberExpr {
+    UberExpr::VsMpyAdd(VsMpyAdd { inputs, kernel: kernel.to_vec(), saturating: false, out: U16 })
+}
+
 #[test]
 fn linear_and_solver_agree_on_small_kernels() {
-    // For 2-tap kernels over u8 cells, compare decide_linear against the
-    // full oracle for every weight pair in a small grid.
+    // For 2-tap kernels over u8 cells, every weight pair in a small grid:
+    // the true kernel is proved while the query is built, every other
+    // kernel is refuted by the solver, and the full oracle agrees.
     for w0 in 1..4i64 {
         for w1 in 1..4i64 {
             let h = add(
@@ -27,11 +66,13 @@ fn linear_and_solver_agree_on_small_kernels() {
             for c0 in 1..4i64 {
                 for c1 in 1..4i64 {
                     let u = UberExpr::conv("in", U8, 0, 0, &[c0, c1], U16);
-                    let lin = decide_linear(&h, &u).expect("both sides linear");
-                    let full = v().equiv_halide_uber(&h, &u);
+                    let equal = (w0, w1) == (c0, c1);
+                    let decided = if equal { decided_while_built(&h, &u) } else { refuted(&h, &u) };
+                    assert!(decided, "weights ({w0},{w1}) vs kernel ({c0},{c1})");
                     assert_eq!(
-                        lin, full,
-                        "disagreement at weights ({w0},{w1}) vs kernel ({c0},{c1})"
+                        v().equiv_halide_uber(&h, &u),
+                        equal,
+                        "oracle disagrees at weights ({w0},{w1}) vs kernel ({c0},{c1})"
                     );
                 }
             }
@@ -57,49 +98,27 @@ fn near_miss_candidates_are_rejected() {
 #[test]
 fn saturation_vs_wrap_distinguished_by_nonlinear_path() {
     // u8(x + y) vs sat_u8(x + y) over u16 sums that can exceed 255: the
-    // linear path bails (wrap) and the solver must find a counterexample.
+    // clamp is live, so the solver must find a counterexample; against the
+    // wrapping narrow the two sides normalize to one term.
     let x = add(widen(load("a", U8, 0, 0)), widen(load("b", U8, 0, 0)));
-    let truncating = cast(U8, x.clone());
-    assert!(linear_halide(&truncating).is_none());
-    let u_sat = UberExpr::Narrow {
-        arg: Box::new(lift_of(&x)),
-        shift: 0,
-        round: false,
-        saturating: true,
-        out: U8,
-    };
+    let truncating = cast(U8, x);
+    let sum = || Box::new(vs_mpy_add(vec![data("a", 0, 0), data("b", 0, 0)], &[1, 1]));
+    let u_sat = UberExpr::Narrow { arg: sum(), shift: 0, round: false, saturating: true, out: U8 };
+    assert!(refuted(&truncating, &u_sat));
     assert!(!v().equiv_halide_uber(&truncating, &u_sat));
-    let u_wrap = UberExpr::Narrow {
-        arg: Box::new(lift_of(&x)),
-        shift: 0,
-        round: false,
-        saturating: false,
-        out: U8,
-    };
+    let u_wrap =
+        UberExpr::Narrow { arg: sum(), shift: 0, round: false, saturating: false, out: U8 };
+    assert!(decided_while_built(&truncating, &u_wrap));
     assert!(v().equiv_halide_uber(&truncating, &u_wrap));
 }
 
-/// The known-correct lift of `widen(a(0)) + widen(b(0))`.
-fn lift_of(_x: &Expr) -> UberExpr {
-    UberExpr::VsMpyAdd(uber_ir::VsMpyAdd {
-        inputs: vec![
-            UberExpr::Data(halide_ir::Load { buffer: "a".into(), dx: 0, dy: 0, ty: U8 }),
-            UberExpr::Data(halide_ir::Load { buffer: "b".into(), dx: 0, dy: 0, ty: U8 }),
-        ],
-        kernel: vec![1, 1],
-        saturating: false,
-        out: U16,
-    })
-}
-
-/// Random wrap-free weighted sums: the linear path must accept the
-/// true lift and reject a perturbed kernel.
+/// Random wrap-free weighted sums: the true lift is proved while the
+/// query is built and a perturbed kernel is refuted.
 #[test]
 fn prop_linear_path_correct() {
     let mut rng = Rng::seed_from_u64(0xc505);
     for _ in 0..24 {
-        let k: Vec<i64> =
-            (0..rng.gen_range_usize(2..=4)).map(|_| rng.gen_range(1..=7)).collect();
+        let k: Vec<i64> = (0..rng.gen_range_usize(2..=4)).map(|_| rng.gen_range(1..=7)).collect();
         let perturb = rng.gen_range_usize(0..=3);
         let mut h: Option<Expr> = None;
         for (i, &w) in k.iter().enumerate() {
@@ -112,12 +131,134 @@ fn prop_linear_path_correct() {
         }
         let h = h.expect("non-empty");
         let u = UberExpr::conv("in", U8, 0, 0, &k, U16);
-        assert_eq!(decide_linear(&h, &u), Some(true));
+        assert!(decided_while_built(&h, &u), "kernel {k:?}");
 
         let mut k2 = k.clone();
         let idx = perturb % k2.len();
         k2[idx] += 1;
         let u2 = UberExpr::conv("in", U8, 0, 0, &k2, U16);
-        assert_eq!(decide_linear(&h, &u2), Some(false));
+        assert!(refuted(&h, &u2), "kernel {k:?} vs {k2:?}");
     }
+}
+
+// ---- Query shapes that used to exhaust the conflict budget ------------
+
+/// `u16(b) * u16(a)` against a one-pair `vv-mpy-add`, which is encoded as
+/// a 22-bit product and then truncated to 16 bits.
+#[test]
+fn widening_product_against_vv_mpy_add() {
+    let h = mul(widen(load("b", U8, 0, 0)), widen(load("a", U8, 0, 0)));
+    let u = UberExpr::VvMpyAdd(VvMpyAdd {
+        pairs: vec![(data("b", 0, 0), data("a", 0, 0))],
+        saturating: false,
+        out: U16,
+    });
+    assert!(decided_while_built(&h, &u));
+}
+
+/// The matmul reduction: four widening products of a vector cell and a
+/// runtime scalar, summed, against one four-pair `vv-mpy-add`.
+#[test]
+fn matmul_sum_against_vv_mpy_add() {
+    let prod = |k: i32| mul(widen(load("b", U8, 0, k)), widen(bcast_load("a", k, 0, U8)));
+    let h = add(add(add(prod(0), prod(1)), prod(2)), prod(3));
+    let scalar = |k: i32| UberExpr::Bcast {
+        value: ScalarSource::Scalar { buffer: "a".into(), x: k, dy: 0 },
+        ty: U8,
+    };
+    let u = UberExpr::VvMpyAdd(VvMpyAdd {
+        pairs: (0..4).map(|k| (data("b", 0, k), scalar(k))).collect(),
+        saturating: false,
+        out: U16,
+    });
+    assert!(decided_while_built(&h, &u));
+}
+
+/// One `[1, 2, 1]` row of `input` at `dy`, widened to u16.
+fn row121(dy: i32) -> Expr {
+    let w = |dx| widen(load("input", U8, dx, dy));
+    add(add(w(-1), mul(w(0), bcast(2, U16))), w(1))
+}
+
+fn row121_uber(dy: i32) -> (Vec<UberExpr>, Vec<i64>) {
+    ((-1..=1).map(|dx| data("input", dx, dy)).collect(), vec![1, 2, 1])
+}
+
+/// gaussian3x3: a truncating `u8((sum + 8) >> 4)` against the saturating
+/// rounding narrow. The clamp is dead because the sum's range fits.
+#[test]
+fn gaussian3x3_saturating_narrow() {
+    let sum = add(add(row121(-1), mul(row121(0), bcast(2, U16))), row121(1));
+    let h = cast(U8, shr(add(sum, bcast(8, U16)), 4));
+    let (mut inputs, mut kernel) = (Vec::new(), Vec::new());
+    for (dy, scale) in [(-1, 1), (0, 2), (1, 1)] {
+        let (i, k) = row121_uber(dy);
+        inputs.extend(i);
+        kernel.extend(k.iter().map(|w| w * scale));
+    }
+    let u = UberExpr::Narrow {
+        arg: Box::new(vs_mpy_add(inputs, &kernel)),
+        shift: 4,
+        round: true,
+        saturating: true,
+        out: U8,
+    };
+    assert!(decided_while_built(&h, &u));
+}
+
+/// Two rounding averages, written as Halide lowers them, under one
+/// `vs-mpy-add`: the 10-bit average datapath against the 16-bit one.
+#[test]
+fn rounding_averages_under_vs_mpy_add() {
+    let p = |dx, dy| load("input", U8, dx, dy);
+    let avg = |a: Expr, b: Expr| cast(U8, shr(add(add(widen(a), widen(b)), bcast(1, U16)), 1));
+    let h = add(widen(avg(p(0, 0), p(1, 0))), mul(widen(avg(p(0, 1), p(1, 1))), bcast(3, U16)));
+    let uavg = |dy| UberExpr::Average {
+        a: Box::new(data("input", 0, dy)),
+        b: Box::new(data("input", 1, dy)),
+        round: true,
+    };
+    let u = vs_mpy_add(vec![uavg(0), uavg(1)], &[1, 3]);
+    assert!(decided_while_built(&h, &u));
+}
+
+/// sobel: the absolute difference of two `[1, 2, 1]` rows against an
+/// `absd` of two `vs-mpy-add`s.
+#[test]
+fn sobel_absd_of_two_vs_mpy_adds() {
+    let h = absd(row121(-1), row121(1));
+    let side = |dy| {
+        let (inputs, kernel) = row121_uber(dy);
+        Box::new(vs_mpy_add(inputs, &kernel))
+    };
+    let u = UberExpr::AbsDiff(side(-1), side(1));
+    assert!(decided_while_built(&h, &u));
+}
+
+/// gaussian5x5: a 25-term weighted sum built as five weighted rows against
+/// one 25-input `vs-mpy-add` with the outer-product kernel.
+#[test]
+fn big_gaussian_column_decides_instantly() {
+    let taps: [i64; 5] = [1, 4, 6, 4, 1];
+    let weighted_sum = |terms: Vec<Expr>| {
+        let mut acc: Option<Expr> = None;
+        for (term, &t) in terms.into_iter().zip(&taps) {
+            let term = if t == 1 { term } else { mul(term, bcast(t, U16)) };
+            acc = Some(match acc {
+                None => term,
+                Some(a) => add(a, term),
+            });
+        }
+        acc.expect("five taps")
+    };
+    let row = |dy: i32| weighted_sum((-2..=2).map(|dx| widen(load("in", U8, dx, dy))).collect());
+    let h = weighted_sum((-2..=2).map(row).collect());
+    let (mut inputs, mut kernel) = (Vec::new(), Vec::new());
+    for (dy, &ty) in (-2..=2).zip(&taps) {
+        for (dx, &tx) in (-2..=2).zip(&taps) {
+            inputs.push(data("in", dx, dy));
+            kernel.push(tx * ty);
+        }
+    }
+    assert!(decided_while_built(&h, &vs_mpy_add(inputs, &kernel)));
 }
