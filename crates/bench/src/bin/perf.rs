@@ -5,7 +5,7 @@
 //!
 //!   --workloads N   run only the first N workloads (CI smoke uses 3)
 //!   --full          full-width configuration (default: quick widths)
-//!   --no-memo       disable verdict/env/SMT-term memoization
+//!   --no-memo       disable verdict/env/SMT-proof memoization
 //!   --jobs N        worker threads
 //!   --out PATH      output path (default: BENCH_4.json)
 //!   --check PATH    validate an existing snapshot's structure and exit
@@ -86,10 +86,6 @@ fn main() -> ExitCode {
         return check_snapshot(path);
     }
 
-    // The toggle flows to `bench_verifier` through the environment so the
-    // harness and the golden tests share one switch.
-    std::env::set_var("RAKE_MEMO", if args.memo { "1" } else { "0" });
-
     if args.trace_out.is_some() || args.trace_slow_ms.is_some() {
         trace::enable();
         if let Some(ms) = args.trace_slow_ms {
@@ -113,6 +109,7 @@ fn main() -> ExitCode {
     let run_start = Instant::now();
     for w in all.into_iter().take(count) {
         let cfg = if args.full { RunConfig::full(&w) } else { RunConfig::quick(&w) };
+        let cfg = RunConfig { memoize: args.memo, ..cfg };
         let t0 = Instant::now();
         let run = {
             let mut sp = trace::span("perf.workload", "cli");
@@ -184,6 +181,9 @@ fn main() -> ExitCode {
                 ("memoize", args.memo.into()),
                 ("jobs", args.jobs.map_or(Json::Null, Json::from)),
                 ("workloads", count.into()),
+                ("nproc", std::thread::available_parallelism().map_or(1, |n| n.get()).into()),
+                ("profile", if cfg!(debug_assertions) { "debug" } else { "release" }.into()),
+                ("git_rev", git_rev().into()),
             ]),
         ),
         (
@@ -226,9 +226,23 @@ fn main() -> ExitCode {
     }
 }
 
+/// The checked-out commit, abbreviated, or `unknown` outside a git tree.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_owned(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_owned(),
+        )
+}
+
 /// Structural validation of a snapshot (the CI perf-smoke gate): the
-/// schema tag, the totals keys, and a consistent workloads array. No
-/// timing thresholds — machine speed must not fail CI.
+/// schema tag, the run's provenance, the totals keys, and a consistent
+/// workloads array. No timing thresholds — machine speed must not fail
+/// CI.
 fn check_snapshot(path: &str) -> ExitCode {
     let fail = |msg: &str| -> ExitCode {
         eprintln!("{path}: {msg}");
@@ -243,6 +257,11 @@ fn check_snapshot(path: &str) -> ExitCode {
     };
     if doc.get("schema").and_then(Json::as_str) != Some("rake-perf-v1") {
         return fail("missing or unknown schema tag (want rake-perf-v1)");
+    }
+    for key in ["nproc", "profile", "git_rev"] {
+        if doc.get("config").and_then(|c| c.get(key)).is_none() {
+            return fail(&format!("config.{key} is missing"));
+        }
     }
     let Some(totals) = doc.get("totals") else {
         return fail("missing totals object");

@@ -56,20 +56,24 @@ pub struct RunConfig {
     pub tiles_x: usize,
     /// Number of output rows swept.
     pub rows: usize,
+    /// Memoize verdicts, test environments and SMT proofs
+    /// ([`Verifier::memoize`]). Synthesized programs are identical either
+    /// way; off is the reference path for A/B runs.
+    pub memoize: bool,
 }
 
 impl RunConfig {
     /// Full-width configuration for a workload (its scheduled lane count on
     /// 128-byte registers).
     pub fn full(w: &Workload) -> RunConfig {
-        RunConfig { lanes: w.lanes, vec_bytes: 128, tiles_x: 4, rows: 4 }
+        RunConfig { lanes: w.lanes, vec_bytes: 128, tiles_x: 4, rows: 4, memoize: true }
     }
 
     /// Scaled-down configuration preserving the lanes:register ratio, for
     /// quick integration runs.
     pub fn quick(w: &Workload) -> RunConfig {
         let lanes = (16 * w.lanes / 128).max(4);
-        RunConfig { lanes, vec_bytes: 16, tiles_x: 2, rows: 2 }
+        RunConfig { lanes, vec_bytes: 16, tiles_x: 2, rows: 2, memoize: true }
     }
 }
 
@@ -125,20 +129,8 @@ impl WorkloadRun {
     }
 }
 
-/// Read a boolean toggle from the environment: unset or anything other
-/// than `0`/`false`/`off` means on.
-fn env_toggle(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(v.as_str(), "0" | "false" | "off"),
-        Err(_) => true,
-    }
-}
-
-/// Verifier effort for harness runs: differential-heavy, SMT proofs on.
-///
-/// `RAKE_MEMO=0` in the environment disables verdict/env/SMT-term
-/// memoization, so the same harness (and the golden tests) can run both
-/// ways. Synthesized programs are identical either way.
+/// Verifier effort for harness runs: differential-heavy, SMT proofs on,
+/// memoized as [`RunConfig::memoize`] says.
 pub fn bench_verifier(cfg: RunConfig) -> Verifier {
     Verifier {
         lanes: cfg.lanes,
@@ -149,7 +141,7 @@ pub fn bench_verifier(cfg: RunConfig) -> Verifier {
         smt_lanes: 1,
         smt_conflict_budget: 10_000,
         smt_lowering: false,
-        memoize: env_toggle("RAKE_MEMO"),
+        memoize: cfg.memoize,
         ..Verifier::default()
     }
 }

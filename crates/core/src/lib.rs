@@ -36,7 +36,9 @@ use std::fmt;
 
 use halide_ir::Expr;
 use hvx::{HvxExpr, Program};
-use synth::{lift_expr_cancellable, lower_expr, LiftTrace, LoweringOptions, SynthStats, Verifier};
+use synth::{
+    lift_expr_cancellable, lower_expr, LiftTrace, LoweringOptions, MemoHandle, SynthStats, Verifier,
+};
 use uber_ir::UberExpr;
 
 /// The compilation target: vector geometry of the HVX-style machine.
@@ -182,6 +184,11 @@ impl Rake {
 
     /// Compile one qualifying Halide IR vector expression to HVX.
     ///
+    /// Each call verifies against a cold memo of its own, so the
+    /// [`Compiled::stats`] counters are exactly this compilation's work;
+    /// only the verifier's process-global proof cache carries over from
+    /// earlier compilations.
+    ///
     /// # Errors
     ///
     /// Returns [`CompileError`] when the expression is trivial, when either
@@ -192,10 +199,10 @@ impl Rake {
             return Err(CompileError::NotQualifying);
         }
         let mut stats = SynthStats::default();
-        let memo_before = self.verifier.memo_snapshot();
+        let verifier = Verifier { memo: MemoHandle::default(), ..self.verifier.clone() };
         let lifted = lift_expr_cancellable(
             e,
-            &self.verifier,
+            &verifier,
             self.options.deadline,
             self.options.cancel,
             self.options.max_lift_depth,
@@ -208,7 +215,7 @@ impl Rake {
                 CompileError::LiftFailed
             });
         };
-        let Some(hvx) = lower_expr(&uber, &self.verifier, self.options, &mut stats) else {
+        let Some(hvx) = lower_expr(&uber, &verifier, self.options, &mut stats) else {
             return Err(if stats.deadline_exceeded {
                 CompileError::DeadlineExceeded
             } else {
@@ -219,17 +226,14 @@ impl Rake {
         // constructors, so it is used directly for the final check.
         {
             let mut sp = trace::span("verify.final", "verify");
-            if !self.verifier.equiv_halide_hvx(e, &hvx) {
+            if !verifier.equiv_halide_hvx(e, &hvx) {
                 sp.arg("passed", false);
                 return Err(CompileError::FinalCheckFailed);
             }
             sp.arg("passed", true);
         }
         let program = hvx.to_program();
-        // Attribute the verifier's memo/SMT counter movement to this
-        // compilation (exact when the Rake instance compiles one
-        // expression at a time, which is how the driver uses it).
-        let memo = self.verifier.memo_snapshot().delta_since(&memo_before);
+        let memo = verifier.memo_snapshot();
         stats.smt_queries += memo.smt_queries;
         stats.smt_time += memo.smt_time();
         stats.verdict_cache_hits += memo.verdict_hits;

@@ -16,8 +16,10 @@
 //! a bounded wait queue (429 + `Retry-After` past it); oversized bodies
 //! are 413; a client that disconnects mid-compile has its synthesis
 //! cooperatively cancelled via [`synth::cancel`]. One process-wide
-//! content-addressed cache and memo handle back every connection, and
-//! `--cache`/`--log` make the warm state survive restarts.
+//! content-addressed cache backs every connection, and `--cache`/`--log`
+//! make the warm state survive restarts. Each compilation verifies against
+//! a cold memo of its own; only the verifier's SMT proof cache is shared
+//! process-wide.
 //!
 //! The companion binary `rake-client` speaks the same protocol from the
 //! command line, and the `loadgen` bench drives a server closed-loop for

@@ -7,10 +7,11 @@
 //! connection counts are small), with three shared structures behind
 //! `Arc`: the content-addressed [`SynthCache`], the [`Metrics`] registry,
 //! and the admission [`Gate`]. Each `/compile` request builds a
-//! short-lived [`driver::Driver`] around a clone of the lane-width's base
-//! [`rake::Rake`] — cloning shares the selector's memo tables, so every
-//! connection warms the same SMT-proof and verdict caches — and hands it
-//! the shared cache plus an event sink into the registry.
+//! short-lived [`driver::Driver`] around a fresh [`rake::Rake`] for its
+//! lane width and hands it the shared cache plus an event sink into the
+//! registry. Every compilation verifies against a cold memo of its own,
+//! so no synthesis state outlives a request except the synthesis cache
+//! and the verifier's process-global SMT proof cache.
 //!
 //! ## Admission
 //!
@@ -377,9 +378,6 @@ struct Shared {
     gate: Arc<Gate>,
     inflight: InFlight,
     verdicts: VerdictCache,
-    /// Base selector per lane width; cloned per request so every
-    /// connection shares one memo handle per geometry.
-    rakes: Mutex<std::collections::HashMap<usize, Rake>>,
     /// The isolated worker pool; `Some` only under `--isolate`.
     pool: Option<Arc<WorkerPool>>,
     draining: AtomicBool,
@@ -387,17 +385,15 @@ struct Shared {
     started: Instant,
 }
 
-impl Shared {
-    fn base_rake(&self, lanes: usize) -> Rake {
-        let vec_bytes = 128.min(lanes.max(8));
-        self.rakes
-            .lock()
-            .unwrap()
-            .entry(lanes)
-            .or_insert_with(|| Rake::new(Target { lanes, vec_bytes }))
-            .clone()
-    }
+/// The selector for a request's lane width, with the register width in
+/// bytes tracking the lane count between 8 and 128. The isolated workers
+/// build theirs the same way.
+pub(crate) fn base_rake(lanes: usize) -> Rake {
+    let vec_bytes = 128.min(lanes.max(8));
+    Rake::new(Target { lanes, vec_bytes })
+}
 
+impl Shared {
     fn cache_snapshot(&self) -> CacheSnapshot {
         let stats = self.cache.stats();
         let (snapshot_bytes, log_bytes) = self.cache.disk_bytes();
@@ -532,7 +528,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         gate,
         inflight: InFlight::default(),
         verdicts,
-        rakes: Mutex::new(std::collections::HashMap::new()),
         pool,
         draining: AtomicBool::new(false),
         connections: AtomicUsize::new(0),
@@ -904,7 +899,7 @@ fn handle_compile_inner(
         Err(resp) => return resp,
     };
 
-    let base = shared.base_rake(parsed.lanes);
+    let base = base_rake(parsed.lanes);
     let sleep_ms = parsed.fault.as_deref().and_then(sleep_fault_ms);
     let mut driver = Driver::new(base.clone())
         .with_config(DriverConfig {
@@ -1128,7 +1123,7 @@ fn isolated_compile_fn(
     let cache = Arc::clone(&shared.cache);
     let journal = shared.journal.clone();
     let metrics = Arc::clone(&shared.metrics);
-    let key_rake = shared.base_rake(parsed.lanes);
+    let key_rake = base_rake(parsed.lanes);
     let lanes = parsed.lanes;
     let fault = parsed.fault.clone();
     let crash_threshold = shared.config.crash_threshold.max(1);
@@ -1455,7 +1450,6 @@ mod tests {
             gate: Arc::new(Gate::new(1, 1, Duration::from_secs(1))),
             inflight: InFlight::default(),
             verdicts: VerdictCache::new(Duration::from_secs(300), 1024),
-            rakes: Mutex::new(std::collections::HashMap::new()),
             pool: None,
             draining: AtomicBool::new(false),
             connections: AtomicUsize::new(0),

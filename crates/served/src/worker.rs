@@ -28,20 +28,17 @@
 //! stats block), `error` (a [`rake::CompileError`] by its cache name),
 //! `panicked` (a caught unwind, with the payload message), `pong`.
 //!
-//! The worker is deliberately stateful: it keeps one [`Rake`] per
-//! (lanes, tier) so its SMT-proof and verdict memo tables warm up across
-//! jobs, exactly like the in-process path. What it does *not* share is
-//! the synthesis cache — the parent owns that; workers only ever see
-//! cache misses.
+//! Each job builds its selector afresh, as the in-process path does, so
+//! the only state a worker carries from job to job is the verifier's
+//! process-global SMT proof cache. The synthesis cache belongs to the
+//! parent; workers only ever see cache misses.
 
-use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use driver::json::{self, Json, ParseLimits};
 use driver::Tier;
-use rake::{Rake, Target};
 use synth::LoweringOptions;
 
 /// Upper bound on one frame's payload. A compile job is an S-expression
@@ -98,9 +95,6 @@ pub fn worker_main() -> ! {
     let stdout = io::stdout();
     let mut reader = io::BufReader::new(stdin.lock());
     let mut writer = io::BufWriter::new(stdout.lock());
-    // One selector per (lanes, tier): repeated jobs on the same geometry
-    // reuse warmed memo tables, mirroring the in-process hot path.
-    let mut rakes: HashMap<(usize, Tier), Rake> = HashMap::new();
 
     loop {
         let payload = match read_frame(&mut reader) {
@@ -116,7 +110,7 @@ pub fn worker_main() -> ! {
             .ok()
             .and_then(|text| parse_job(text).ok())
         {
-            Some(job) => handle_job(&job, &mut rakes),
+            Some(job) => handle_job(&job),
             None => Json::obj([
                 ("id", 0u64.into()),
                 ("status", "error".into()),
@@ -182,12 +176,12 @@ fn parse_job(text: &str) -> Result<Job, ()> {
 /// [`MAX_FRAME_BYTES`] even for pathological synthesis runs.
 const MAX_REPLY_SPANS: usize = 8192;
 
-fn handle_job(job: &Job, rakes: &mut HashMap<(usize, Tier), Rake>) -> Json {
+fn handle_job(job: &Job) -> Json {
     if job.op == "ping" {
         return Json::obj([("id", job.id.into()), ("status", "pong".into())]);
     }
     let Some((trace_id, parent_span, t_now_us)) = job.trace else {
-        return compile_reply(job, rakes);
+        return compile_reply(job);
     };
     // The parent traces this job: align our monotonic clock to the
     // parent's (offset applied as records publish), parent our spans
@@ -204,7 +198,7 @@ fn handle_job(job: &Job, rakes: &mut HashMap<(usize, Tier), Rake>) -> Json {
             sp.arg("lanes", job.lanes);
             sp.arg("tier", job.tier.name());
         }
-        let reply = compile_reply(job, rakes);
+        let reply = compile_reply(job);
         if sp.is_active() {
             sp.arg("status", reply.get("status").and_then(Json::as_str).unwrap_or("?"));
         }
@@ -258,7 +252,7 @@ fn spans_json(records: &[trace::SpanRecord]) -> Json {
     )
 }
 
-fn compile_reply(job: &Job, rakes: &mut HashMap<(usize, Tier), Rake>) -> Json {
+fn compile_reply(job: &Job) -> Json {
     // The chaos plane: lethal faults die *here*, inside the sacrificial
     // process, which is the whole point of isolation.
     match job.fault.as_deref() {
@@ -290,17 +284,10 @@ fn compile_reply(job: &Job, rakes: &mut HashMap<(usize, Tier), Rake>) -> Json {
         }
     };
 
-    let base = rakes.entry((job.lanes, job.tier)).or_insert_with(|| {
-        let vec_bytes = 128.min(job.lanes.max(8));
-        let rake = Rake::new(Target { lanes: job.lanes, vec_bytes });
-        match job.tier {
-            Tier::Full | Tier::Baseline => rake,
-            tier => tier.apply(&rake),
-        }
-    });
+    let rake = job.tier.apply(&crate::server::base_rake(job.lanes));
     let deadline = job.deadline.map(|d| Instant::now() + d);
-    let opts = LoweringOptions { deadline, cancel: None, ..base.options() };
-    let selector = base.clone().with_options(opts);
+    let opts = LoweringOptions { deadline, cancel: None, ..rake.options() };
+    let selector = rake.with_options(opts);
 
     match catch_unwind(AssertUnwindSafe(|| selector.compile(&expr))) {
         Ok(Ok(c)) => Json::obj([
@@ -381,9 +368,8 @@ mod tests {
 
     #[test]
     fn jobs_compile_error_and_pong_in_process() {
-        let mut rakes = HashMap::new();
         let ping = parse_job(r#"{"op":"ping","id":3}"#).unwrap();
-        let reply = handle_job(&ping, &mut rakes);
+        let reply = handle_job(&ping);
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("pong"));
         assert_eq!(reply.get("id").and_then(Json::as_i64), Some(3));
 
@@ -391,13 +377,13 @@ mod tests {
             r#"{"id":4,"expr":"(add (load a u8 0 0) (load b u8 0 0))","lanes":8,"tier":"direct"}"#,
         )
         .unwrap();
-        let reply = handle_job(&job, &mut rakes);
+        let reply = handle_job(&job);
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("compiled"), "{reply}");
         assert!(reply.get("hvx").and_then(Json::as_str).is_some());
         assert!(reply.get("uber").and_then(Json::as_str).is_some());
 
         let bad = parse_job(r#"{"id":5,"expr":"(((","lanes":8}"#).unwrap();
-        let reply = handle_job(&bad, &mut rakes);
+        let reply = handle_job(&bad);
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("error"), "{reply}");
         assert_eq!(reply.get("id").and_then(Json::as_i64), Some(5));
     }

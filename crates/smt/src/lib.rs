@@ -12,6 +12,10 @@
 //! 3. [`BvSolver::check`] returns [`SmtResult::Unsat`] or a counterexample
 //!    [`BvModel`] assigning every bit-vector variable.
 //!
+//! Rake's verifier asks yes/no questions under a conflict budget through
+//! [`prove_unsat`] instead: each query builds its term on a fresh
+//! `Context`, so no state is shared between queries or threads.
+//!
 //! # Example: prove `x + y == y + x` over 8-bit vectors
 //!
 //! ```
@@ -32,10 +36,8 @@
 mod blast;
 #[cfg(test)]
 mod normalize_tests;
-mod shared;
 mod solver;
 mod term;
 
-pub use shared::SharedSolver;
-pub use solver::{check_equivalent, BvModel, BvSolver, SmtResult};
+pub use solver::{check_equivalent, prove_unsat, BvModel, BvSolver, SmtResult};
 pub use term::{Context, TermId};

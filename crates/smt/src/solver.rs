@@ -120,6 +120,47 @@ pub fn check_equivalent(ctx: &mut Context, a: TermId, b: TermId) -> Result<(), B
     }
 }
 
+/// Build a width-1 term on a fresh [`Context`] and decide whether it is
+/// unsatisfiable within `max_conflicts` CDCL conflicts.
+///
+/// Returns `Some(true)` when unsatisfiable, `Some(false)` when a model
+/// exists, `None` when the conflict budget ran out ("unknown") or when
+/// `build` declined to produce a term (nothing is solved then). Every call
+/// records one `smt.prove_unsat` span with the query's size, SAT work and
+/// outcome.
+pub fn prove_unsat(
+    build: impl FnOnce(&mut Context) -> Option<TermId>,
+    max_conflicts: u64,
+) -> Option<bool> {
+    let mut sp = trace::span("smt.prove_unsat", "smt");
+    let mut ctx = Context::new();
+    let Some(t) = build(&mut ctx) else {
+        sp.arg("outcome", "unsupported");
+        return None;
+    };
+    let mut blaster = Blaster::new(&ctx);
+    blaster.assert_true(t);
+    let mut sat = blaster.sat;
+    let verdict = sat.solve_limited(max_conflicts).map(|r| r == SatResult::Unsat);
+    if sp.is_active() {
+        let stats = sat.stats();
+        sp.arg("terms", ctx.len());
+        sp.arg("vars", sat.num_vars());
+        sp.arg("conflicts", stats.conflicts);
+        sp.arg("decisions", stats.decisions);
+        sp.arg("propagations", stats.propagations);
+        sp.arg(
+            "outcome",
+            match verdict {
+                Some(true) => "unsat",
+                Some(false) => "sat",
+                None => "unknown",
+            },
+        );
+    }
+    verdict
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +225,59 @@ mod tests {
         let r = c.constant(0, 12);
         assert!(check_equivalent(&mut c, l, r).is_ok());
     }
+
+    #[test]
+    fn decides_across_queries() {
+        let commutes = |ctx: &mut Context| {
+            let x = ctx.var("x", 8);
+            let y = ctx.var("y", 8);
+            let l = ctx.add(x, y);
+            let r = ctx.add(y, x);
+            Some(ctx.ne(l, r))
+        };
+        assert_eq!(prove_unsat(commutes, u64::MAX), Some(true));
+        let sat = prove_unsat(
+            |ctx| {
+                let x = ctx.var("x", 8);
+                let k = ctx.constant(3, 8);
+                Some(ctx.eq(x, k))
+            },
+            u64::MAX,
+        );
+        assert_eq!(sat, Some(false));
+        // A declined build is "no verdict", not a proof.
+        assert_eq!(prove_unsat(|_| None, u64::MAX), None);
+    }
+
+    /// Multiplication commutes, but no rewrite reorders a product's
+    /// operands, so only the CDCL search can show it.
+    fn mul_commutes(ctx: &mut Context, width: u32) -> TermId {
+        let x = ctx.var("hx", width);
+        let y = ctx.var("hy", width);
+        let l = ctx.mul(x, y);
+        let r = ctx.mul(y, x);
+        ctx.ne(l, r)
+    }
+
+    #[test]
+    fn commuted_product_is_left_to_the_search() {
+        let mut c = ctx();
+        let miter = mul_commutes(&mut c, 16);
+        let mut blaster = Blaster::new(&c);
+        blaster.assert_true(miter);
+        assert!(
+            blaster.sat.num_vars() > 1,
+            "normalization decided the query: it never reaches the search"
+        );
+        // A 16-bit multiplier miter is beyond the search in test time (a
+        // 10-bit one already runs past a minute), but no budget may turn it
+        // sat.
+        assert_ne!(prove_unsat(|ctx| Some(mul_commutes(ctx, 16)), 2_000), Some(false));
+        assert_eq!(prove_unsat(|ctx| Some(mul_commutes(ctx, 6)), AMPLE_BUDGET), Some(true));
+    }
+
+    /// Conflicts the 6-bit product miter may spend: far more than it needs.
+    const AMPLE_BUDGET: u64 = 1_000_000;
 
     #[test]
     fn counterexample_is_genuine() {

@@ -277,26 +277,17 @@ fn finish_acc(ctx: &mut Context, sum: TermId, saturating: bool, out: ElemType) -
 mod tests {
     use super::*;
     use halide_ir::builder as hb;
-    use std::sync::OnceLock;
-
-    /// One shared context for the whole test module: encodings intern into
-    /// it across tests, exercising the hash-consed reuse path.
-    fn solver() -> &'static smt::SharedSolver {
-        static SOLVER: OnceLock<smt::SharedSolver> = OnceLock::new();
-        SOLVER.get_or_init(smt::SharedSolver::new)
-    }
 
     fn equiv_lane0(h: &Expr, u: &UberExpr) -> bool {
-        solver()
-            .prove_unsat(
-                |ctx| {
-                    let th = encode_halide_lane(ctx, h, 0);
-                    let tu = encode_uber_lane(ctx, u, 0);
-                    Some(ctx.ne(th, tu))
-                },
-                u64::MAX,
-            )
-            .expect("unbounded check cannot time out")
+        smt::prove_unsat(
+            |ctx| {
+                let th = encode_halide_lane(ctx, h, 0);
+                let tu = encode_uber_lane(ctx, u, 0);
+                Some(ctx.ne(th, tu))
+            },
+            u64::MAX,
+        )
+        .expect("unbounded check cannot time out")
     }
 
     #[test]

@@ -473,7 +473,6 @@ pub fn smt_equiv_uber_hvx(
     vec_bytes: usize,
     deinterleaved: bool,
     conflict_budget: u64,
-    solver: &smt::SharedSolver,
 ) -> Option<bool> {
     let build = |ctx: &mut Context| {
         let uber_lanes: Vec<TermId> =
@@ -502,7 +501,7 @@ pub fn smt_equiv_uber_hvx(
         }
         Some(any_ne)
     };
-    solver.prove_unsat(build, conflict_budget)
+    smt::prove_unsat(build, conflict_budget)
 }
 
 fn ext(ctx: &mut Context, t: TermId, signed: bool, extra: u32) -> TermId {
@@ -557,8 +556,7 @@ mod tests {
 
     /// Solver-checked equivalence over a tiny symbolic tile.
     fn smt_equiv(u: &UberExpr, h: &HvxExpr, lanes: usize, deint: bool) -> bool {
-        let solver = smt::SharedSolver::new();
-        smt_equiv_uber_hvx(u, h, lanes, lanes, deint, u64::MAX, &solver).unwrap_or(false)
+        smt_equiv_uber_hvx(u, h, lanes, lanes, deint, u64::MAX).unwrap_or(false)
     }
 
     #[test]

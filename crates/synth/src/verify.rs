@@ -8,12 +8,14 @@
 //! this split of duties between testing and proof).
 //!
 //! The oracle memoizes its hot path (on by default, [`Verifier::memoize`]):
-//! test-environment families are generated once per buffer signature, SMT
-//! terms are hash-consed in one shared [`SharedSolver`] context, and full
+//! test-environment families are generated once per buffer signature, full
 //! verdicts are cached keyed by the canonicalized (alpha-renamed) query
-//! pair plus the oracle configuration. Clones of a `Verifier` — including
-//! the re-pinned clones the lowering stages make — share one memo, so a
-//! query answered during lifting is free when sketch synthesis asks again.
+//! pair plus the oracle configuration, and SMT outcomes are cached
+//! process-wide keyed by the offset-translated pair. Clones of a
+//! `Verifier` — including the re-pinned clones the lowering stages make —
+//! share one memo, so a query answered during lifting is free when sketch
+//! synthesis asks again. `rake::Rake::compile` gives every compilation a
+//! fresh memo; only the proof cache outlives it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +25,7 @@ use std::time::{Duration, Instant};
 use halide_ir::{Env, EvalCtx, Expr};
 use hvx::{HvxExpr, Op};
 use lanes::{ElemType, Vector};
-use smt::{Context, SharedSolver};
+use smt::Context;
 use uber_ir::{eval_uber, ScalarSource, UberExpr};
 
 use crate::encode::{encode_halide_lane, encode_uber_lane};
@@ -56,12 +58,12 @@ pub struct Verifier {
     /// to the target width; off by default — lowering is otherwise
     /// verified differentially).
     pub smt_lowering: bool,
-    /// Memoize verdicts, test environments, and SMT terms across queries.
-    /// Off reproduces the unmemoized path exactly (fresh contexts and
-    /// envs per query); verdicts are identical either way.
+    /// Memoize verdicts, test environments and SMT proof outcomes across
+    /// queries. Off reproduces the unmemoized path exactly (fresh envs and
+    /// a proof per query); verdicts are identical either way.
     pub memoize: bool,
-    /// Shared memo state (verdict cache, env cache, SMT context, query
-    /// counters). Clones share it; a fresh handle starts cold.
+    /// Shared memo state (verdict cache, env cache, query counters).
+    /// Clones share it; a fresh handle starts cold.
     pub memo: MemoHandle,
 }
 
@@ -82,9 +84,9 @@ impl Default for Verifier {
     }
 }
 
-/// Point-in-time reading of the verifier's monotone query counters.
-/// Subtract two snapshots (see [`MemoSnapshot::delta_since`]) to attribute
-/// work to one compilation.
+/// Point-in-time reading of the verifier's monotone query counters. Read
+/// at the end of a compilation, whose memo started cold, it is that
+/// compilation's work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoSnapshot {
     /// SMT solver queries issued (counted with memoization on or off).
@@ -98,16 +100,6 @@ pub struct MemoSnapshot {
 }
 
 impl MemoSnapshot {
-    /// The counter increments between `earlier` and `self`.
-    pub fn delta_since(&self, earlier: &MemoSnapshot) -> MemoSnapshot {
-        MemoSnapshot {
-            smt_queries: self.smt_queries - earlier.smt_queries,
-            smt_time_nanos: self.smt_time_nanos - earlier.smt_time_nanos,
-            verdict_hits: self.verdict_hits - earlier.verdict_hits,
-            env_hits: self.env_hits - earlier.env_hits,
-        }
-    }
-
     /// SMT time as a [`Duration`].
     pub fn smt_time(&self) -> Duration {
         Duration::from_nanos(self.smt_time_nanos)
@@ -165,9 +157,10 @@ fn proof_fingerprint(key: &ProofKey) -> String {
 /// The proof map is process-global rather than per-[`MemoHandle`]: the key
 /// carries every proof-relevant parameter and the encoder and solver are
 /// deterministic, so an outcome is a pure function of the key no matter
-/// which `Rake` instance computed it. Harness runs that build one `Rake`
-/// per workload still share proofs for the recurring stencil/matmul query
-/// shapes. Hit counters stay per-handle (only storage is shared).
+/// which compilation computed it. It is the only memo state that outlives
+/// a compilation: the recurring stencil/matmul query shapes are proved
+/// once per process. Hit counters stay per-handle (only storage is
+/// shared).
 fn global_proofs() -> &'static Mutex<HashMap<ProofKey, Option<bool>>> {
     static PROOFS: OnceLock<Mutex<HashMap<ProofKey, Option<bool>>>> = OnceLock::new();
     PROOFS.get_or_init(Mutex::default)
@@ -178,7 +171,6 @@ type EnvKey = (BufferSpec, usize, usize);
 
 #[derive(Default)]
 struct MemoState {
-    solver: SharedSolver,
     verdicts: Mutex<HashMap<VerdictKey, bool>>,
     envs: Mutex<HashMap<EnvKey, Arc<Vec<Env>>>>,
     smt_queries: AtomicU64,
@@ -194,9 +186,9 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Shared handle to a verifier's memo state. Cloning shares the state
-/// (the intended per-[`rake::Rake`] scope); `MemoHandle::default()` starts
-/// a fresh, cold memo.
+/// Shared handle to a verifier's memo state. Cloning shares the state;
+/// `MemoHandle::default()` starts a fresh, cold memo, which is what
+/// `rake::Rake::compile` does for every compilation.
 #[derive(Clone, Default)]
 pub struct MemoHandle(Arc<MemoState>);
 
@@ -240,15 +232,6 @@ impl MemoHandle {
     fn record_smt(&self, elapsed: Duration) {
         self.0.smt_queries.fetch_add(1, Ordering::Relaxed);
         self.0.smt_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn solver(&self) -> &SharedSolver {
-        &self.0.solver
-    }
-
-    /// Terms interned in the shared SMT context (a reuse metric).
-    pub fn smt_terms(&self) -> usize {
-        self.0.solver.terms()
     }
 
     fn snapshot(&self) -> MemoSnapshot {
@@ -636,12 +619,7 @@ impl Verifier {
             sp.arg("lanes", self.smt_lanes);
             Some(any_ne)
         };
-        let result = if self.memoize {
-            self.memo.solver().prove_unsat(build, self.smt_conflict_budget)
-        } else {
-            // Unmemoized: a throwaway context per query, as before.
-            SharedSolver::new().prove_unsat(build, self.smt_conflict_budget)
-        };
+        let result = smt::prove_unsat(build, self.smt_conflict_budget);
         self.memo.record_smt(t0.elapsed());
         if sp.is_active() {
             sp.arg("path", "solve");
@@ -718,13 +696,6 @@ impl Verifier {
         }
         if self.smt_lowering {
             let t0 = Instant::now();
-            let fresh;
-            let solver = if self.memoize {
-                self.memo.solver()
-            } else {
-                fresh = SharedSolver::new();
-                &fresh
-            };
             let proved = crate::symexec::smt_equiv_uber_hvx(
                 u,
                 h,
@@ -732,7 +703,6 @@ impl Verifier {
                 self.vec_bytes,
                 deinterleaved,
                 self.smt_conflict_budget,
-                solver,
             );
             self.memo.record_smt(t0.elapsed());
             if let Some(proved) = proved {
@@ -883,9 +853,9 @@ mod tests {
         assert!(ver.equiv_halide_uber(&h, &u));
         let before = ver.memo_snapshot();
         assert!(ver.equiv_halide_uber(&h, &u));
-        let delta = ver.memo_snapshot().delta_since(&before);
-        assert_eq!(delta.verdict_hits, 1);
-        assert_eq!(delta.smt_queries, 0, "cached verdicts issue no proofs");
+        let after = ver.memo_snapshot();
+        assert_eq!(after.verdict_hits, before.verdict_hits + 1);
+        assert_eq!(after.smt_queries, before.smt_queries, "cached verdicts issue no proofs");
     }
 
     #[test]
@@ -904,8 +874,8 @@ mod tests {
         assert!(ver.equiv_halide_uber(&h1, &u1));
         let before = ver.memo_snapshot();
         assert!(ver.equiv_halide_uber(&h2, &u2));
-        let delta = ver.memo_snapshot().delta_since(&before);
-        assert_eq!(delta.verdict_hits, 1, "alpha-renamed pair must hit");
+        let after = ver.memo_snapshot();
+        assert_eq!(after.verdict_hits, before.verdict_hits + 1, "alpha-renamed pair must hit");
     }
 
     #[test]
@@ -942,9 +912,9 @@ mod tests {
         // Buffers shift independently: a by (+2, +3), b by (-4, +7).
         let (h2, u2) = query((4, 3), (1, 7));
         assert!(ver.equiv_halide_uber(&h2, &u2));
-        let delta = ver.memo_snapshot().delta_since(&before);
-        assert_eq!(delta.smt_queries, 0, "translated query must reuse the proof");
-        assert_eq!(delta.verdict_hits, 1, "the proof-cache hit is counted");
+        let after = ver.memo_snapshot();
+        assert_eq!(after.smt_queries, before.smt_queries, "translated query must reuse the proof");
+        assert_eq!(after.verdict_hits, before.verdict_hits + 1, "the proof-cache hit is counted");
     }
 
     #[test]
@@ -970,23 +940,27 @@ mod tests {
         let clone = Verifier { lanes: ver.lanes, vec_bytes: ver.vec_bytes, ..ver.clone() };
         let before = clone.memo_snapshot();
         assert!(clone.equiv_halide_uber(&h, &u));
-        assert_eq!(clone.memo_snapshot().delta_since(&before).verdict_hits, 1);
+        assert_eq!(clone.memo_snapshot().verdict_hits, before.verdict_hits + 1);
         // ...a different differential geometry re-runs the differential
         // under its own verdict key, sharing only the SMT proof (which
         // depends on smt_lanes and budget, not on the test geometry)...
         let wider = Verifier { lanes: 16, vec_bytes: 16, ..ver.clone() };
         let before = wider.memo_snapshot();
         assert!(wider.equiv_halide_uber(&h, &u));
-        let delta = wider.memo_snapshot().delta_since(&before);
-        assert_eq!(delta.smt_queries, 0, "proof is geometry-independent");
-        assert_eq!(delta.verdict_hits, 1, "the hit is the proof, not the verdict");
+        let after = wider.memo_snapshot();
+        assert_eq!(after.smt_queries, before.smt_queries, "proof is geometry-independent");
+        assert_eq!(
+            after.verdict_hits,
+            before.verdict_hits + 1,
+            "the hit is the proof, not the verdict"
+        );
         // ...and a different proof configuration misses both cache layers.
         let deeper = Verifier { smt_lanes: ver.smt_lanes + 1, ..ver.clone() };
         let before = deeper.memo_snapshot();
         assert!(deeper.equiv_halide_uber(&h, &u));
-        let delta = deeper.memo_snapshot().delta_since(&before);
-        assert_eq!(delta.verdict_hits, 0, "no stale hits across configs");
-        assert_eq!(delta.smt_queries, 1);
+        let after = deeper.memo_snapshot();
+        assert_eq!(after.verdict_hits, before.verdict_hits, "no stale hits across configs");
+        assert_eq!(after.smt_queries, before.smt_queries + 1);
     }
 
     #[test]
@@ -1020,7 +994,7 @@ mod tests {
         let a = ver.envs_for(&spec, 8);
         let before = ver.memo_snapshot();
         let b = ver.envs_for(&spec, 8);
-        assert_eq!(ver.memo_snapshot().delta_since(&before).env_hits, 1);
+        assert_eq!(ver.memo_snapshot().env_hits, before.env_hits + 1);
         assert!(Arc::ptr_eq(&a, &b));
         // A different width is a different family.
         let c = ver.envs_for(&spec, 4);

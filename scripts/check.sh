@@ -213,9 +213,18 @@ echo "$poison" | ./target/release/rake-client --addr "$addr" >/dev/null \
 echo '(add (load a u8 0 0) (load b u8 0 0))' \
   | ./target/release/rake-client --addr "$addr" >/dev/null \
   || { echo "crash smoke: a fresh key must still compile after the crash"; exit 1; }
-./target/release/rake-client --addr "$addr" --metrics \
-  | awk '$1 == "rake_served_worker_restarts_total" && int($2) >= 1 { ok = 1 } END { exit !ok }' \
-  || { echo "crash smoke: the supervisor never recorded a respawn"; exit 1; }
+# The supervisor respawns on its 150 ms monitor tick, so poll the
+# counter for up to 5 s instead of sampling it once.
+respawned() {
+  ./target/release/rake-client --addr "$addr" --metrics \
+    | awk '$1 == "rake_served_worker_restarts_total" && int($2) >= 1 { ok = 1 } END { exit !ok }'
+}
+for _ in $(seq 50); do
+  respawned && break
+  sleep 0.1
+done
+respawned \
+  || { echo "crash smoke: the supervisor never recorded a respawn within 5 s"; exit 1; }
 ./target/release/loadgen --addr "$addr" --connections 4 --crash-storm 24 \
   --out "$crash_dir/storm.json" --check
 kill "$crash_pid"
@@ -243,6 +252,14 @@ grep -q '"smt.prove_unsat"' "$trace_dir/cli.json" \
   --out "$trace_dir/perf-snapshot.json" --trace-out "$trace_dir/perf.json" >/dev/null
 grep -q '"perf.workload"' "$trace_dir/perf.json" \
   || { echo "trace smoke: perf trace has no per-workload spans"; exit 1; }
+# The ledger adds up: perf's SMT query total must equal the number of
+# smt.prove_unsat spans in the trace of the same run.
+perf_queries="$(grep -o '"totals":{[^}]*}' "$trace_dir/perf-snapshot.json" \
+  | grep -o '"smt_queries":[0-9]*' | cut -d: -f2)"
+traced_queries="$(grep -o '"name":"smt.prove_unsat"' "$trace_dir/perf.json" | wc -l)"
+[ "$perf_queries" -eq "$traced_queries" ] \
+  || { echo "trace smoke: perf counts ${perf_queries:-no} SMT queries," \
+         "its trace holds $traced_queries smt.prove_unsat spans"; exit 1; }
 # Every proof in those traces must be decided. An "unknown" is a lifting
 # step accepted on differential evidence alone; a "sat" is a compiler bug
 # (minimize it through the oracle and fix it; never regenerate a golden).

@@ -7,7 +7,6 @@ use halide_ir::builder::*;
 use halide_ir::{Expr, Load};
 use lanes::rng::Rng;
 use lanes::ElemType::{I16, U16, U8};
-use smt::SharedSolver;
 use synth::encode::{encode_halide_lane, encode_uber_lane};
 use synth::Verifier;
 use uber_ir::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
@@ -19,7 +18,7 @@ fn v() -> Verifier {
 /// Decide `h ≡ u` over two lanes, as the lifting oracle does, within
 /// `budget` CDCL conflicts. `Some(true)` is a proof of equivalence.
 fn prove(h: &Expr, u: &UberExpr, budget: u64) -> Option<bool> {
-    SharedSolver::new().prove_unsat(
+    smt::prove_unsat(
         |ctx| {
             let mut any_ne = ctx.ff();
             for lane in 0..2 {

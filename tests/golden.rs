@@ -21,8 +21,8 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
 }
 
-fn snapshot(w: &workloads::Workload) -> String {
-    let run = run_workload(w, RunConfig::quick(w));
+fn snapshot(w: &workloads::Workload, memoize: bool) -> String {
+    let run = run_workload(w, RunConfig { memoize, ..RunConfig::quick(w) });
     assert!(run.all_verified(), "{}: output mismatch against the interpreter", w.name);
     let mut out = String::new();
     let _ = writeln!(out, "# {} (quick geometry)", w.name);
@@ -51,12 +51,9 @@ fn golden_snapshots_hold_under_both_hot_path_configs() {
     if update {
         std::fs::create_dir_all(&dir).expect("create golden dir");
     }
-    // The toggle is read per `Rake` construction, and this binary holds
-    // only this test, so setting it here is race-free.
     for memo in [true, false] {
-        std::env::set_var("RAKE_MEMO", if memo { "1" } else { "0" });
         for w in workloads::all() {
-            let got = snapshot(&w);
+            let got = snapshot(&w, memo);
             let path = dir.join(format!("{}.txt", w.name));
             if update && memo {
                 std::fs::write(&path, &got).expect("write golden");
@@ -73,5 +70,4 @@ fn golden_snapshots_hold_under_both_hot_path_configs() {
             );
         }
     }
-    std::env::remove_var("RAKE_MEMO");
 }

@@ -5,6 +5,7 @@
 
 use oracle::{gen_expr, GenConfig};
 use rake::{Rake, Target};
+use rake_bench::{bench_verifier, RunConfig};
 use synth::Verifier;
 
 fn verifier(memoize: bool) -> Verifier {
@@ -32,6 +33,7 @@ fn memoized_and_unmemoized_compilations_agree_on_generated_streams() {
     let mut rng = lanes::rng::Rng::seed_from_u64(0x5EED_4);
     let memo = rake(true);
     let plain = rake(false);
+    let (mut memo_hits, mut memo_queries, mut plain_queries) = (0, 0, 0);
     for i in 0..30 {
         let e = gen_expr(&mut rng, &cfg);
         let a = memo.compile(&e);
@@ -44,6 +46,9 @@ fn memoized_and_unmemoized_compilations_agree_on_generated_streams() {
                     cb.program.to_string(),
                     "compiled programs differ on #{i}: {e}"
                 );
+                memo_hits += ca.stats.verdict_cache_hits;
+                memo_queries += ca.stats.smt_queries;
+                plain_queries += cb.stats.smt_queries;
             }
             (Err(ea), Err(eb)) => assert_eq!(ea, eb, "errors differ on #{i}: {e}"),
             _ => panic!(
@@ -55,9 +60,27 @@ fn memoized_and_unmemoized_compilations_agree_on_generated_streams() {
     }
     // The memoized run answered from cache at least some of the time and
     // never proved more than the unmemoized run.
-    let (m, p) = (memo.verifier().memo_snapshot(), plain.verifier().memo_snapshot());
-    assert!(m.verdict_hits > 0, "stream produced no cache hits");
-    assert!(m.smt_queries <= p.smt_queries, "memoization increased SMT queries");
+    assert!(memo_hits > 0, "stream produced no cache hits");
+    assert!(memo_queries <= plain_queries, "memoization increased SMT queries");
+}
+
+/// Every compilation starts from a cold memo, so compiling one expression
+/// twice on one `Rake` reports the same work both times. The second
+/// compile answers from the process-wide proof cache what the first
+/// proved, so hits plus queries is what stays equal.
+#[test]
+fn compiling_twice_reports_the_same_work() {
+    let w = workloads::by_name("sobel").expect("sobel registered");
+    let cfg = RunConfig::quick(&w);
+    let rake = Rake::new(Target { lanes: cfg.lanes, vec_bytes: cfg.vec_bytes })
+        .with_verifier(bench_verifier(cfg));
+    let work = || {
+        let s = rake.compile(&w.exprs[0]).expect("sobel[0] compiles").stats;
+        (s.env_cache_hits, s.verdict_cache_hits + s.smt_queries)
+    };
+    let first = work();
+    assert!(first.0 > 0 && first.1 > 0, "sobel[0] did no memoized work: {first:?}");
+    assert_eq!(work(), first, "(env hits, verdict hits + queries) of two compiles");
 }
 
 /// Regression: with memoization on, compiling the sobel workload issues no
@@ -70,23 +93,10 @@ fn memoized_and_unmemoized_compilations_agree_on_generated_streams() {
 )]
 fn sobel_smt_queries_are_monotone_non_increasing_under_memoization() {
     let w = workloads::by_name("sobel").expect("sobel registered");
-    let lanes = (16 * w.lanes / 128).max(4); // quick geometry
-    let bench_like = |memoize: bool| Verifier {
-        lanes,
-        vec_bytes: 16,
-        alt_lanes: (lanes / 2).max(4),
-        random_envs: 6,
-        use_smt: true,
-        smt_lanes: 1,
-        smt_conflict_budget: 10_000,
-        smt_lowering: false,
-        memoize,
-        ..Verifier::default()
-    };
-    let target = Target { lanes, vec_bytes: 16 };
     let compile = |memoize: bool| {
-        Rake::new(target)
-            .with_verifier(bench_like(memoize))
+        let cfg = RunConfig { memoize, ..RunConfig::quick(&w) };
+        Rake::new(Target { lanes: cfg.lanes, vec_bytes: cfg.vec_bytes })
+            .with_verifier(bench_verifier(cfg))
             .compile_pipeline(&w.exprs)
             .stats
     };
