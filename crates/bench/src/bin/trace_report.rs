@@ -5,10 +5,15 @@
 //! renders aggregate views a timeline viewer cannot:
 //!
 //!   * per-stage breakdown — self-time (duration minus direct children)
-//!     summed by span category (lift / smt / swizzle / driver / served ...)
-//!   * per-operation breakdown — self-time summed by span name
+//!     summed by span category (lift / smt / swizzle / driver / served ...);
+//!     its total counts only spans whose parent is in another category, so
+//!     nested spans of one category (`verify.smt_equiv` over
+//!     `smt.prove_unsat`, `driver.batch` over `driver.job`) count once
+//!   * per-operation breakdown — the same, by span name
 //!   * per-rule breakdown — time and firing count per lifting rule
-//!   * top-N slowest SMT queries, with their proof-cache keys and outcomes
+//!   * top-N slowest SMT queries, each listed once: its `verify.smt_equiv`
+//!     span with the path, proof-cache key and outcome, or the bare
+//!     `smt.prove_unsat` span when no verifier span encloses it
 //!
 //! ```sh
 //! trace_report trace.json                  # breakdown tables
@@ -197,6 +202,8 @@ fn ms(us: u64) -> f64 {
 fn report(records: &[SpanRecord], files: usize, top: usize) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
+    let by_id: HashMap<u64, &SpanRecord> = records.iter().map(|r| (r.span_id, r)).collect();
+    let parent = |r: &SpanRecord| by_id.get(&r.parent_id).copied();
     // Self time = duration minus direct children, so nested same-category
     // spans (verify.smt_equiv over smt.prove_unsat) are not double-counted.
     let mut child_us: HashMap<u64, u64> = HashMap::new();
@@ -228,26 +235,28 @@ fn report(records: &[SpanRecord], files: usize, top: usize) -> String {
         }
         let _ = writeln!(out);
     };
+    // A row's total counts a span only when its parent lies in another
+    // row, so a span nested in its own row is not counted twice.
+    let add = |rows: &mut HashMap<&'static str, (u64, u64, usize)>,
+               key: &'static str,
+               r: &SpanRecord,
+               nested: bool| {
+        let e = rows.entry(key).or_insert((0, 0, 0));
+        e.0 += self_us(r);
+        e.1 += if nested { 0 } else { r.dur_us };
+        e.2 += 1;
+    };
 
     let mut by_cat: HashMap<&str, (u64, u64, usize)> = HashMap::new();
     let mut by_name: HashMap<&str, (u64, u64, usize)> = HashMap::new();
     let mut by_rule: HashMap<&str, (u64, u64, usize)> = HashMap::new();
     for r in records {
-        let s = self_us(r);
-        let cat = by_cat.entry(r.cat).or_insert((0, 0, 0));
-        cat.0 += s;
-        cat.1 += r.dur_us;
-        cat.2 += 1;
-        let name = by_name.entry(r.name).or_insert((0, 0, 0));
-        name.0 += s;
-        name.1 += r.dur_us;
-        name.2 += 1;
+        let p = parent(r);
+        add(&mut by_cat, r.cat, r, p.is_some_and(|p| p.cat == r.cat));
+        add(&mut by_name, r.name, r, p.is_some_and(|p| p.name == r.name));
         if r.name == "lift.rule" || r.name == "lift.screen" {
             if let Some(rule) = str_arg(r, "rule") {
-                let e = by_rule.entry(trace::intern(rule)).or_insert((0, 0, 0));
-                e.0 += s;
-                e.1 += r.dur_us;
-                e.2 += 1;
+                add(&mut by_rule, trace::intern(rule), r, false);
             }
         }
     }
@@ -257,8 +266,12 @@ fn report(records: &[SpanRecord], files: usize, top: usize) -> String {
         table(&mut out, "per-rule (lift.rule / lift.screen firings)", by_rule);
     }
 
-    let mut smt: Vec<&SpanRecord> =
-        records.iter().filter(|r| r.name == "smt.prove_unsat" || r.name == "verify.smt_equiv").collect();
+    // One row per query: the verifier span that asked it, when there is one.
+    let mut smt: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|r| r.name == "smt.prove_unsat")
+        .map(|r| parent(r).filter(|p| p.name == "verify.smt_equiv").unwrap_or(r))
+        .collect();
     smt.sort_by(|a, b| b.dur_us.cmp(&a.dur_us));
     if !smt.is_empty() {
         let _ = writeln!(out, "top {} slowest SMT queries:", top.min(smt.len()));
@@ -288,5 +301,68 @@ fn usage(err: &str) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(id: u64, parent: u64, name: &str, cat: &str, dur_us: u64) -> SpanRecord {
+        SpanRecord {
+            seq: 0,
+            trace_id: 7,
+            span_id: id,
+            parent_id: parent,
+            name: trace::intern(name),
+            cat: trace::intern(cat),
+            start_us: 0,
+            dur_us,
+            pid: 1,
+            args: Vec::new(),
+        }
+    }
+
+    fn with(mut r: SpanRecord, args: &[(&str, &str)]) -> SpanRecord {
+        r.args = args.iter().map(|&(k, v)| (trace::intern(k), ArgValue::Str(v.into()))).collect();
+        r
+    }
+
+    /// The first row named `key`, as (self ms, total ms, spans).
+    fn row(out: &str, key: &str) -> (f64, f64, usize) {
+        let line = out
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(key))
+            .unwrap_or_else(|| panic!("no row `{key}` in\n{out}"));
+        let f: Vec<&str> = line.split_whitespace().collect();
+        (f[1].parse().unwrap(), f[2].parse().unwrap(), f[3].parse().unwrap())
+    }
+
+    #[test]
+    fn nested_spans_count_once() {
+        let records = vec![
+            span(1, 0, "driver.batch", "driver", 10_000),
+            span(2, 1, "driver.job", "driver", 9_000),
+            with(
+                span(3, 2, "verify.smt_equiv", "smt", 5_000),
+                &[("path", "solve"), ("proof_key", "k3"), ("outcome", "unknown")],
+            ),
+            with(span(4, 3, "smt.prove_unsat", "smt", 4_800), &[("outcome", "unknown")]),
+            with(span(5, 2, "smt.prove_unsat", "smt", 1_000), &[("outcome", "unsat")]),
+            with(span(6, 2, "verify.smt_equiv", "smt", 100), &[("path", "proof-cache")]),
+        ];
+        let out = report(&records, 1, 10);
+
+        // Per stage: the batch alone covers the driver's time, and the
+        // verifier spans cover the query nested in one of them.
+        assert_eq!(row(&out, "driver"), (3.9, 10.0, 2));
+        assert_eq!(row(&out, "smt"), (6.1, 6.1, 4));
+
+        // Two queries, each listed once; the proof-cache hit asked none.
+        let top: Vec<&str> = out.lines().skip_while(|l| !l.starts_with("top ")).skip(1).collect();
+        assert_eq!(top.len(), 2, "{out}");
+        assert!(top[0].contains("verify.smt_equiv"), "{out}");
+        assert!(top[0].contains("outcome=unknown  path=solve  key=k3"), "{out}");
+        assert!(top[1].contains("smt.prove_unsat") && top[1].contains("outcome=unsat"), "{out}");
     }
 }

@@ -1,7 +1,8 @@
 //! Soundness of the word-level normalizer: random trees over every
 //! [`Context`] constructor, built through the normalizing constructors,
 //! must evaluate exactly like a reference evaluator run over the tree as
-//! written, and every interned subterm's value must lie in its interval.
+//! written, and every interned subterm's value must lie in its unsigned
+//! and its signed interval.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -379,7 +380,8 @@ fn children(node: &Node) -> Vec<TermId> {
     }
 }
 
-/// Every subterm reachable from `root` evaluates inside its interval.
+/// Every subterm reachable from `root` evaluates inside its unsigned
+/// interval, and its signed reading inside its signed interval.
 fn assert_ranges_hold(ctx: &Context, root: TermId, env: &HashMap<String, u64>, tree: &Tree) {
     let mut stack = vec![root];
     let mut seen = std::collections::HashSet::new();
@@ -392,6 +394,13 @@ fn assert_ranges_hold(ctx: &Context, root: TermId, env: &HashMap<String, u64>, t
         assert!(
             lo <= v && v <= hi,
             "value {v:#x} of {:?} outside [{lo:#x}, {hi:#x}] in {tree:?}",
+            ctx.node(t)
+        );
+        let sv = sext(v, ctx.width(t));
+        let (slo, shi) = ctx.srange(t);
+        assert!(
+            slo <= sv && sv <= shi,
+            "signed value {sv} of {:?} outside [{slo}, {shi}] in {tree:?}",
             ctx.node(t)
         );
         stack.extend(children(ctx.node(t)));

@@ -10,9 +10,11 @@
 //!   re-indexed onto the operands of shifts, extensions and concatenations;
 //! - sums, differences and constant multiples flatten into a linear normal
 //!   form whose atoms keep the order in which they first occur;
-//! - every term carries a conservative unsigned interval, which decides
-//!   comparisons and drops min/max operations (and so clamps) whose
-//!   outcome the operands' ranges already fix.
+//! - nested constant right shifts of one kind merge into one shift;
+//! - every term carries a conservative unsigned interval and a
+//!   conservative signed one, which decide comparisons and drop min/max
+//!   operations (and so clamps) whose outcome the operands' ranges
+//!   already fix.
 //!
 //! No rewrite orders anything by [`TermId`] value, so the term a query
 //! builds is a function of the query's own structure, never of what else
@@ -83,6 +85,16 @@ fn smear(v: u64) -> u64 {
     }
 }
 
+/// The signed reading of the unsigned interval `[lo, hi]` of a
+/// `width`-bit value: exact within one sign half, else the full range.
+fn signed_view(lo: u64, hi: u64, width: u32) -> (i64, i64) {
+    if hi < half(width) || lo >= half(width) {
+        (sext_val(lo, width), sext_val(hi, width))
+    } else {
+        (sext_val(half(width), width), sext_val(half(width) - 1, width))
+    }
+}
+
 /// A linear normal form `Σ coef·atom + constant` modulo `2^width`. Atoms
 /// are the terms that are not sums, differences, constants or constant
 /// multiples; they keep the order in which they first occur.
@@ -115,6 +127,9 @@ pub struct Context {
     widths: Vec<u32>,
     /// A conservative unsigned interval `[lo, hi]` of every term's value.
     ranges: Vec<(u64, u64)>,
+    /// A conservative signed interval of every term's value, read as a
+    /// two's-complement number of the term's width.
+    sranges: Vec<(i64, i64)>,
     dedup: HashMap<Node, TermId>,
     /// `extract[k-1:0]` of a term after pushing it towards the leaves,
     /// keyed by `(term, k)`, so shared subterms are narrowed once.
@@ -151,32 +166,32 @@ impl Context {
         self.ranges[t.0 as usize]
     }
 
-    /// The signed interval of `t`; the full signed range when `t`'s
-    /// unsigned interval straddles the sign bit.
-    fn srange(&self, t: TermId) -> (i128, i128) {
-        let w = self.width(t);
-        let (lo, hi) = self.range(t);
-        if hi < half(w) {
-            (i128::from(lo), i128::from(hi))
-        } else if lo >= half(w) {
-            (i128::from(sext_val(lo, w)), i128::from(sext_val(hi, w)))
-        } else {
-            (-i128::from(half(w)), i128::from(half(w)) - 1)
-        }
+    /// The signed interval every value of `t` lies in.
+    pub(crate) fn srange(&self, t: TermId) -> (i64, i64) {
+        self.sranges[t.0 as usize]
     }
 
     fn nonneg(&self, t: TermId) -> bool {
-        self.range(t).1 < half(self.width(t))
+        self.srange(t).0 >= 0
     }
 
-    /// Intern a node as is. A node whose interval is a single point is
-    /// that constant.
+    /// Intern a node as is. Its unsigned and signed intervals refine each
+    /// other; a node whose interval is a single point is that constant.
     fn intern(&mut self, node: Node, width: u32) -> TermId {
         assert!((1..=64).contains(&width), "width {width} out of range");
         if let Some(&id) = self.dedup.get(&node) {
             return id;
         }
-        let (lo, hi) = self.node_range(&node, width);
+        let (mut lo, mut hi) = self.node_range(&node, width);
+        let ((sl, sh), (vl, vh)) = (self.node_srange(&node, width), signed_view(lo, hi, width));
+        let (mut slo, mut shi) = (sl.max(vl), sh.min(vh));
+        if slo >= 0 || shi < 0 {
+            // One sign half: both intervals bound the same bit patterns.
+            let m = mask(width);
+            (lo, hi) = (lo.max(slo as u64 & m), hi.min(shi as u64 & m));
+            (slo, shi) = signed_view(lo, hi, width);
+        }
+        debug_assert!(lo <= hi && slo <= shi, "empty interval for {node:?}");
         if lo == hi && !matches!(node, Node::Const { .. }) {
             return self.constant(lo, width);
         }
@@ -184,6 +199,7 @@ impl Context {
         self.nodes.push(node.clone());
         self.widths.push(width);
         self.ranges.push((lo, hi));
+        self.sranges.push((slo, shi));
         self.dedup.insert(node, id);
         id
     }
@@ -228,25 +244,7 @@ impl Context {
                 fit(lo << n, hi << n)
             }
             Node::Lshr(a, n) => (r(a).0 >> n, r(a).1 >> n),
-            Node::Ashr(a, n) => {
-                let (lo, hi) = r(a);
-                // Monotone within one sign half.
-                if hi < half(w) || lo >= half(w) {
-                    ((sext_val(lo, w) >> n) as u64 & m, (sext_val(hi, w) >> n) as u64 & m)
-                } else {
-                    full
-                }
-            }
             Node::ZeroExt(a, _) => r(a),
-            Node::SignExt(a, _) => {
-                let aw = self.width(a);
-                let (lo, hi) = r(a);
-                if hi < half(aw) || lo >= half(aw) {
-                    (sext_val(lo, aw) as u64 & m, sext_val(hi, aw) as u64 & m)
-                } else {
-                    full
-                }
-            }
             Node::Extract(a, _, lo) => {
                 let (al, ah) = r(a);
                 if ah >> lo <= m {
@@ -261,6 +259,59 @@ impl Context {
             }
             Node::Eq(..) | Node::Ult(..) | Node::Slt(..) => (0, 1),
             Node::Ite(_, a, b) => (r(a).0.min(r(b).0), r(a).1.max(r(b).1)),
+            // Signed intervals bound these (see `node_srange`).
+            Node::Ashr(..) | Node::SignExt(..) => full,
+        }
+    }
+
+    /// The signed interval of a node's value, from its children's signed
+    /// intervals, by exact bound arithmetic in 128 bits. Constants and the
+    /// nodes left at the full range here are bounded by the signed reading
+    /// of their unsigned interval (see `intern`).
+    fn node_srange(&self, node: &Node, w: u32) -> (i64, i64) {
+        let (min, max) = (-i128::from(half(w)), i128::from(half(w)) - 1);
+        let full = (min as i64, max as i64);
+        // `[lo, hi]` when the exact bounds fit the width, else `full`.
+        let fit = |lo: i128, hi: i128| {
+            if min <= lo && hi <= max {
+                (lo as i64, hi as i64)
+            } else {
+                full
+            }
+        };
+        let s = |t: TermId| self.srange(t);
+        let wide = |t: TermId| {
+            let (lo, hi) = self.srange(t);
+            (i128::from(lo), i128::from(hi))
+        };
+        match *node {
+            Node::Add(a, b) => {
+                let ((al, ah), (bl, bh)) = (wide(a), wide(b));
+                fit(al + bl, ah + bh)
+            }
+            Node::Sub(a, b) => {
+                let ((al, ah), (bl, bh)) = (wide(a), wide(b));
+                fit(al - bh, ah - bl)
+            }
+            Node::Mul(a, b) => {
+                let ((al, ah), (bl, bh)) = (wide(a), wide(b));
+                let c = [al * bl, al * bh, ah * bl, ah * bh];
+                fit(c[0].min(c[1]).min(c[2]).min(c[3]), c[0].max(c[1]).max(c[2]).max(c[3]))
+            }
+            Node::Shl(a, n) => {
+                let (lo, hi) = wide(a);
+                fit(lo << n, hi << n)
+            }
+            // Monotone.
+            Node::Ashr(a, n) => (s(a).0 >> n, s(a).1 >> n),
+            Node::Not(a) => (!s(a).1, !s(a).0),
+            Node::SignExt(a, _) => s(a),
+            Node::Extract(a, _, 0) => {
+                let (lo, hi) = wide(a);
+                fit(lo, hi)
+            }
+            Node::Ite(_, a, b) => (s(a).0.min(s(b).0), s(a).1.max(s(b).1)),
+            _ => full,
         }
     }
 
@@ -467,7 +518,8 @@ impl Context {
         self.linear(&[(a, 1u64 << n)], w)
     }
 
-    /// Logical shift right by a constant; `n` must be `< width`.
+    /// Logical shift right by a constant; `n` must be `< width`. Nested
+    /// logical shifts merge; one past the width is 0.
     pub fn lshr(&mut self, a: TermId, n: u32) -> TermId {
         let w = self.width(a);
         assert!(n < w, "shift amount {n} out of range for width {w}");
@@ -477,11 +529,15 @@ impl Context {
         if let Some(x) = self.const_of(a) {
             return self.constant(x >> n, w);
         }
+        if let Node::Lshr(x, m) = *self.node(a) {
+            return if m + n >= w { self.constant(0, w) } else { self.lshr(x, m + n) };
+        }
         self.intern(Node::Lshr(a, n), w)
     }
 
     /// Arithmetic shift right by a constant; `n` must be `< width`. On a
-    /// provably non-negative operand this is [`Context::lshr`].
+    /// provably non-negative operand this is [`Context::lshr`]. Nested
+    /// arithmetic shifts merge, saturating at `width - 1`.
     pub fn ashr(&mut self, a: TermId, n: u32) -> TermId {
         let w = self.width(a);
         assert!(n < w, "shift amount {n} out of range for width {w}");
@@ -490,6 +546,9 @@ impl Context {
         }
         if let Some(x) = self.const_of(a) {
             return self.constant((sext_val(x, w) >> n) as u64, w);
+        }
+        if let Node::Ashr(x, m) = *self.node(a) {
+            return self.ashr(x, (m + n).min(w - 1));
         }
         if self.nonneg(a) {
             return self.lshr(a, n);
@@ -728,7 +787,7 @@ impl Context {
     /// when they order the operands, and an unsigned comparison when both
     /// operands lie in one sign half.
     pub fn slt(&mut self, a: TermId, b: TermId) -> TermId {
-        let w = self.bin_width(a, b, "slt");
+        self.bin_width(a, b, "slt");
         let ((al, ah), (bl, bh)) = (self.srange(a), self.srange(b));
         if ah < bl {
             return self.tt();
@@ -736,9 +795,7 @@ impl Context {
         if al >= bh || a == b {
             return self.ff();
         }
-        let (ua, ub) = (self.range(a), self.range(b));
-        let same_half = (ua.1 < half(w) && ub.1 < half(w)) || (ua.0 >= half(w) && ub.0 >= half(w));
-        if same_half {
+        if (al >= 0 && bl >= 0) || (ah < 0 && bh < 0) {
             return self.ult(a, b);
         }
         self.intern(Node::Slt(a, b), 1)
@@ -968,5 +1025,65 @@ mod tests {
         assert_eq!(ctx.node(m), &Node::Const { width: 8, value: 0xfb });
         let clamped = ctx.sclamp(a, 0, 100);
         assert_eq!(ctx.node(clamped), &Node::Const { width: 8, value: 0 });
+    }
+
+    #[test]
+    fn clamp_of_a_value_straddling_zero_is_dropped() {
+        // `ashr(x:i16, 12)` lies in [-8, 7]: the saturating narrow's clamp
+        // to the i16 range is dead once intervals are signed.
+        let mut ctx = Context::new();
+        let x = ctx.var("x", 16);
+        let sh = ctx.ashr(x, 12);
+        assert_eq!(ctx.srange(sh), (-8, 7));
+        let wide = ctx.sign_ext(sh, 1);
+        let clamped = ctx.sclamp(wide, i64::from(i16::MIN), i64::from(i16::MAX));
+        assert_eq!(clamped, wide);
+    }
+
+    #[test]
+    fn nested_right_shifts_merge() {
+        let mut ctx = Context::new();
+        let x = ctx.var("x", 16);
+        let l = ctx.lshr(x, 1);
+        let l = ctx.lshr(l, 3);
+        assert_eq!(l, ctx.lshr(x, 4));
+        let a = ctx.ashr(x, 2);
+        let a = ctx.ashr(a, 5);
+        assert_eq!(a, ctx.ashr(x, 7));
+
+        // A logical shift past the width is 0; an arithmetic one stops at
+        // `width - 1`, which leaves only copies of the sign bit.
+        let l = ctx.lshr(x, 9);
+        let l = ctx.lshr(l, 7);
+        assert_eq!(ctx.node(l), &Node::Const { width: 16, value: 0 });
+        let a = ctx.ashr(x, 9);
+        let a = ctx.ashr(a, 9);
+        assert_eq!(a, ctx.ashr(x, 15));
+        assert_eq!(ctx.srange(a), (-1, 0));
+    }
+
+    #[test]
+    fn low_extract_keeps_its_operands_interval_only_when_it_fits() {
+        // The pushdown leaves low extracts only over variables and right
+        // shifts, whose intervals are full or fit; so intern one directly,
+        // over a sum in [100, 355] that 8 signed bits cannot hold.
+        let mut ctx = Context::new();
+        let x = ctx.var("x", 8);
+        let wide = ctx.zero_ext(x, 8);
+        let k = ctx.constant(100, 16);
+        let sum = ctx.add(wide, k);
+        let low = ctx.intern(Node::Extract(sum, 7, 0), 8);
+        let env: HashMap<String, u64> = [("x".into(), 28u64)].into();
+        let v = sext_val(ctx.eval(low, &env), 8);
+        assert_eq!(v, -128);
+        let (lo, hi) = ctx.srange(low);
+        assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}]");
+
+        // One that fits keeps the operand's interval.
+        let y = ctx.var("y", 16);
+        let sh = ctx.ashr(y, 12);
+        let low = ctx.extract(sh, 7, 0);
+        assert!(matches!(ctx.node(low), Node::Extract(..)));
+        assert_eq!(ctx.srange(low), (-8, 7));
     }
 }

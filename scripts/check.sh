@@ -46,19 +46,25 @@ echo "== oracle smoke (seeded differential fuzz, 60s budget)"
 cargo run -q --release --offline --locked -p rake-bench --bin oracle_fuzz -- \
   --seed 0xRAKE --cases 60 --budget 60
 
-echo "== conform smoke (metamorphic relations, fixed seed, filtered)"
-# A filtered slice of the metamorphic conformance harness: the first two
-# workloads plus the coverage-seeded corpus under four relations, both
-# sides compiled and compared lane-for-lane. Deterministic seed; the full
-# catalog × all 21 workloads is the nightly CI job (conform-nightly).
-conform_cov="$(mktemp /tmp/rake-conform-XXXXXX.json)"
+echo "== conform gate (metamorphic relations, full catalog, every proof decided)"
+# The full metamorphic conformance gate, exactly as CI runs it: all 21
+# workloads x the whole relation catalog plus the generated/seeded
+# corpus, both sides compiled and compared lane-for-lane, with --check
+# (zero violations, >= 8 relations applied, untruncated). Deterministic
+# seed. Every proof in its trace must be decided: an "unknown" outcome
+# is a lifting step accepted on differential evidence alone. "sat" stays
+# allowed: the sweep's refuted candidates are correctly rejected.
+conform_dir="$(mktemp -d /tmp/rake-conform-XXXXXX)"
 cargo run -q --release --offline --locked -p rake-bench --bin conform -- \
-  --seed 0xRAKE --workloads 2 --generated 2 --budget 600 \
-  --relations commute,offset-shift,widen-narrow,identity-pad \
-  --coverage-out "$conform_cov"
-grep -q '"schema":"rake-conform-coverage-v1"' "$conform_cov" \
-  || { echo "conform smoke: coverage report missing its schema tag"; exit 1; }
-rm -f "$conform_cov"
+  --seed 0xRAKE --check --coverage-out "$conform_dir/coverage.json" \
+  --trace-out "$conform_dir/trace.json"
+grep -q '"schema":"rake-conform-coverage-v1"' "$conform_dir/coverage.json" \
+  || { echo "conform gate: coverage report missing its schema tag"; exit 1; }
+if grep -o '"outcome":"unknown"' "$conform_dir/trace.json"; then
+  echo "conform gate: the SMT proofs above ran out of budget"
+  exit 1
+fi
+rm -rf "$conform_dir"
 
 echo "== perf smoke (3 workloads, snapshot structure only)"
 # Runs the synthesis performance harness on the first three workloads and

@@ -261,3 +261,64 @@ fn big_gaussian_column_decides_instantly() {
     }
     assert!(decided_while_built(&h, &vs_mpy_add(inputs, &kernel)));
 }
+
+/// A fuzz-corpus product: `(w(2,-1) >> 12) * w(-2,0)` over i16 against a
+/// one-pair `vv-mpy-add` whose first operand is the saturating narrow of
+/// `w(2,-1)`. The shifted value lies in [-8, 7], so that narrow's clamp is
+/// dead; only a signed interval shows it, since the value straddles zero.
+#[test]
+fn signed_narrow_under_vv_mpy_add() {
+    let h = mul(shr(load("w", I16, 2, -1), 12), load("w", I16, -2, 0));
+    let cell = |dx, dy| UberExpr::Data(Load { buffer: "w".into(), dx, dy, ty: I16 });
+    let narrow = UberExpr::Narrow {
+        arg: Box::new(cell(2, -1)),
+        shift: 12,
+        round: false,
+        saturating: true,
+        out: I16,
+    };
+    let u = UberExpr::VvMpyAdd(VvMpyAdd {
+        pairs: vec![(narrow, cell(-2, 0))],
+        saturating: false,
+        out: I16,
+    });
+    assert!(decided_while_built(&h, &u));
+}
+
+/// gaussian7x7 with its rescale split into two shifts: three
+/// `((row + 8) >> 1) >> 3` rows weighted `[1, 6, 15]` against a
+/// `vs-mpy-add` of three `narrow[shift 4]` rows. One row alone blasts to
+/// identical wiring on both sides; under the outer sum the shift chain
+/// must merge for the two sides' atoms to be one term.
+#[test]
+fn split_shift_rows_under_vs_mpy_add() {
+    let taps: [i64; 7] = [1, 6, 15, 20, 15, 6, 1];
+    let row = |dy: i32| {
+        let mut acc: Option<Expr> = None;
+        for (dx, &t) in (-3..=3).zip(&taps) {
+            let w = widen(load("input", U8, dx, dy));
+            let term = if t == 1 { w } else { mul(w, bcast(t, U16)) };
+            acc = Some(match acc {
+                None => term,
+                Some(a) => add(a, term),
+            });
+        }
+        shr(shr(add(acc.expect("seven taps"), bcast(8, U16)), 1), 3)
+    };
+    let h = add(add(row(-3), mul(row(-2), bcast(6, U16))), mul(row(-1), bcast(15, U16)));
+    let row_uber = |dy: i32| {
+        let mut inputs: Vec<UberExpr> = (-3..=3).map(|dx| data("input", dx, dy)).collect();
+        inputs.push(UberExpr::Bcast { value: ScalarSource::Imm(8), ty: U16 });
+        let mut kernel = taps.to_vec();
+        kernel.push(1);
+        UberExpr::Narrow {
+            arg: Box::new(vs_mpy_add(inputs, &kernel)),
+            shift: 4,
+            round: false,
+            saturating: true,
+            out: U16,
+        }
+    };
+    let u = vs_mpy_add((-3..=-1).map(row_uber).collect(), &[1, 6, 15]);
+    assert!(decided_while_built(&h, &u));
+}
