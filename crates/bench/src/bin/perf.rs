@@ -5,7 +5,7 @@
 //!
 //!   --workloads N   run only the first N workloads (CI smoke uses 3)
 //!   --full          full-width configuration (default: quick widths)
-//!   --no-memo       disable verdict/env/SMT-proof memoization
+//!   --no-memo       disable verdict/env/value/SMT-proof memoization
 //!   --jobs N        worker threads
 //!   --out PATH      output path (default: BENCH_4.json)
 //!   --check PATH    validate an existing snapshot's structure and exit

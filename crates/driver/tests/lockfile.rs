@@ -7,10 +7,12 @@
 //!
 //! The child processes are this same test binary re-executed with an
 //! environment-variable gate (the `cargo test` harness makes spawning a
-//! helper binary awkward, re-exec does not).
+//! helper binary awkward, re-exec does not). Their output is captured, not
+//! inherited: two concurrent children writing `test lock_stress_child ... `
+//! into the parent's stdout interleave into lines no harness can parse.
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use rake::CompileError;
@@ -56,14 +58,22 @@ fn two_process_persist_stress_unions_entries() {
                 .args(["lock_stress_child", "--exact", "--test-threads", "1"])
                 .env(DIR_VAR, &dir)
                 .env(TAG_VAR, tag)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
                 .spawn()
                 .expect("spawn child test process");
             (*tag, child)
         })
         .collect();
-    for (tag, mut child) in children {
-        let status = child.wait().expect("wait for child");
-        assert!(status.success(), "child {tag} failed: {status}");
+    for (tag, child) in children {
+        let out = child.wait_with_output().expect("wait for child");
+        assert!(
+            out.status.success(),
+            "child {tag} failed: {}\n--- stdout ---\n{}--- stderr ---\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 
     let warm = SynthCache::persistent(&dir);

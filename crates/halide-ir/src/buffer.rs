@@ -8,6 +8,10 @@ use lanes::ElemType;
 /// boundary handling (the boundary condition a scheduled Halide pipeline
 /// applies to its inputs).
 ///
+/// Every element type is at most 32 bits wide, so a cell holds the value's
+/// 32-bit two's-complement pattern; [`Buffer2D::get`] returns the canonical
+/// `i64`.
+///
 /// # Example
 ///
 /// ```
@@ -25,7 +29,7 @@ pub struct Buffer2D {
     elem: ElemType,
     width: usize,
     height: usize,
-    data: Vec<i64>,
+    data: Vec<i32>,
 }
 
 impl Buffer2D {
@@ -46,7 +50,7 @@ impl Buffer2D {
         let mut data = Vec::with_capacity(width * height);
         for y in 0..height {
             for x in 0..width {
-                data.push(elem.wrap(f(x, y)));
+                data.push(elem.wrap(f(x, y)) as i32);
             }
         }
         Buffer2D { name: name.to_owned(), elem, width, height, data }
@@ -86,7 +90,12 @@ impl Buffer2D {
     pub fn get(&self, x: i64, y: i64) -> i64 {
         let cx = x.clamp(0, self.width as i64 - 1) as usize;
         let cy = y.clamp(0, self.height as i64 - 1) as usize;
-        self.data[cy * self.width + cx]
+        let cell = self.data[cy * self.width + cx];
+        if self.elem == ElemType::U32 {
+            i64::from(cell as u32)
+        } else {
+            i64::from(cell)
+        }
     }
 
     /// Overwrite a site (wrapped into the element type).
@@ -96,7 +105,7 @@ impl Buffer2D {
     /// Panics if the coordinates are out of bounds — writes never clamp.
     pub fn set(&mut self, x: usize, y: usize, v: i64) {
         assert!(x < self.width && y < self.height, "write out of bounds");
-        self.data[y * self.width + x] = self.elem.wrap(v);
+        self.data[y * self.width + x] = self.elem.wrap(v) as i32;
     }
 }
 
@@ -163,6 +172,23 @@ mod tests {
         let b = Buffer2D::from_fn("b", ElemType::U8, 2, 1, |x, _| 300 + x as i64);
         assert_eq!(b.get(0, 0), 44);
         assert_eq!(b.get(1, 0), 45);
+    }
+
+    #[test]
+    fn set_then_get_returns_each_types_extremes() {
+        for ty in ElemType::ALL {
+            let mut b = Buffer2D::filled("b", ty, 2, 1, 0);
+            b.set(0, 0, ty.min_value());
+            b.set(1, 0, ty.max_value());
+            assert_eq!(b.get(0, 0), ty.min_value(), "{ty} min");
+            assert_eq!(b.get(1, 0), ty.max_value(), "{ty} max");
+            // Clamp-to-edge reads the same cells from outside the buffer.
+            assert_eq!(b.get(-3, 5), ty.min_value(), "{ty} clamped min");
+            assert_eq!(b.get(7, -2), ty.max_value(), "{ty} clamped max");
+            // Writes still wrap into the element type.
+            b.set(0, 0, ty.max_value() + 1);
+            assert_eq!(b.get(0, 0), ty.min_value(), "{ty} wrap");
+        }
     }
 
     #[test]

@@ -79,6 +79,23 @@ impl std::error::Error for EvalError {}
 /// # Ok::<(), halide_ir::EvalError>(())
 /// ```
 pub fn eval(expr: &Expr, ctx: &EvalCtx<'_>) -> Result<Vector, EvalError> {
+    eval_with(expr, ctx, |c| eval(c, ctx))
+}
+
+/// Evaluate the root node of `expr` at `ctx`, taking each child's value
+/// from `kid` — one step of [`eval`], which is the recursion through it.
+/// A caller that already holds the children's values (the verifier's
+/// value memo) evaluates a node without revisiting its subtrees.
+///
+/// # Errors
+///
+/// Returns an error if the root is a load that references a missing
+/// buffer or disagrees with its element type, or if `kid` fails.
+pub fn eval_with(
+    expr: &Expr,
+    ctx: &EvalCtx<'_>,
+    mut kid: impl FnMut(&Expr) -> Result<Vector, EvalError>,
+) -> Result<Vector, EvalError> {
     match expr {
         Expr::Load(l) => {
             let buf = ctx
@@ -112,13 +129,10 @@ pub fn eval(expr: &Expr, ctx: &EvalCtx<'_>) -> Result<Vector, EvalError> {
             let v = buf.get(i64::from(b.x), ctx.y0 + i64::from(b.dy));
             Ok(Vector::splat(b.ty, v, ctx.lanes))
         }
-        Expr::Cast(c) => {
-            let v = eval(&c.arg, ctx)?;
-            Ok(v.cast(c.to, c.saturating))
-        }
+        Expr::Cast(c) => Ok(kid(&c.arg)?.cast(c.to, c.saturating)),
         Expr::Binary(b) => {
-            let lhs = eval(&b.lhs, ctx)?;
-            let rhs = eval(&b.rhs, ctx)?;
+            let lhs = kid(&b.lhs)?;
+            let rhs = kid(&b.rhs)?;
             let ty = lhs.ty();
             Ok(match b.op {
                 BinOp::Add => lhs.zip(&rhs, |a, b| lanes::add_wrap(ty, a, b)),
@@ -130,7 +144,7 @@ pub fn eval(expr: &Expr, ctx: &EvalCtx<'_>) -> Result<Vector, EvalError> {
             })
         }
         Expr::Shift(s) => {
-            let v = eval(&s.arg, ctx)?;
+            let v = kid(&s.arg)?;
             let ty = v.ty();
             Ok(match s.dir {
                 ShiftDir::Left => v.map(|a| lanes::shl(ty, a, s.amount)),

@@ -47,4 +47,4 @@ pub mod sexpr;
 
 pub use buffer::{Buffer2D, Env};
 pub use expr::{BinOp, Binary, Broadcast, BroadcastLoad, Cast, Expr, Load, Shift, ShiftDir, TypeError};
-pub use interp::{eval, EvalCtx, EvalError};
+pub use interp::{eval, eval_with, EvalCtx, EvalError};

@@ -139,11 +139,34 @@ impl Vector {
     /// layout an HVX register holds.
     pub fn to_le_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.lanes() * self.ty.bytes());
-        for &v in &self.data {
-            let bits = self.ty.to_bits(v);
-            out.extend_from_slice(&bits.to_le_bytes()[..self.ty.bytes()]);
-        }
+        self.extend_le_bytes(&mut out);
         out
+    }
+
+    /// Append the little-endian bytes of every lane to `out`. Canonical
+    /// values truncate to their two's-complement bit pattern, so each
+    /// width is one plain cast per lane.
+    pub fn extend_le_bytes(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + self.data.len() * self.ty.bytes(), 0);
+        let dst = &mut out[start..];
+        match self.ty.bytes() {
+            1 => {
+                for (d, &v) in dst.iter_mut().zip(&self.data) {
+                    *d = v as u8;
+                }
+            }
+            2 => {
+                for (d, &v) in dst.chunks_exact_mut(2).zip(&self.data) {
+                    d.copy_from_slice(&(v as u16).to_le_bytes());
+                }
+            }
+            _ => {
+                for (d, &v) in dst.chunks_exact_mut(4).zip(&self.data) {
+                    d.copy_from_slice(&(v as u32).to_le_bytes());
+                }
+            }
+        }
     }
 
     /// Deserialize from little-endian bytes.
@@ -153,14 +176,24 @@ impl Vector {
     /// Panics if `bytes.len()` is not a multiple of `ty.bytes()`.
     pub fn from_le_bytes(ty: ElemType, bytes: &[u8]) -> Vector {
         assert_eq!(bytes.len() % ty.bytes(), 0, "byte length not a multiple of element size");
-        let data = bytes
-            .chunks_exact(ty.bytes())
-            .map(|chunk| {
-                let mut raw = [0u8; 8];
-                raw[..chunk.len()].copy_from_slice(chunk);
-                ty.wrap(u64::from_le_bytes(raw) as i64)
-            })
-            .collect();
+        let data = match ty {
+            ElemType::U8 => bytes.iter().map(|&b| i64::from(b)).collect(),
+            ElemType::I8 => bytes.iter().map(|&b| i64::from(b as i8)).collect(),
+            ElemType::U16 => {
+                bytes.chunks_exact(2).map(|c| i64::from(u16::from_le_bytes([c[0], c[1]]))).collect()
+            }
+            ElemType::I16 => {
+                bytes.chunks_exact(2).map(|c| i64::from(i16::from_le_bytes([c[0], c[1]]))).collect()
+            }
+            ElemType::U32 => bytes
+                .chunks_exact(4)
+                .map(|c| i64::from(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+                .collect(),
+            ElemType::I32 => bytes
+                .chunks_exact(4)
+                .map(|c| i64::from(i32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+                .collect(),
+        };
         Vector { ty, data }
     }
 
@@ -269,6 +302,50 @@ mod tests {
             let v = Vector::new(ElemType::I16, random_data(&mut rng, ElemType::I16, 0));
             let back = Vector::from_le_bytes(ElemType::I16, &v.to_le_bytes());
             assert_eq!(v, back);
+        }
+    }
+
+    /// The width-generic codec the specialised one replaced: the reference
+    /// it must agree with byte for byte.
+    fn reference_to_le_bytes(v: &Vector) -> Vec<u8> {
+        let mut out = Vec::new();
+        for x in v.iter() {
+            out.extend_from_slice(&v.ty().to_bits(x).to_le_bytes()[..v.ty().bytes()]);
+        }
+        out
+    }
+
+    fn reference_from_le_bytes(ty: ElemType, bytes: &[u8]) -> Vec<i64> {
+        bytes
+            .chunks_exact(ty.bytes())
+            .map(|chunk| {
+                let mut raw = [0u8; 8];
+                raw[..chunk.len()].copy_from_slice(chunk);
+                ty.wrap(u64::from_le_bytes(raw) as i64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn codec_matches_the_generic_loop_for_every_type() {
+        let mut rng = crate::rng::Rng::seed_from_u64(0xc0dec);
+        for ty in ElemType::ALL {
+            let mut data = vec![ty.min_value(), ty.max_value(), 0, 1, ty.wrap(-1)];
+            if ty.is_signed() {
+                data.extend([-1, ty.min_value() + 1, ty.max_value() - 1]);
+            }
+            data.extend((0..64).map(|_| rng.gen_range(ty.min_value()..=ty.max_value())));
+            let v = Vector::new(ty, data);
+            let bytes = v.to_le_bytes();
+            assert_eq!(bytes, reference_to_le_bytes(&v), "{ty} encode");
+            assert_eq!(Vector::from_le_bytes(ty, &bytes), v, "{ty} round trip");
+            assert_eq!(
+                Vector::from_le_bytes(ty, &bytes).as_slice(),
+                reference_from_le_bytes(ty, &bytes)
+            );
+            let mut appended = vec![0xaa];
+            v.extend_le_bytes(&mut appended);
+            assert_eq!(appended[1..], bytes[..], "{ty} append");
         }
     }
 

@@ -16,9 +16,10 @@
 //!    `vshuffvdd`, ...) under the remaining cost budget, including the
 //!    interleaved/deinterleaved intermediate-layout choice of §5.1.
 //!
-//! The equivalence oracle ([`verify`]) combines lane-0-first differential
-//! testing (the paper's §4.1 incremental pruning), full-lane adversarial +
-//! randomized testing at two vector widths, and — for lifting queries —
+//! The equivalence oracle ([`verify`]) combines differential testing over
+//! adversarial + randomized environments at two vector widths (the paper's
+//! §4.1 incremental pruning), node-incremental over a per-compilation memo
+//! of every evaluated subexpression's values, and — for lifting queries —
 //! bit-vector SMT proofs over a symbolic tile window (the reproduction's
 //! stand-in for Rosette/Z3; see DESIGN.md).
 

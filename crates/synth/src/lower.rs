@@ -151,18 +151,20 @@ impl Lowerer<'_> {
         if let Some(cached) = self.memo.get(&key) {
             return cached.clone();
         }
-        let mut cands = self.templates(e, want);
-        cands.sort_by_key(|c| self.cost(c));
+        // Each candidate is costed once; the stable sort keeps equal-cost
+        // candidates in template order.
+        let mut cands: Vec<_> =
+            self.templates(e, want).into_iter().map(|c| (self.cost(&c), c)).collect();
+        cands.sort_by_key(|&(cost, _)| cost);
         let mut best: Option<Lowered> = None;
         let mut beta = (u32::MAX, u32::MAX, u64::MAX);
-        for cand in cands {
+        for (cost, cand) in cands {
             let expired = self.opts.deadline.is_some_and(|deadline| Instant::now() >= deadline);
             if expired || crate::cancel::cancelled(self.opts.cancel) {
                 self.stats.deadline_exceeded = true;
                 // Don't memoize: a later call with more time may succeed.
                 return best;
             }
-            let cost = self.cost(&cand);
             if cost >= beta {
                 continue;
             }

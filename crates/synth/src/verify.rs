@@ -1,32 +1,37 @@
 //! The equivalence oracle.
 //!
-//! Candidates are screened by lane-0-first differential testing (the
-//! paper's §4.1 incremental pruning), then full-lane testing over
-//! adversarial and randomized environments at two vector widths. Lifting
-//! candidates that survive screening are finally *proved* with a
-//! bit-vector SMT query over a symbolic tile window (DESIGN.md documents
-//! this split of duties between testing and proof).
+//! Candidates are screened by differential testing (the paper's §4.1
+//! incremental pruning) over adversarial and randomized environments at
+//! two vector widths. Lifting candidates that survive screening are
+//! finally *proved* with a bit-vector SMT query over a symbolic tile
+//! window (DESIGN.md documents this split of duties between testing and
+//! proof).
 //!
 //! The oracle memoizes its hot path (on by default, [`Verifier::memoize`]):
 //! test-environment families are generated once per buffer signature, full
 //! verdicts are cached keyed by the canonicalized (alpha-renamed) query
 //! pair plus the oracle configuration, and SMT outcomes are cached
-//! process-wide keyed by the offset-translated pair. Clones of a
-//! `Verifier` — including the re-pinned clones the lowering stages make —
-//! share one memo, so a query answered during lifting is free when sketch
-//! synthesis asks again. `rake::Rake::compile` gives every compilation a
-//! fresh memo; only the proof cache outlives it.
+//! process-wide keyed by the offset-translated pair. Each family also
+//! keeps a value memo: the values every Halide, uber and HVX subexpression
+//! the oracle has evaluated took in each of its environments, packed at
+//! element width. Screening is node-incremental over it: a query evaluates
+//! only the nodes it has not seen, one node step per environment from its
+//! children's stored values, and all three checks compare stored values.
+//! Clones of a `Verifier` — including the re-pinned clones the lowering
+//! stages make — share one memo, so a query answered during lifting is
+//! free when sketch synthesis asks again. `rake::Rake::compile` gives
+//! every compilation a fresh memo; only the proof cache outlives it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use halide_ir::{Env, EvalCtx, Expr};
-use hvx::{HvxExpr, Op};
+use halide_ir::{Env, EvalCtx, EvalError, Expr};
+use hvx::{ExecCtx, ExecError, HvxExpr, Op, Value, VecReg};
 use lanes::{ElemType, Vector};
 use smt::Context;
-use uber_ir::{eval_uber, ScalarSource, UberExpr};
+use uber_ir::{ScalarSource, UberExpr};
 
 use crate::encode::{encode_halide_lane, encode_uber_lane};
 use crate::envs::{test_envs, BufferSpec};
@@ -58,11 +63,14 @@ pub struct Verifier {
     /// to the target width; off by default — lowering is otherwise
     /// verified differentially).
     pub smt_lowering: bool,
-    /// Memoize verdicts, test environments and SMT proof outcomes across
-    /// queries. Off reproduces the unmemoized path exactly (fresh envs and
-    /// a proof per query); verdicts are identical either way.
+    /// Memoize verdicts, test environments, subexpression values and SMT
+    /// proof outcomes across queries. Off reproduces the unmemoized path
+    /// exactly (fresh envs, whole-tree evaluation by the recursive
+    /// interpreters and a proof per query); verdicts are identical either
+    /// way.
     pub memoize: bool,
-    /// Shared memo state (verdict cache, env cache, query counters).
+    /// Shared memo state (verdict cache, env families with their value
+    /// memos, query counters).
     /// Clones share it; a fresh handle starts cold.
     pub memo: MemoHandle,
 }
@@ -172,11 +180,151 @@ type EnvKey = (BufferSpec, usize, usize);
 #[derive(Default)]
 struct MemoState {
     verdicts: Mutex<HashMap<VerdictKey, bool>>,
-    envs: Mutex<HashMap<EnvKey, Arc<Vec<Env>>>>,
+    envs: Mutex<HashMap<EnvKey, Arc<Family>>>,
     smt_queries: AtomicU64,
     smt_nanos: AtomicU64,
     verdict_hits: AtomicU64,
     env_hits: AtomicU64,
+}
+
+/// One test-environment family: the environments generated for a buffer
+/// signature at one width, and the value memo over them.
+struct Family {
+    lanes: usize,
+    envs: Vec<Env>,
+    values: Mutex<ValueMemo>,
+}
+
+/// The values each subexpression evaluated over a family took, in every
+/// one of its environments. `None` records an evaluation that failed (in
+/// some environment): its parents fail too, and every check reading it is
+/// false.
+#[derive(Default)]
+struct ValueMemo {
+    halide: HashMap<Expr, Option<Arc<Lanes>>>,
+    uber: HashMap<UberExpr, Option<Arc<Lanes>>>,
+    /// Keyed by register width first: an HVX value depends on `vec_bytes`.
+    hvx: HashMap<usize, HashMap<HvxExpr, Option<Arc<Regs>>>>,
+}
+
+/// A Halide or uber subexpression's lanes in every environment of a
+/// family, packed at element width: environment `i` holds the
+/// little-endian bytes `i * stride .. (i + 1) * stride`.
+struct Lanes {
+    ty: ElemType,
+    bytes: Box<[u8]>,
+}
+
+/// An HVX subexpression's register bytes in every environment of a
+/// family, each in natural order (a pair's `lo`, then its `hi`).
+struct Regs {
+    /// Byte length of a pair's `lo` register, or `None` for a single
+    /// register. A value's shape does not depend on the data, so one
+    /// serves every environment.
+    lo: Option<usize>,
+    bytes: Box<[u8]>,
+}
+
+impl Family {
+    fn stride(&self, bytes: &[u8]) -> usize {
+        bytes.len() / self.envs.len()
+    }
+
+    /// Evaluate `f` in every environment and pack the lanes; `None` as
+    /// soon as one evaluation fails.
+    fn pack_lanes(
+        &self,
+        mut f: impl FnMut(usize, &EvalCtx<'_>) -> Result<Vector, EvalError>,
+    ) -> Option<Arc<Lanes>> {
+        let mut bytes = Vec::new();
+        let mut ty = None;
+        for (i, env) in self.envs.iter().enumerate() {
+            let ctx = EvalCtx { env, x0: MARGIN_X, y0: MARGIN_Y, lanes: self.lanes };
+            let v = f(i, &ctx).ok()?;
+            if i == 0 {
+                bytes.reserve_exact(self.envs.len() * v.lanes() * v.ty().bytes());
+            }
+            v.extend_le_bytes(&mut bytes);
+            ty = Some(v.ty());
+        }
+        Some(Arc::new(Lanes { ty: ty?, bytes: bytes.into_boxed_slice() }))
+    }
+
+    /// [`Family::pack_lanes`] for HVX values at register width `vec_bytes`.
+    fn pack_regs(
+        &self,
+        vec_bytes: usize,
+        mut f: impl FnMut(usize, &ExecCtx<'_>) -> Result<Value, ExecError>,
+    ) -> Option<Arc<Regs>> {
+        let mut bytes = Vec::new();
+        let mut lo = None;
+        for (i, env) in self.envs.iter().enumerate() {
+            let ctx = ExecCtx { env, x0: MARGIN_X, y0: MARGIN_Y, lanes: self.lanes, vec_bytes };
+            let v = f(i, &ctx).ok()?;
+            if i == 0 {
+                bytes.reserve_exact(self.envs.len() * v.len());
+            }
+            match &v {
+                Value::Vec(r) => bytes.extend_from_slice(r.as_bytes()),
+                Value::Pair(l, h) => {
+                    lo = Some(l.len());
+                    bytes.extend_from_slice(l.as_bytes());
+                    bytes.extend_from_slice(h.as_bytes());
+                }
+            }
+        }
+        Some(Arc::new(Regs { lo, bytes: bytes.into_boxed_slice() }))
+    }
+
+    /// Environment `i`'s lanes of `v`.
+    fn lanes_at(&self, v: &Lanes, i: usize) -> Vector {
+        let stride = self.stride(&v.bytes);
+        Vector::from_le_bytes(v.ty, &v.bytes[i * stride..(i + 1) * stride])
+    }
+
+    /// Environment `i`'s value of `v`.
+    fn regs_at(&self, v: &Regs, i: usize) -> Value {
+        let stride = self.stride(&v.bytes);
+        let env = &v.bytes[i * stride..(i + 1) * stride];
+        match v.lo {
+            None => Value::Vec(VecReg::new(env.to_vec())),
+            Some(lo) => {
+                Value::Pair(VecReg::new(env[..lo].to_vec()), VecReg::new(env[lo..].to_vec()))
+            }
+        }
+    }
+
+    /// Whether `got` holds `expected`'s lanes, read as `out_ty`, in every
+    /// environment — in [`deinterleaved_order`] when asked.
+    fn regs_hold(
+        &self,
+        got: &Regs,
+        expected: &Lanes,
+        out_ty: ElemType,
+        deinterleaved: bool,
+    ) -> bool {
+        if expected.ty != out_ty || got.bytes.len() != expected.bytes.len() {
+            return false;
+        }
+        if !deinterleaved {
+            return got.bytes == expected.bytes;
+        }
+        let stride = self.stride(&got.bytes);
+        (0..self.envs.len()).all(|i| {
+            let want = deinterleaved_order(&self.lanes_at(expected, i)).to_le_bytes();
+            got.bytes[i * stride..(i + 1) * stride] == want[..]
+        })
+    }
+}
+
+/// The stored value of `c`, one of the children a one-node step was
+/// handed alongside their values.
+fn kid_values<'k, E, V>(kids: &'k [(&E, Arc<V>)], c: &E) -> &'k V {
+    let (_, v) = kids
+        .iter()
+        .find(|(k, _)| std::ptr::eq(*k, c))
+        .expect("a node step asks only for its own children");
+    v
 }
 
 /// Recover a possibly-poisoned cache lock: the maps hold plain data whose
@@ -197,7 +345,7 @@ impl std::fmt::Debug for MemoHandle {
         f.debug_struct("MemoHandle")
             .field("verdicts", &lock(&self.0.verdicts).len())
             .field("proofs", &lock(global_proofs()).len())
-            .field("envs", &lock(&self.0.envs).len())
+            .field("families", &lock(&self.0.envs).len())
             .field("smt_queries", &self.0.smt_queries.load(Ordering::Relaxed))
             .field("verdict_hits", &self.0.verdict_hits.load(Ordering::Relaxed))
             .finish()
@@ -511,20 +659,99 @@ impl Verifier {
         }
     }
 
-    fn envs_for(&self, spec: &BufferSpec, lanes: usize) -> Arc<Vec<Env>> {
+    /// The environment family for `spec` at `lanes`: memoized with its
+    /// value memo, or generated fresh (and left empty) when memoization
+    /// is off.
+    fn family(&self, spec: &BufferSpec, lanes: usize) -> Arc<Family> {
         let width = lanes + 2 * MARGIN_X as usize;
         let height = 2 * MARGIN_Y as usize + 1;
+        let generate = || {
+            let envs = test_envs(spec, width, height, self.random_envs);
+            Arc::new(Family { lanes, envs, values: Mutex::default() })
+        };
         if !self.memoize {
-            return Arc::new(test_envs(spec, width, height, self.random_envs));
+            return generate();
         }
         let key = (spec.clone(), lanes, self.random_envs);
-        if let Some(envs) = lock(&self.memo.0.envs).get(&key) {
+        if let Some(family) = lock(&self.memo.0.envs).get(&key) {
             self.memo.0.env_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(envs);
+            return Arc::clone(family);
         }
-        let envs = Arc::new(test_envs(spec, width, height, self.random_envs));
-        lock(&self.memo.0.envs).entry(key).or_insert_with(|| Arc::clone(&envs));
-        envs
+        let family = generate();
+        Arc::clone(lock(&self.memo.0.envs).entry(key).or_insert(family))
+    }
+
+    /// The values of `e` over `family`. Memoized, only the nodes the value
+    /// memo has not seen are evaluated, each by one node step per
+    /// environment from its children's stored values; unmemoized, the
+    /// recursive interpreter evaluates the whole tree and nothing is kept.
+    fn halide_values(&self, family: &Family, e: &Expr) -> Option<Arc<Lanes>> {
+        if !self.memoize {
+            return family.pack_lanes(|_, ctx| halide_ir::eval(e, ctx));
+        }
+        if let Some(hit) = lock(&family.values).halide.get(e) {
+            return hit.clone();
+        }
+        let kids: Option<Vec<(&Expr, Arc<Lanes>)>> = e
+            .children()
+            .into_iter()
+            .map(|c| Some((c, self.halide_values(family, c)?)))
+            .collect();
+        let values = kids.and_then(|kids| {
+            family.pack_lanes(|i, ctx| {
+                halide_ir::eval_with(e, ctx, |c| Ok(family.lanes_at(kid_values(&kids, c), i)))
+            })
+        });
+        lock(&family.values).halide.insert(e.clone(), values.clone());
+        values
+    }
+
+    /// [`Verifier::halide_values`] for an uber-expression.
+    fn uber_values(&self, family: &Family, u: &UberExpr) -> Option<Arc<Lanes>> {
+        if !self.memoize {
+            return family.pack_lanes(|_, ctx| uber_ir::eval_uber(u, ctx));
+        }
+        if let Some(hit) = lock(&family.values).uber.get(u) {
+            return hit.clone();
+        }
+        let kids: Option<Vec<(&UberExpr, Arc<Lanes>)>> = u
+            .children()
+            .into_iter()
+            .map(|c| Some((c, self.uber_values(family, c)?)))
+            .collect();
+        let values = kids.and_then(|kids| {
+            family.pack_lanes(|i, ctx| {
+                uber_ir::eval_uber_with(u, ctx, |c| Ok(family.lanes_at(kid_values(&kids, c), i)))
+            })
+        });
+        lock(&family.values).uber.insert(u.clone(), values.clone());
+        values
+    }
+
+    /// [`Verifier::halide_values`] for an HVX expression, executed at this
+    /// verifier's register width.
+    fn hvx_values(&self, family: &Family, h: &HvxExpr) -> Option<Arc<Regs>> {
+        if !self.memoize {
+            return family.pack_regs(self.vec_bytes, |_, ctx| h.eval_ctx(ctx));
+        }
+        let hit = lock(&family.values).hvx.get(&self.vec_bytes).and_then(|m| m.get(h).cloned());
+        if let Some(hit) = hit {
+            return hit;
+        }
+        let kids: Option<Vec<Arc<Regs>>> =
+            h.args().iter().map(|a| self.hvx_values(family, a)).collect();
+        let values = kids.and_then(|kids| {
+            family.pack_regs(self.vec_bytes, |i, ctx| {
+                let args: Vec<Value> = kids.iter().map(|k| family.regs_at(k, i)).collect();
+                hvx::eval_op(h.root(), &args, ctx)
+            })
+        });
+        lock(&family.values)
+            .hvx
+            .entry(self.vec_bytes)
+            .or_default()
+            .insert(h.clone(), values.clone());
+        values
     }
 
     /// Differential + SMT equivalence of a Halide expression and an
@@ -552,25 +779,13 @@ impl Verifier {
         add_halide_loads(h, &mut spec);
         add_uber_loads(u, &mut spec);
         for &lanes in &[self.lanes, self.alt_lanes] {
-            let envs = self.envs_for(&spec, lanes);
-            // Lane-0-first pruning pass.
-            for env in envs.iter() {
-                let ctx = EvalCtx { env, x0: MARGIN_X, y0: MARGIN_Y, lanes: 1 };
-                let (Ok(a), Ok(b)) = (halide_ir::eval(h, &ctx), eval_uber(u, &ctx)) else {
-                    return false;
-                };
-                if a.get(0) != b.get(0) {
-                    return false;
-                }
-            }
-            for env in envs.iter() {
-                let ctx = EvalCtx { env, x0: MARGIN_X, y0: MARGIN_Y, lanes };
-                let (Ok(a), Ok(b)) = (halide_ir::eval(h, &ctx), eval_uber(u, &ctx)) else {
-                    return false;
-                };
-                if a != b {
-                    return false;
-                }
+            let family = self.family(&spec, lanes);
+            let (Some(a), Some(b)) = (self.halide_values(&family, h), self.uber_values(&family, u))
+            else {
+                return false;
+            };
+            if a.ty != b.ty || a.bytes != b.bytes {
+                return false;
             }
         }
         if self.use_smt {
@@ -664,35 +879,16 @@ impl Verifier {
     }
 
     fn equiv_uber_hvx_uncached(&self, h: &HvxExpr, u: &UberExpr, deinterleaved: bool) -> bool {
-        let out_ty = u.ty();
         let mut spec = BufferSpec::new();
         add_uber_loads(u, &mut spec);
         add_hvx_loads(h, &mut spec);
         // Lowered code is width-specific (sliding-window operands embed the
         // vector length), so only the target width is meaningful here.
-        {
-            let lanes = self.lanes;
-            let envs = self.envs_for(&spec, lanes);
-            for env in envs.iter() {
-                let ctx = EvalCtx { env, x0: MARGIN_X, y0: MARGIN_Y, lanes };
-                let Ok(expected) = eval_uber(u, &ctx) else { return false };
-                let expected =
-                    if deinterleaved { deinterleaved_order(&expected) } else { expected };
-                let hctx = hvx::ExecCtx {
-                    env,
-                    x0: MARGIN_X,
-                    y0: MARGIN_Y,
-                    lanes,
-                    vec_bytes: self.vec_bytes,
-                };
-                let Ok(got) = h.eval_ctx(&hctx) else { return false };
-                if got.len() != expected.lanes() * out_ty.bytes() {
-                    return false;
-                }
-                if got.typed_lanes(out_ty) != expected {
-                    return false;
-                }
-            }
+        let family = self.family(&spec, self.lanes);
+        let Some(expected) = self.uber_values(&family, u) else { return false };
+        let Some(got) = self.hvx_values(&family, h) else { return false };
+        if !family.regs_hold(&got, &expected, u.ty(), deinterleaved) {
+            return false;
         }
         if self.smt_lowering {
             let t0 = Instant::now();
@@ -731,32 +927,13 @@ impl Verifier {
     }
 
     fn equiv_halide_hvx_uncached(&self, e: &Expr, h: &HvxExpr) -> bool {
-        let out_ty = e.ty();
         let mut spec = BufferSpec::new();
         add_halide_loads(e, &mut spec);
         add_hvx_loads(h, &mut spec);
-        {
-            let lanes = self.lanes;
-            let envs = self.envs_for(&spec, lanes);
-            for env in envs.iter() {
-                let ctx = EvalCtx { env, x0: MARGIN_X, y0: MARGIN_Y, lanes };
-                let Ok(expected) = halide_ir::eval(e, &ctx) else { return false };
-                let hctx = hvx::ExecCtx {
-                    env,
-                    x0: MARGIN_X,
-                    y0: MARGIN_Y,
-                    lanes,
-                    vec_bytes: self.vec_bytes,
-                };
-                let Ok(got) = h.eval_ctx(&hctx) else { return false };
-                if got.len() != expected.lanes() * out_ty.bytes()
-                    || got.typed_lanes(out_ty) != expected
-                {
-                    return false;
-                }
-            }
-        }
-        true
+        let family = self.family(&spec, self.lanes);
+        let Some(expected) = self.halide_values(&family, e) else { return false };
+        let Some(got) = self.hvx_values(&family, h) else { return false };
+        family.regs_hold(&got, &expected, e.ty(), false)
     }
 
     /// Prove a lane-invariant property of an uber-expression by interval
@@ -991,13 +1168,13 @@ mod tests {
         let ver = v();
         let mut spec = BufferSpec::new();
         spec.insert("in".to_owned(), ElemType::U8);
-        let a = ver.envs_for(&spec, 8);
+        let a = ver.family(&spec, 8);
         let before = ver.memo_snapshot();
-        let b = ver.envs_for(&spec, 8);
+        let b = ver.family(&spec, 8);
         assert_eq!(ver.memo_snapshot().env_hits, before.env_hits + 1);
         assert!(Arc::ptr_eq(&a, &b));
         // A different width is a different family.
-        let c = ver.envs_for(&spec, 4);
+        let c = ver.family(&spec, 4);
         assert!(!Arc::ptr_eq(&a, &c));
     }
 }

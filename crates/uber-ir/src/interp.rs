@@ -29,6 +29,21 @@ fn scalar(s: &ScalarSource, ctx: &EvalCtx<'_>) -> Result<i64, EvalError> {
 /// Returns an error if a load references a missing buffer or disagrees
 /// with its element type.
 pub fn eval_uber(e: &UberExpr, ctx: &EvalCtx<'_>) -> Result<Vector, EvalError> {
+    eval_uber_with(e, ctx, |c| eval_uber(c, ctx))
+}
+
+/// Evaluate the root node of `e` at `ctx`, taking each child's value from
+/// `kid` — one step of [`eval_uber`], which is the recursion through it.
+///
+/// # Errors
+///
+/// Returns an error if the root is a load that references a missing
+/// buffer or disagrees with its element type, or if `kid` fails.
+pub fn eval_uber_with(
+    e: &UberExpr,
+    ctx: &EvalCtx<'_>,
+    mut kid: impl FnMut(&UberExpr) -> Result<Vector, EvalError>,
+) -> Result<Vector, EvalError> {
     match e {
         UberExpr::Data(l) => {
             let buf = ctx
@@ -48,11 +63,7 @@ pub fn eval_uber(e: &UberExpr, ctx: &EvalCtx<'_>) -> Result<Vector, EvalError> {
         }
         UberExpr::Bcast { value, ty } => Ok(Vector::splat(*ty, scalar(value, ctx)?, ctx.lanes)),
         UberExpr::VsMpyAdd(v) => {
-            let inputs = v
-                .inputs
-                .iter()
-                .map(|i| eval_uber(i, ctx))
-                .collect::<Result<Vec<_>, _>>()?;
+            let inputs = v.inputs.iter().map(&mut kid).collect::<Result<Vec<_>, _>>()?;
             let finish = finisher(v.saturating, v.out);
             Ok(Vector::from_fn(v.out, ctx.lanes, |i| {
                 let sum: i128 = inputs
@@ -67,7 +78,7 @@ pub fn eval_uber(e: &UberExpr, ctx: &EvalCtx<'_>) -> Result<Vector, EvalError> {
             let pairs = v
                 .pairs
                 .iter()
-                .map(|(a, b)| Ok::<_, EvalError>((eval_uber(a, ctx)?, eval_uber(b, ctx)?)))
+                .map(|(a, b)| Ok::<_, EvalError>((kid(a)?, kid(b)?)))
                 .collect::<Result<Vec<_>, _>>()?;
             let finish = finisher(v.saturating, v.out);
             Ok(Vector::from_fn(v.out, ctx.lanes, |i| {
@@ -79,25 +90,25 @@ pub fn eval_uber(e: &UberExpr, ctx: &EvalCtx<'_>) -> Result<Vector, EvalError> {
             }))
         }
         UberExpr::AbsDiff(a, b) => {
-            let (va, vb) = (eval_uber(a, ctx)?, eval_uber(b, ctx)?);
+            let (va, vb) = (kid(a)?, kid(b)?);
             let ty = va.ty();
             Ok(va.zip(&vb, |x, y| lanes::absd(ty, x, y)))
         }
         UberExpr::Min(a, b) => {
-            let (va, vb) = (eval_uber(a, ctx)?, eval_uber(b, ctx)?);
+            let (va, vb) = (kid(a)?, kid(b)?);
             Ok(va.zip(&vb, |x, y| x.min(y)))
         }
         UberExpr::Max(a, b) => {
-            let (va, vb) = (eval_uber(a, ctx)?, eval_uber(b, ctx)?);
+            let (va, vb) = (kid(a)?, kid(b)?);
             Ok(va.zip(&vb, |x, y| x.max(y)))
         }
         UberExpr::Average { a, b, round } => {
-            let (va, vb) = (eval_uber(a, ctx)?, eval_uber(b, ctx)?);
+            let (va, vb) = (kid(a)?, kid(b)?);
             let ty = va.ty();
             Ok(va.zip(&vb, |x, y| lanes::avg(ty, x, y, *round)))
         }
         UberExpr::Narrow { arg, shift, round, saturating, out } => {
-            let v = eval_uber(arg, ctx)?;
+            let v = kid(arg)?;
             let ty = v.ty();
             let (sh, rnd, sat, o) = (*shift, *round, *saturating, *out);
             Ok(v.map_to(o, |x| {
@@ -122,12 +133,12 @@ pub fn eval_uber(e: &UberExpr, ctx: &EvalCtx<'_>) -> Result<Vector, EvalError> {
             }))
         }
         UberExpr::Widen { arg, out } => {
-            let v = eval_uber(arg, ctx)?;
+            let v = kid(arg)?;
             // Canonical values carry their sign, so extension is identity.
             Ok(v.map_to(*out, |x| x))
         }
         UberExpr::Shl { arg, amount } => {
-            let v = eval_uber(arg, ctx)?;
+            let v = kid(arg)?;
             let ty = v.ty();
             Ok(v.map(|x| lanes::shl(ty, x, *amount)))
         }

@@ -48,4 +48,4 @@ mod print;
 pub mod sexpr;
 
 pub use expr::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
-pub use interp::eval_uber;
+pub use interp::{eval_uber, eval_uber_with};

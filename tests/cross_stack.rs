@@ -1,10 +1,12 @@
 //! Integration across the solver stack: lifting queries decided while the
 //! query is built (word-level normalization in `smt::Context`) and by the
-//! bit-blasting solver must agree with the full oracle, and the
-//! end-to-end verifier must be sound on engineered near-misses.
+//! bit-blasting solver must agree with the full oracle, the end-to-end
+//! verifier must be sound on engineered near-misses, and the one-node
+//! evaluation steps the oracle's value memo runs must be the interpreters.
 
 use halide_ir::builder::*;
-use halide_ir::{Expr, Load};
+use halide_ir::{EvalCtx, Expr, Load};
+use hvx::{HvxExpr, Op, ScalarOperand};
 use lanes::rng::Rng;
 use lanes::ElemType::{I16, U16, U8};
 use synth::encode::{encode_halide_lane, encode_uber_lane};
@@ -321,4 +323,90 @@ fn split_shift_rows_under_vs_mpy_add() {
     };
     let u = vs_mpy_add((-3..=-1).map(row_uber).collect(), &[1, 6, 15]);
     assert!(decided_while_built(&h, &u));
+}
+
+fn visit_uber(u: &UberExpr, f: &mut impl FnMut(&UberExpr)) {
+    f(u);
+    for c in u.children() {
+        visit_uber(c, f);
+    }
+}
+
+/// `eval_with` and `eval_uber_with`, fed by recursive evaluation of the
+/// children, equal `eval` and `eval_uber` at every node of generated
+/// expressions and of their liftings, at 1, 16 and 128 lanes.
+#[test]
+fn prop_node_steps_match_the_recursive_interpreters() {
+    let cfg = oracle::GenConfig::default();
+    let spec: synth::envs::BufferSpec = cfg.buffers.iter().cloned().collect();
+    let mut rng = Rng::seed_from_u64(0x57e9);
+    let mut lifted = 0;
+    for _ in 0..16 {
+        let e = oracle::gen_expr(&mut rng, &cfg);
+        let u = synth::lift_expr(&e, &v(), &mut synth::SynthStats::default()).map(|(u, _)| u);
+        lifted += usize::from(u.is_some());
+        for lanes in [1, 16, 128] {
+            for env in synth::envs::test_envs(&spec, lanes + 64, 17, 3) {
+                let ctx = EvalCtx { env: &env, x0: 32, y0: 8, lanes };
+                halide_ir::analysis::visit(&e, &mut |n| {
+                    let step = halide_ir::eval_with(n, &ctx, |c| halide_ir::eval(c, &ctx));
+                    assert_eq!(step, halide_ir::eval(n, &ctx), "{n} at {lanes} lanes");
+                });
+                if let Some(u) = &u {
+                    visit_uber(u, &mut |n| {
+                        let step =
+                            uber_ir::eval_uber_with(n, &ctx, |c| uber_ir::eval_uber(c, &ctx));
+                        assert_eq!(step, uber_ir::eval_uber(n, &ctx), "{n} at {lanes} lanes");
+                    });
+                }
+            }
+        }
+    }
+    assert!(lifted >= 4, "only {lifted} of 16 generated expressions lifted");
+}
+
+/// A lifting candidate that agrees with the Halide side in lane 0 of every
+/// test environment, and differs in a later lane, is rejected with the
+/// value memo on and off: the full-width comparison decides it alone.
+#[test]
+fn lane_zero_agreement_does_not_admit_a_later_lane_mismatch() {
+    // Lane 0 of both `a` windows clamps to the buffer's first column; from
+    // lane 1 on the candidate's window lags one column behind.
+    let h = absd(load("a", U8, -32, 0), load("b", U8, 0, 0));
+    let lagging = UberExpr::AbsDiff(Box::new(data("a", -33, 0)), Box::new(data("b", 0, 0)));
+    let exact = UberExpr::AbsDiff(Box::new(data("a", -32, 0)), Box::new(data("b", 0, 0)));
+    let differential = Verifier { use_smt: false, ..v() };
+    let lane0 = Verifier { lanes: 1, alt_lanes: 1, ..differential.clone() };
+    assert!(lane0.equiv_halide_uber(&h, &lagging), "lane 0 must agree in every environment");
+    for memoize in [true, false] {
+        let ver = Verifier { memoize, ..differential.clone() };
+        assert!(!ver.equiv_halide_uber(&h, &lagging), "memoize: {memoize}");
+        assert!(ver.equiv_halide_uber(&h, &exact), "memoize: {memoize}");
+    }
+}
+
+/// Candidates whose evaluation fails are rejected with the value memo on
+/// and off, and a repeat query reads the stored failure the same way.
+#[test]
+fn candidates_that_fail_to_evaluate_are_rejected() {
+    // The candidate reads `a` as u16, the Halide side as u8: the test
+    // environments hold one type, so one side's load fails.
+    let h = widen(load("a", U8, 0, 0));
+    let mistyped = UberExpr::Data(Load { buffer: "a".into(), dx: 0, dy: 0, ty: U16 });
+    // A lowering candidate whose multiply scalar reads a buffer no load
+    // names: the test environments do not hold it.
+    let u = UberExpr::conv("a", U8, 0, 0, &[2], U16);
+    let mpy = |scalar| {
+        HvxExpr::op(Op::VmpyScalar { elem: U8, scalar }, vec![HvxExpr::vmem("a", U8, 0, 0)])
+    };
+    let unknown = mpy(ScalarOperand::Load { buffer: "k".into(), x: 0, dy: 0 });
+    let imm = mpy(ScalarOperand::Imm(2));
+    for memoize in [true, false] {
+        let ver = Verifier { memoize, ..v() };
+        for _ in 0..2 {
+            assert!(!ver.equiv_halide_uber(&h, &mistyped), "memoize: {memoize}");
+            assert!(!ver.equiv_uber_hvx(&u, &unknown, true), "memoize: {memoize}");
+            assert!(ver.equiv_uber_hvx(&u, &imm, true), "memoize: {memoize}");
+        }
+    }
 }
