@@ -603,7 +603,7 @@ impl SynthCache {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let _cross_process = crate::lockfile::LockFile::acquire(
+        let _cross_process = crate::lockfile::acquire(
             &path.with_extension("json.lock"),
             std::time::Duration::from_secs(10),
         )?;

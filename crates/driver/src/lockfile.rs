@@ -1,207 +1,61 @@
-//! Advisory cross-process file locks.
+//! The cross-process lock around cache persists.
 //!
 //! The synthesis cache file can be written by several *processes* at once
 //! (a long-lived `rake-served` instance plus ad-hoc `rakec` runs pointed
 //! at the same `--cache` directory). The in-process `persist_lock` mutex
-//! cannot see those writers, so [`SynthCache::persist`] additionally takes
-//! an advisory lock file next to the cache before appending to the
-//! segment log or compacting it.
+//! cannot see those writers, so [`SynthCache::persist`] additionally holds
+//! an exclusive advisory lock on a file next to the cache ([`File::lock`]:
+//! `flock` on Unix) while it appends to the segment log or compacts it.
 //!
-//! The lock is a plain file created with `O_CREAT|O_EXCL` (the only
-//! primitive that is atomic on every filesystem std reaches) holding the
-//! owner's PID plus a unique acquisition token. Liveness is checked
-//! through `/proc/<pid>` on Linux, with an mtime-based staleness fallback
-//! elsewhere, so a crashed holder never wedges the cache forever.
-//!
-//! Breaking a stale lock is a two-step protocol, not a blind unlink: the
-//! breaker *renames* the lock file to a unique temp name (atomic — only
-//! one breaker wins) and then rechecks that the file it captured still
-//! belongs to the dead holder it observed. If another waiter broke the
-//! lock and re-acquired it in between, the recheck sees the new holder's
-//! token, restores the file (an atomic-exclusive `hard_link`), and backs
-//! off — a live lock is never unlinked. Release is token-verified too:
-//! [`Drop`] removes the lock file only if it still carries this
-//! acquisition's token.
+//! The kernel drops the lock when the holder's file handle closes, which
+//! includes the holder crashing, so a dead holder never wedges the cache.
+//! The lock file is created on first use and never removed: whether it
+//! exists, and what it holds, means nothing.
 //!
 //! [`SynthCache::persist`]: crate::cache::SynthCache::persist
 
-use std::fs;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fs::{File, OpenOptions, TryLockError};
+use std::io;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// A lock file considered stale by age when the holder's liveness cannot
-/// be determined (non-Linux, or a lock file with no readable PID).
-const STALE_AFTER: Duration = Duration::from_secs(300);
-
-/// Counter making every acquisition (and every break attempt) within this
-/// process unique; combined with the PID it is unique across processes.
-static ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
-
-/// An acquired advisory lock. Dropping it releases the lock by removing
-/// the file (only if the file still carries this acquisition's token).
-#[derive(Debug)]
-pub struct LockFile {
-    path: PathBuf,
-    /// Exactly what we wrote into the lock file: `pid` on the first line,
-    /// a unique acquisition token on the second.
-    content: String,
-}
-
-impl LockFile {
-    /// Acquire the lock at `path`, waiting up to `timeout` for a live
-    /// holder to release it. Stale locks (holder dead, or unidentifiable
-    /// and older than five minutes) are broken via the rename-and-recheck
-    /// protocol and re-arbitrated through `create_new`.
-    ///
-    /// # Errors
-    ///
-    /// Returns `ErrorKind::TimedOut` if a live holder keeps the lock past
-    /// the deadline, or any I/O error creating the lock file.
-    pub fn acquire(path: &Path, timeout: Duration) -> io::Result<LockFile> {
-        let deadline = Instant::now() + timeout;
-        let mut backoff = Duration::from_millis(2);
-        loop {
-            match fs::OpenOptions::new().write(true).create_new(true).open(path) {
-                Ok(mut f) => {
-                    let token = ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
-                    let content =
-                        format!("{}\nt{}-{token}", std::process::id(), std::process::id());
-                    // Best-effort: the PID/token are advisory metadata for
-                    // the staleness check and token-verified release, not
-                    // part of acquisition correctness (`create_new` is).
-                    let _ = f.write_all(content.as_bytes());
-                    let _ = f.sync_all();
-                    return Ok(LockFile { path: path.to_owned(), content });
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    if let Some(observed) = observe_stale(path) {
-                        // Whether or not *we* freed the slot (another
-                        // breaker may have won the rename, or the recheck
-                        // may have restored a live re-acquirer),
-                        // `create_new` above re-arbitrates the winner.
-                        let _ = break_stale(path, &observed);
-                        continue;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("lock {} held by a live process", path.display()),
-                        ));
-                    }
-                    std::thread::sleep(backoff.min(deadline - now));
-                    backoff = (backoff * 2).min(Duration::from_millis(50));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The lock file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for LockFile {
-    fn drop(&mut self) {
-        // Token-verified release: remove the file only if it is still the
-        // one this acquisition created. If a confused breaker displaced it
-        // and someone else acquired, unlinking here would repeat the very
-        // race the break protocol exists to prevent.
-        if fs::read_to_string(&self.path).is_ok_and(|current| current == self.content) {
-            let _ = fs::remove_file(&self.path);
-        }
-    }
-}
-
-/// Observe the lock at `path`: if its holder is judged dead (or the file
-/// is stale by age), return the file content identifying that holder, to
-/// be rechecked by [`break_stale`]. `None` means the holder looks alive
-/// (or the file vanished — the acquire loop re-arbitrates).
-fn observe_stale(path: &Path) -> Option<String> {
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(_) => return None,
-    };
-    let dead = match text.lines().next().and_then(|l| l.trim().parse::<u32>().ok()) {
-        Some(pid) => pid_is_dead(pid, path),
-        None => stale_by_age(path),
-    };
-    dead.then_some(text)
-}
-
-/// Break the stale lock whose content was `observed`, without ever
-/// unlinking a live lock. Returns `true` if the slot was freed.
+/// Lock the file at `path` (creating it if needed) exclusively, waiting up
+/// to `timeout` for another holder to let go. The lock is released when
+/// the returned handle is dropped. Every call opens its own handle, so two
+/// acquisitions exclude each other within one process too.
 ///
-/// Protocol: atomically *rename* the lock file to a unique temp name —
-/// exactly one breaker wins; losers see the rename fail and back off —
-/// then recheck the captured file. Only if it still holds the observed
-/// dead holder's content is it removed. Otherwise the lock was broken and
-/// re-acquired by someone else between our observation and the rename, so
-/// the captured (live) lock is put back with an atomic-exclusive
-/// `hard_link` that loses gracefully to any newer acquirer.
-fn break_stale(path: &Path, observed: &str) -> bool {
-    let nonce = ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
-    let Some(name) = path.file_name().and_then(|n| n.to_str()) else { return false };
-    let temp = path.with_file_name(format!("{name}.break-{}-{nonce}", std::process::id()));
-    if fs::rename(path, &temp).is_err() {
-        // Another breaker won the rename (or the holder released): the
-        // slot is being re-arbitrated without us.
-        return false;
-    }
-    let current = fs::read_to_string(&temp).unwrap_or_default();
-    if current == observed {
-        let _ = fs::remove_file(&temp);
-        return true;
-    }
-    // We captured a *different* lock than the stale one we observed — a
-    // live re-acquirer. Restore it. `hard_link` fails with AlreadyExists
-    // if yet another process acquired the slot meanwhile, in which case
-    // the displaced holder is already double-held and all we can do is
-    // not make it worse (its token-verified Drop will not unlink the
-    // newer holder's file).
-    match fs::hard_link(&temp, path) {
-        Ok(()) => {
-            let _ = fs::remove_file(&temp);
+/// # Errors
+///
+/// Returns `ErrorKind::TimedOut` if another holder keeps the lock past the
+/// deadline, or any I/O error opening or locking the file.
+pub fn acquire(path: &Path, timeout: Duration) -> io::Result<File> {
+    let file = OpenOptions::new().create(true).truncate(false).write(true).open(path)?;
+    let deadline = Instant::now() + timeout;
+    let mut backoff = Duration::from_millis(2);
+    loop {
+        match file.try_lock() {
+            Ok(()) => return Ok(file),
+            Err(TryLockError::WouldBlock) => {}
+            Err(TryLockError::Error(e)) => return Err(e),
         }
-        Err(_) => {
-            eprintln!(
-                "warning: displaced live lock {} could not be restored (slot re-acquired)",
-                path.display()
-            );
-            let _ = fs::remove_file(&temp);
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("lock {} held by another holder", path.display()),
+            ));
         }
-    }
-    false
-}
-
-#[cfg(target_os = "linux")]
-fn pid_is_dead(pid: u32, _path: &Path) -> bool {
-    !Path::new("/proc").join(pid.to_string()).exists()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pid_is_dead(_pid: u32, path: &Path) -> bool {
-    stale_by_age(path)
-}
-
-fn stale_by_age(path: &Path) -> bool {
-    match fs::metadata(path).and_then(|m| m.modified()) {
-        Ok(mtime) => mtime.elapsed().map(|age| age > STALE_AFTER).unwrap_or(false),
-        // File vanished → effectively released; other errors → assume live.
-        Err(e) => e.kind() == io::ErrorKind::NotFound,
+        std::thread::sleep(backoff.min(deadline - now));
+        backoff = (backoff * 2).min(Duration::from_millis(50));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// No real system has a PID this large (kernel max is < 2^22).
-    const DEAD_PID: &str = "4194999999";
+    use std::fs;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("rake-lockfile-{name}-{}", std::process::id()));
@@ -209,127 +63,55 @@ mod tests {
         p
     }
 
-    fn break_temps(path: &Path) -> Vec<PathBuf> {
-        let name = path.file_name().unwrap().to_str().unwrap().to_owned();
-        fs::read_dir(path.parent().unwrap())
-            .unwrap()
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with(&format!("{name}.break-")))
-            })
-            .collect()
-    }
-
     #[test]
     fn acquire_release_reacquire() {
         let path = tmp("basic");
-        let lock = LockFile::acquire(&path, Duration::from_secs(1)).unwrap();
-        assert!(path.exists());
+        let lock = acquire(&path, Duration::from_secs(1)).unwrap();
+        let other = File::open(&path).unwrap();
+        assert!(matches!(other.try_lock(), Err(TryLockError::WouldBlock)), "the lock is held");
         drop(lock);
-        assert!(!path.exists(), "drop must release the lock");
-        let lock = LockFile::acquire(&path, Duration::from_secs(1)).unwrap();
+        other.try_lock().expect("drop must release the lock");
+        drop(other);
+        let lock = acquire(&path, Duration::from_secs(1)).unwrap();
         drop(lock);
+        let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn live_holder_times_out_second_acquirer() {
         let path = tmp("contended");
-        // Held by this (live) process: a second acquire must time out
-        // rather than break the lock.
-        let _held = LockFile::acquire(&path, Duration::from_secs(1)).unwrap();
+        let _held = acquire(&path, Duration::from_secs(1)).unwrap();
         let start = Instant::now();
-        let err = LockFile::acquire(&path, Duration::from_millis(80)).unwrap_err();
+        let err = acquire(&path, Duration::from_millis(80)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         assert!(start.elapsed() >= Duration::from_millis(80));
-    }
-
-    #[test]
-    fn stale_lock_from_dead_pid_is_broken() {
-        let path = tmp("stale");
-        fs::write(&path, DEAD_PID).unwrap();
-        let lock = LockFile::acquire(&path, Duration::from_millis(200)).unwrap();
-        drop(lock);
-        assert!(!path.exists());
-    }
-
-    /// The regression for the stale-break race: waiter B observes dead
-    /// holder A; waiter C breaks the lock and re-acquires; B then runs its
-    /// (stale) break plan. B must NOT unlink C's live lock — the recheck
-    /// sees a different holder and restores the file intact.
-    #[test]
-    fn stale_break_recheck_spares_a_live_reacquirer() {
-        let path = tmp("race");
-        fs::write(&path, format!("{DEAD_PID}\ntdead-0")).unwrap();
-
-        // B: observe the dead holder (this is the read the old code acted
-        // on directly with remove_file).
-        let observed = observe_stale(&path).expect("a dead PID must be observed as stale");
-
-        // C: break the stale lock and re-acquire, before B acts.
-        fs::remove_file(&path).unwrap();
-        let live = LockFile::acquire(&path, Duration::from_secs(1)).unwrap();
-
-        // B: execute the break plan against the now-live lock.
-        assert!(!break_stale(&path, &observed), "the recheck must refuse to free a live lock");
-        assert!(path.exists(), "C's live lock must survive B's stale break");
-        let content = fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            content.lines().next().unwrap().trim().parse::<u32>().unwrap(),
-            std::process::id(),
-            "the surviving lock must still be C's"
-        );
-        assert!(break_temps(&path).is_empty(), "no temp break files may leak");
-
-        drop(live);
-        assert!(!path.exists(), "C can still release its restored lock");
-    }
-
-    #[test]
-    fn stale_break_frees_an_unchanged_dead_lock() {
-        let path = tmp("freed");
-        let content = format!("{DEAD_PID}\ntdead-1");
-        fs::write(&path, &content).unwrap();
-        let observed = observe_stale(&path).expect("dead holder observed");
-        assert!(break_stale(&path, &observed), "an unchanged dead lock is freed");
-        assert!(!path.exists());
-        assert!(break_temps(&path).is_empty());
-    }
-
-    #[test]
-    fn drop_leaves_a_foreign_lock_alone() {
-        let path = tmp("foreign");
-        let lock = LockFile::acquire(&path, Duration::from_secs(1)).unwrap();
-        // Simulate the displaced-holder scenario: the path now carries a
-        // different acquisition's file.
-        fs::write(&path, "123\ntother-9").unwrap();
-        drop(lock);
-        assert!(path.exists(), "drop must not unlink a lock it no longer owns");
         let _ = fs::remove_file(&path);
     }
 
-    /// Stress the break protocol in-process: several threads contend on
-    /// one path while a saboteur keeps planting dead-PID lock files
-    /// (atomically, via `create_new`, so it never corrupts a live lock).
-    /// Mutual exclusion must hold throughout — with the blind-unlink
-    /// break this interleaving produces two concurrent holders.
+    /// A lock file a crashed holder left behind, here a pidfile naming a
+    /// process that cannot exist, is no obstacle: only a live handle's
+    /// lock excludes.
     #[test]
-    fn concurrent_stale_breaking_preserves_mutual_exclusion() {
-        use std::sync::atomic::{AtomicBool, AtomicI32};
+    fn stale_lock_from_dead_pid_is_broken() {
+        let path = tmp("stale");
+        fs::write(&path, "4194999999\ntstale-crashed-holder").unwrap();
+        drop(acquire(&path, Duration::from_millis(200)).unwrap());
+        let _ = fs::remove_file(&path);
+    }
 
+    /// Four threads take the lock 40 times each, every acquisition on a
+    /// handle of its own; at no point may two hold it at once.
+    #[test]
+    fn concurrent_acquirers_preserve_mutual_exclusion() {
         let path = tmp("mutex-stress");
-        fs::write(&path, DEAD_PID).unwrap();
         let holders = AtomicI32::new(0);
         let violated = AtomicBool::new(false);
-        let stop = AtomicBool::new(false);
-
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..40 {
-                        let lock = LockFile::acquire(&path, Duration::from_secs(10))
-                            .expect("acquire under stress");
+                        let lock =
+                            acquire(&path, Duration::from_secs(10)).expect("acquire under stress");
                         if holders.fetch_add(1, Ordering::SeqCst) != 0 {
                             violated.store(true, Ordering::SeqCst);
                         }
@@ -339,34 +121,8 @@ mod tests {
                     }
                 });
             }
-            scope.spawn(|| {
-                // The saboteur: keep planting stale locks in the gaps
-                // between real holders, forcing break traffic.
-                while !stop.load(Ordering::SeqCst) {
-                    if let Ok(mut f) =
-                        fs::OpenOptions::new().write(true).create_new(true).open(&path)
-                    {
-                        let _ = f.write_all(DEAD_PID.as_bytes());
-                    }
-                    std::thread::yield_now();
-                }
-            });
-            // Workers run to completion, then the saboteur is stopped.
-            // (Scoped threads join on scope exit; flag it from a watcher.)
-            scope.spawn(|| {
-                // Crude completion watch: wait until no worker has held
-                // the lock for a while by just sleeping past the workload.
-                std::thread::sleep(Duration::from_millis(50));
-                while holders.load(Ordering::SeqCst) != 0 {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                std::thread::sleep(Duration::from_millis(50));
-                stop.store(true, Ordering::SeqCst);
-            });
         });
-
-        assert!(!violated.load(Ordering::SeqCst), "two processes held the lock at once");
-        assert!(break_temps(&path).is_empty(), "no temp break files may leak");
+        assert!(!violated.load(Ordering::SeqCst), "two handles held the lock at once");
         let _ = fs::remove_file(&path);
     }
 }

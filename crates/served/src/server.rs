@@ -23,16 +23,28 @@
 //!
 //! ## Cancellation
 //!
-//! While a compile runs, a monitor thread `peek`s the connection; when
-//! the client vanishes, it raises the request's [`synth::cancel`] flag
-//! and the synthesis stops at its next deadline-check point, freeing the
-//! permit for the next request.
+//! While a cold compile runs, a monitor thread `peek`s the connection
+//! every 15 ms (`DISCONNECT_POLL`); when the client vanishes, it raises the
+//! request's [`synth::cancel`] flag and the synthesis stops at its next
+//! deadline-check point, freeing the permit for the next request. Between
+//! peeks the monitor waits on a channel the handler closes the moment the
+//! batch returns, so joining it costs microseconds, not the rest of a poll
+//! interval. Its peeks are non-blocking, and the socket's clones share one
+//! open file description, so the monitor restores blocking mode before it
+//! returns and the handler writes the response only after the join.
+//!
+//! ## Shutdown
+//!
+//! The accept thread blocks in `accept`. [`ServerHandle::shutdown`] sets
+//! the draining flag and wakes it with a loopback connection; any
+//! connection accepted once draining is set is dropped unanswered.
 
 use std::collections::HashSet;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,6 +67,11 @@ pub const MAX_EXPRS_PER_REQUEST: usize = 64;
 /// Hard cap on S-expression paren nesting (the S-expression parser is
 /// recursive; this is its stack guard, mirroring the JSON depth limit).
 pub const MAX_SEXPR_DEPTH: usize = 256;
+
+/// How often the disconnect monitor peeks a cold request's connection: a
+/// client that vanishes mid-compile has its synthesis cancelled within one
+/// interval.
+const DISCONNECT_POLL: Duration = Duration::from_millis(15);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -459,7 +476,23 @@ impl ServerHandle {
     pub fn shutdown(mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         if let Some(join) = self.accept_join.take() {
-            let _ = join.join();
+            // The accept thread is blocked in `accept`: one loopback
+            // connection wakes it to see `draining`. Should that connect
+            // fail, the thread is left blocked rather than joined forever.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(if wake.is_ipv4() {
+                    Ipv4Addr::LOCALHOST.into()
+                } else {
+                    Ipv6Addr::LOCALHOST.into()
+                });
+            }
+            match TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+                Ok(_) => {
+                    let _ = join.join();
+                }
+                Err(err) => eprintln!("rake-served: cannot wake the accept thread: {err}"),
+            }
         }
         let deadline = Instant::now() + self.shared.config.drain_timeout;
         while self.shared.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
@@ -482,7 +515,6 @@ impl ServerHandle {
 pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     if config.trace_out.is_some() || config.trace_slow_ms.is_some() {
         trace::enable();
@@ -545,10 +577,13 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
+        // Once draining, whatever was accepted (the shutdown's wake-up or
+        // a late client) is dropped unanswered.
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 // Responses are latency-sensitive and written whole;
                 // never let Nagle hold them for a delayed ACK.
@@ -564,9 +599,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if result.is_err() {
                     eprintln!("rake-served: failed to spawn connection thread");
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
             }
             Err(e) => {
                 eprintln!("rake-served: accept failed: {e}");
@@ -586,8 +618,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             return;
         }
         // Await the request's first byte under the idle timeout (the
-        // compile path's disconnect monitor adjusts the socket timeout,
-        // so restore it each loop), then arm the slow-loris deadline:
+        // slow-loris deadline below shortens the socket timeout, so
+        // restore it each loop), then arm that deadline:
         // a peer may idle *between* requests, but once it starts one it
         // must deliver line + headers + body within `read_timeout` or
         // the connection is answered 408.
@@ -1014,31 +1046,21 @@ fn handle_compile_inner(
 
         // Watch the connection while we compile; a vanished client raises
         // the cancel flag and the synthesis stops cooperatively.
-        let done = Arc::new(AtomicBool::new(false));
-        let monitor = cancel.and_then(|cancel| {
-            stream.try_clone().ok().map(|peer| {
-                let done = Arc::clone(&done);
-                std::thread::Builder::new()
-                    .name("rake-served-monitor".to_owned())
-                    .spawn(move || monitor_disconnect(&peer, cancel, &done))
-                    .expect("spawn disconnect monitor")
-            })
-        });
+        let monitor = cancel.and_then(|cancel| DisconnectMonitor::start(stream, cancel));
 
         let exprs: Vec<Expr> =
             to_compile.iter().map(|&i| parsed.exprs[i].1.clone()).collect();
         let report = driver.compile_batch(&exprs);
 
-        done.store(true, Ordering::SeqCst);
         // The monitor is authoritative for mid-compile disconnects: a
         // small response written to a half-closed socket can still
         // "succeed", so the connection loop's EPIPE check alone would
         // undercount. The shared once-flag keeps the two sites from
         // ever counting the same connection twice.
-        if let Some(m) = monitor {
-            if m.join().unwrap_or(false) && !disconnected.swap(true, Ordering::SeqCst) {
-                shared.metrics.client_disconnected();
-            }
+        if monitor.is_some_and(DisconnectMonitor::finish)
+            && !disconnected.swap(true, Ordering::SeqCst)
+        {
+            shared.metrics.client_disconnected();
         }
         drop(driver);
         if let Some(cancel) = cancel {
@@ -1294,39 +1316,69 @@ fn outcome_name(outcome: &JobOutcome) -> &'static str {
     }
 }
 
-/// Poll the connection until the compile finishes or the peer vanishes;
-/// returns whether a disconnect was detected (and the flag raised).
+/// The thread watching a cold request's connection while its batch
+/// compiles.
+struct DisconnectMonitor {
+    /// Dropped by [`DisconnectMonitor::finish`], which ends the monitor's
+    /// wait between peeks at once.
+    done: mpsc::Sender<()>,
+    thread: JoinHandle<bool>,
+}
+
+impl DisconnectMonitor {
+    /// Start watching `stream`; `None` if the socket cannot be cloned.
+    fn start(stream: &TcpStream, cancel: synth::CancelFlag) -> Option<DisconnectMonitor> {
+        let peer = stream.try_clone().ok()?;
+        let (done, finished) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("rake-served-monitor".to_owned())
+            .spawn(move || monitor_disconnect(&peer, cancel, &finished))
+            .expect("spawn disconnect monitor");
+        Some(DisconnectMonitor { done, thread })
+    }
+
+    /// Wake the monitor and join it; returns whether the peer vanished
+    /// (its cancel flag is then raised). The socket is back in blocking
+    /// mode once this returns.
+    fn finish(self) -> bool {
+        drop(self.done);
+        self.thread.join().unwrap_or(false)
+    }
+}
+
+/// Peek the connection every [`DISCONNECT_POLL`] until `finished` closes
+/// or the peer vanishes; returns whether a disconnect was detected (and
+/// the flag raised). `peer` shares its open file description with the
+/// connection's reader and writer, so the non-blocking mode the peeks
+/// need is theirs too: it is restored before returning.
 fn monitor_disconnect(
     peer: &TcpStream,
     cancel: synth::CancelFlag,
-    done: &AtomicBool,
+    finished: &mpsc::Receiver<()>,
 ) -> bool {
-    // The poll interval doubles as the handler's join latency once the
-    // compile finishes — keep it small so warm cache hits stay fast.
-    let _ = peer.set_read_timeout(Some(Duration::from_millis(15)));
+    if peer.set_nonblocking(true).is_err() {
+        return false;
+    }
     let mut buf = [0u8; 1];
-    loop {
-        if done.load(Ordering::SeqCst) {
-            return false;
-        }
+    let gone = loop {
         match peer.peek(&mut buf) {
             // EOF: the client closed its end.
-            Ok(0) => {
-                cancel.store(true, std::sync::atomic::Ordering::Relaxed);
-                return true;
-            }
+            Ok(0) => break true,
             // Pipelined bytes waiting — still connected; don't consume.
-            Ok(_) => std::thread::sleep(Duration::from_millis(15)),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut => {}
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
             // Reset / broken pipe / anything else: treat as gone.
-            Err(_) => {
-                cancel.store(true, std::sync::atomic::Ordering::Relaxed);
-                return true;
-            }
+            Err(_) => break true,
         }
+        if !matches!(finished.recv_timeout(DISCONNECT_POLL), Err(RecvTimeoutError::Timeout)) {
+            break false;
+        }
+    };
+    if gone {
+        cancel.store(true, Ordering::Relaxed);
     }
+    let _ = peer.set_nonblocking(false);
+    gone
 }
 
 /// Make sure the accept loop cannot outlive a panicking connection
@@ -1437,6 +1489,60 @@ mod tests {
         }
         assert_eq!(unbounded.len(), 8, "cap zero disables the bound");
         assert_eq!(unbounded.evictions(), 0);
+    }
+
+    /// Both ends of a live loopback connection: (client, server side).
+    fn loopback_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        (client, conn)
+    }
+
+    #[test]
+    fn disconnect_monitor_joins_as_soon_as_the_compile_ends() {
+        let (_client, conn) = loopback_pair();
+        let mut fastest = Duration::MAX;
+        for _ in 0..5 {
+            let cancel = synth::cancel::acquire();
+            let monitor = DisconnectMonitor::start(&conn, cancel).unwrap();
+            // Let the monitor reach its wait between peeks, the state a
+            // finishing compile finds it in; a monitor not yet started
+            // would return at once and show nothing.
+            std::thread::sleep(Duration::from_millis(2));
+            let joined = Instant::now();
+            assert!(!monitor.finish(), "a live peer is not a disconnect");
+            fastest = fastest.min(joined.elapsed());
+            assert!(!cancel.load(Ordering::SeqCst), "a live peer must not be cancelled");
+            synth::cancel::release(cancel);
+        }
+        assert!(
+            fastest < Duration::from_millis(5),
+            "the join must not wait out a {DISCONNECT_POLL:?} poll: fastest took {fastest:?}"
+        );
+        // Blocking mode is back: a timed read waits out its timeout
+        // instead of failing at once as a non-blocking read would.
+        conn.set_read_timeout(Some(Duration::from_millis(40))).unwrap();
+        let read = Instant::now();
+        assert!(io::Read::read(&mut &conn, &mut [0u8; 1]).is_err());
+        assert!(read.elapsed() >= Duration::from_millis(30), "socket left non-blocking");
+    }
+
+    #[test]
+    fn disconnect_monitor_cancels_when_the_peer_closes() {
+        let (client, conn) = loopback_pair();
+        let cancel = synth::cancel::acquire();
+        let monitor = DisconnectMonitor::start(&conn, cancel).unwrap();
+        drop(client);
+        // The flag rises while the "compile" still runs, within a poll
+        // interval or so; the bound here only guards against a hang.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cancel.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(cancel.load(Ordering::SeqCst), "a vanished peer must raise the cancel flag");
+        assert!(monitor.finish(), "a vanished peer is a disconnect");
+        synth::cancel::release(cancel);
     }
 
     #[test]

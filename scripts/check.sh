@@ -77,18 +77,23 @@ cargo run -q --release --offline --locked -p rake-bench --bin perf -- \
   --check "$perf_snapshot"
 rm -f "$perf_snapshot"
 
-echo "== rakebench (unit tests + fuzz-batch and full-width paper-suite smokes)"
+echo "== rakebench (unit tests + fuzz-batch, full-width paper-suite and serve-mixed smokes)"
 # The benchmark of record is a package of its own, outside the workspace,
 # so the workspace steps above never build it. Its unit tests, then one
-# short fuzz-batch run and one short paper-suite run: `bench` exits
-# non-zero on a wrong output or a failed unit. The paper-suite run checks
-# every program at its full 64- or 128-lane width against the Halide
-# interpreter, which the quick-width goldens do not. No timing thresholds.
+# short fuzz-batch run, one short paper-suite run and one short
+# serve-mixed run: `bench` exits non-zero on a wrong output or a failed
+# unit. The paper-suite run checks every program at its full 64- or
+# 128-lane width against the Halide interpreter, which the quick-width
+# goldens do not. The serve-mixed run drives rake-served's cold path (its
+# on-disk cache and journal included) and checks every served program.
+# No timing thresholds.
 cargo test -q --release --offline --locked --manifest-path rakebench/Cargo.toml
 cargo run -q --release --offline --locked --manifest-path rakebench/Cargo.toml -- \
   bench --workload fuzz-batch --seconds 3 --trace 0
 cargo run -q --release --offline --locked --manifest-path rakebench/Cargo.toml -- \
   bench --workload paper-suite --seconds 3 --trace 0
+cargo run -q --release --offline --locked --manifest-path rakebench/Cargo.toml -- \
+  bench --workload serve-mixed --seconds 3 --trace 0
 
 echo "== server smoke (rake-served round-trip, warm cache, metrics)"
 # Boots the compilation server on an ephemeral port, compiles three
