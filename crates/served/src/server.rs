@@ -37,10 +37,14 @@
 //!
 //! The accept thread blocks in `accept`. [`ServerHandle::shutdown`] sets
 //! the draining flag and wakes it with a loopback connection; any
-//! connection accepted once draining is set is dropped unanswered.
+//! connection accepted once draining is set is dropped unanswered. A
+//! connection idling between requests waits for the next one in
+//! `IDLE_POLL` slices and closes at the first slice after draining starts,
+//! so an idle keep-alive client does not hold shutdown for its
+//! `drain_timeout`.
 
 use std::collections::HashSet;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, ErrorKind};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -72,6 +76,11 @@ pub const MAX_SEXPR_DEPTH: usize = 256;
 /// client that vanishes mid-compile has its synthesis cancelled within one
 /// interval.
 const DISCONNECT_POLL: Duration = Duration::from_millis(15);
+
+/// How often a connection idling between requests checks for shutdown:
+/// `shutdown` waits for open connections, so an idle keep-alive client is
+/// let go within one interval instead of at the end of `drain_timeout`.
+const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -617,25 +626,35 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
-        // Await the request's first byte under the idle timeout (the
-        // slow-loris deadline below shortens the socket timeout, so
-        // restore it each loop), then arm that deadline:
+        // Await the request's first byte under the idle timeout, in
+        // `IDLE_POLL` slices so that an idle keep-alive peer does not hold
+        // up `shutdown` (the slow-loris deadline below shortens the socket
+        // timeout, so restore it each loop), then arm that deadline:
         // a peer may idle *between* requests, but once it starts one it
         // must deliver line + headers + body within `read_timeout` or
         // the connection is answered 408.
-        let _ = write_half.set_read_timeout(Some(shared.config.idle_timeout));
-        match reader.fill_buf() {
-            Ok([]) => return, // EOF between requests
-            Ok(_) => {}
-            Err(_) => return, // idle timeout or reset
+        let idle_deadline = Instant::now() + shared.config.idle_timeout;
+        let _ = write_half.set_read_timeout(Some(IDLE_POLL.min(shared.config.idle_timeout)));
+        loop {
+            match reader.fill_buf() {
+                Ok([]) => return, // EOF between requests
+                Ok(_) => break,
+                // An idle poll interval passed.
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(_) => return, // reset
+            }
+            if shared.draining.load(Ordering::SeqCst) || Instant::now() >= idle_deadline {
+                return;
+            }
         }
-        let deadline = shared.config.read_timeout.map(|t| {
-            // Per-read socket timeout of the same order, so a peer that
-            // goes fully silent mid-request cannot pin the thread past
-            // the deadline (read_request_deadline maps the stall to 408).
-            let _ = write_half.set_read_timeout(Some(t));
-            Instant::now() + t
-        });
+        // Per-read socket timeout of the deadline's order, so a peer that
+        // goes fully silent mid-request cannot pin the thread past the
+        // deadline (read_request_deadline maps the stall to 408). With no
+        // deadline, the idle timeout bounds each read instead of the poll
+        // slice.
+        let per_read = shared.config.read_timeout.unwrap_or(shared.config.idle_timeout);
+        let _ = write_half.set_read_timeout(Some(per_read));
+        let deadline = shared.config.read_timeout.map(|t| Instant::now() + t);
         let req =
             match read_request_deadline(&mut reader, shared.config.max_body_bytes, deadline) {
                 Ok(req) => req,

@@ -2,10 +2,11 @@
 //! ephemeral port: routing and limits, the warm path, cross-request
 //! single-flight, disconnect cancellation, and graceful drain.
 
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use driver::json::{self, Json};
 use served::http::roundtrip;
@@ -267,7 +268,6 @@ fn client_disconnect_cancels_and_frees_the_worker() {
     // Send the heavy request, then vanish without reading the response.
     let metrics = handle.metrics();
     {
-        use std::io::Write as _;
         let mut stream = connect(&handle);
         let head = format!(
             "POST /compile HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
@@ -334,6 +334,35 @@ fn graceful_drain_finishes_inflight_work() {
         roundtrip(&mut s, "GET", "/healthz", None)
     });
     assert!(after.is_err(), "drained server must not serve new requests");
+}
+
+#[test]
+fn shutdown_does_not_wait_for_an_idle_keep_alive_client() {
+    let handle = start(|_| {});
+    // One request, then the connection stays open and idle.
+    let mut stream = connect(&handle);
+    let (status, _) = roundtrip(&mut stream, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    let t0 = Instant::now();
+    handle.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown waited {took:?} behind an idle client");
+    drop(stream);
+}
+
+#[test]
+fn without_a_read_deadline_a_request_may_pause_midway() {
+    // No slow-loris deadline (`--read-timeout-ms 0`): a pause inside a
+    // request longer than the idle poll slice must not drop it.
+    let handle = start(|c| c.read_timeout = None);
+    let mut stream = connect(&handle);
+    stream.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    stream.write_all(b"host: t\r\nconnection: close\r\n\r\n").unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply:?}");
+    handle.shutdown();
 }
 
 #[test]

@@ -5,14 +5,16 @@
 //! template instantiations in increasing cost under a tightening upper
 //! bound β, recursively lowering sub-expressions parameterized by the
 //! intermediate data layout ℓ ∈ {natural, deinterleaved} (§5.1), and keeps
-//! the cheapest candidate the oracle verifies. Candidates containing data
-//! movement account their verification to the swizzling stage; pure
-//! compute candidates to the sketching stage (Table 1's split).
+//! the cheapest candidate the oracle verifies. Cost is the cycle count the
+//! VLIW scheduler gives the candidate (the quantity Figure 11 measures),
+//! then the §6 per-resource counts. Candidates containing data movement
+//! account their verification to the swizzling stage; pure compute
+//! candidates to the sketching stage (Table 1's split).
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use hvx::{CostModel, HvxExpr, Op, ScalarOperand};
+use hvx::{CostModel, HvxExpr, Op, ScalarOperand, SlotBudget};
 use lanes::ElemType;
 use uber_ir::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
 
@@ -141,8 +143,14 @@ impl Lowerer<'_> {
         self.opts.lanes * ty.bytes() > self.opts.vec_bytes
     }
 
-    fn cost(&self, e: &HvxExpr) -> (u32, u32, u64) {
-        CostModel::new(self.opts.lanes, self.opts.vec_bytes).cost(&e.to_program())
+    /// Scheduled cycles first, then the §6 `(max, total, latency-sum)`
+    /// tuple to break ties toward fewer and shorter instructions.
+    fn cost(&self, e: &HvxExpr) -> (u64, u32, u32, u64) {
+        let (lanes, vec_bytes) = (self.opts.lanes, self.opts.vec_bytes);
+        let p = e.to_program();
+        let cycles = p.schedule(lanes, vec_bytes, SlotBudget::hvx()).cycles;
+        let (max, total, latency) = CostModel::new(lanes, vec_bytes).cost(&p);
+        (cycles, max, total, latency)
     }
 
     fn lower(&mut self, e: &UberExpr, want: Layout) -> Option<Lowered> {
@@ -157,7 +165,7 @@ impl Lowerer<'_> {
             self.templates(e, want).into_iter().map(|c| (self.cost(&c), c)).collect();
         cands.sort_by_key(|&(cost, _)| cost);
         let mut best: Option<Lowered> = None;
-        let mut beta = (u32::MAX, u32::MAX, u64::MAX);
+        let mut beta = (u64::MAX, u32::MAX, u32::MAX, u64::MAX);
         for (cost, cand) in cands {
             let expired = self.opts.deadline.is_some_and(|deadline| Instant::now() >= deadline);
             if expired || crate::cancel::cancelled(self.opts.cancel) {
@@ -361,18 +369,13 @@ impl Lowerer<'_> {
         if oty.bits() * 2 != src.bits() || !self.pair_sized(src) {
             return out;
         }
-        // A same-width wrapping round-shift feeding this narrow fuses into
-        // one `vasr`-narrow (our ISA's rnd form rounds with wrap-add,
-        // matching the unfused Halide pattern bit for bit).
+        // A same-width round-shift feeding this narrow fuses into one
+        // `vasr`-narrow (our ISA's rnd form rounds with wrap-add, matching
+        // the unfused Halide pattern bit for bit). The inner narrow's
+        // saturation flag does not matter: saturating a shifted value into
+        // its own type is the identity.
         if shift == 0 {
-            if let UberExpr::Narrow {
-                arg: inner,
-                shift: s,
-                round: r,
-                saturating: false,
-                out: mid,
-            } = arg
-            {
+            if let UberExpr::Narrow { arg: inner, shift: s, round: r, out: mid, .. } = arg {
                 if *mid == src && *s > 0 {
                     if let Some(a2) = self.child_in(inner, Layout::Deinterleaved) {
                         out.push(HvxExpr::op(
@@ -734,21 +737,39 @@ impl Lowerer<'_> {
                 }
             }
         }
-        // Widening multiply chain.
+        // Widening multiply chain, and the same chain split in two halves
+        // summed by one add: each accumulate waits for the previous one, so
+        // the halves can overlap in the schedule.
         if v.pairs.iter().all(|(a, b)| {
             let (na, nb) = (a.ty().bits(), b.ty().bits());
             na == nb && na * 2 == v.out.bits()
         }) {
-            if let Some(chain) = self.widening_mul_chain(v, want) {
-                cands.push(chain);
+            if let Some(chain) = self.widening_mul_chain(&v.pairs, v.out) {
+                cands.push(self.finish(chain, Layout::Deinterleaved, want, v.out));
+            }
+            if v.pairs.len() >= 2 {
+                let (left, right) = v.pairs.split_at(v.pairs.len() / 2);
+                if let (Some(l), Some(r)) = (
+                    self.widening_mul_chain(left, v.out),
+                    self.widening_mul_chain(right, v.out),
+                ) {
+                    let sum = HvxExpr::op(Op::Vadd { elem: v.out, sat: false }, vec![l, r]);
+                    cands.push(self.finish(sum, Layout::Deinterleaved, want, v.out));
+                }
             }
         }
         cands
     }
 
-    fn widening_mul_chain(&mut self, v: &VvMpyAdd, want: Layout) -> Option<HvxExpr> {
+    /// `vmpy`/`vmpy-acc` chain over `pairs`, in the deinterleaved layout
+    /// widening multiplies produce.
+    fn widening_mul_chain(
+        &mut self,
+        pairs: &[(UberExpr, UberExpr)],
+        out: ElemType,
+    ) -> Option<HvxExpr> {
         let mut acc: Option<HvxExpr> = None;
-        for (a, b) in &v.pairs {
+        for (a, b) in pairs {
             // Broadcast operands become vector-scalar multiplies.
             let (vecside, scalar) = match (a, b) {
                 (UberExpr::Bcast { value, .. }, x) | (x, UberExpr::Bcast { value, .. }) => {
@@ -772,11 +793,11 @@ impl Lowerer<'_> {
                 (Some(acc), None) => {
                     let ly = self.child_in(b, Layout::Natural)?;
                     let prod = HvxExpr::op(Op::Vmpy { elem }, vec![lx, ly]);
-                    HvxExpr::op(Op::Vadd { elem: v.out, sat: false }, vec![acc, prod])
+                    HvxExpr::op(Op::Vadd { elem: out, sat: false }, vec![acc, prod])
                 }
             });
         }
-        acc.map(|e| self.finish(e, Layout::Deinterleaved, want, v.out))
+        acc
     }
 
     /// `vmpyie`/`vmpyio` pairs for word × halfword products (Figure 12,
@@ -864,6 +885,27 @@ mod tests {
         usize::from(f(e.root())) + e.args().iter().map(|a| count_op(a, f)).sum::<usize>()
     }
 
+    fn cycles(e: &HvxExpr) -> u64 {
+        e.to_program().schedule(8, 8, SlotBudget::hvx()).cycles
+    }
+
+    /// `splat(w[k]) * in(x+k)`: one pair of the matmul / conv_nn dot
+    /// product.
+    fn scalar_pair(k: i32) -> (UberExpr, UberExpr) {
+        (
+            UberExpr::Bcast {
+                value: ScalarSource::Scalar { buffer: "w".into(), x: k, dy: 0 },
+                ty: ElemType::U8,
+            },
+            UberExpr::Data(halide_ir::Load {
+                buffer: "in".into(),
+                dx: k,
+                dy: 0,
+                ty: ElemType::U8,
+            }),
+        )
+    }
+
     #[test]
     fn three_tap_window_lowers_to_vtmpy() {
         let u = UberExpr::conv("in", ElemType::U8, -1, 0, &[1, 2, 1], ElemType::U16);
@@ -920,7 +962,9 @@ mod tests {
     #[test]
     fn widening_add_lowers_to_vmpy_acc() {
         // wide + widen(narrow) == vmpy-acc(wide, narrow, 1) — Figure 12,
-        // average_pool.
+        // average_pool. The fused form leaves its sum deinterleaved, so it
+        // wins only where the consumer wants that layout; a natural
+        // consumer would pay a deal before and a shuffle after it.
         let wide = UberExpr::Data(halide_ir::Load {
             buffer: "w".into(),
             dx: 0,
@@ -939,8 +983,37 @@ mod tests {
             saturating: false,
             out: ElemType::U16,
         });
+        let mut stats = SynthStats::default();
+        let mut lw = Lowerer {
+            verifier: Verifier::fast(),
+            opts: opts(),
+            stats: &mut stats,
+            memo: HashMap::new(),
+        };
+        let dealt = lw.lower(&u, Layout::Deinterleaved).expect("must lower").expr;
+        assert_eq!(count_op(&dealt, &|o| matches!(o, Op::VmpyAcc { .. })), 1, "got:\n{dealt}");
+        assert_eq!(cycles(&dealt), 5, "got:\n{dealt}");
+
         let e = lower(&u).expect("must lower");
-        assert_eq!(count_op(&e, &|o| matches!(o, Op::VmpyAcc { .. })), 1, "got:\n{e}");
+        let fused = HvxExpr::op(
+            Op::VshuffPair { elem: ElemType::U16 },
+            vec![HvxExpr::op(
+                Op::VmpyAcc { elem: ElemType::U8, scalar: ScalarOperand::Imm(1) },
+                vec![
+                    HvxExpr::op(
+                        Op::VdealPair { elem: ElemType::U16 },
+                        vec![HvxExpr::vmem("w", ElemType::U16, 0, 0)],
+                    ),
+                    HvxExpr::vmem("n", ElemType::U8, 0, 0),
+                ],
+            )],
+        );
+        assert!(
+            cycles(&e) < cycles(&fused),
+            "{} vs {} cycles, got:\n{e}",
+            cycles(&e),
+            cycles(&fused)
+        );
     }
 
     #[test]
@@ -964,28 +1037,76 @@ mod tests {
     #[test]
     fn runtime_scalar_dot_uses_vmpy_acc_chain() {
         // sum_k splat(w[k]) * in(x+k): the matmul shape.
-        let pair = |k: i32| {
-            (
-                UberExpr::Bcast {
-                    value: ScalarSource::Scalar { buffer: "w".into(), x: k, dy: 0 },
-                    ty: ElemType::U8,
-                },
-                UberExpr::Data(halide_ir::Load {
-                    buffer: "in".into(),
-                    dx: k,
-                    dy: 0,
-                    ty: ElemType::U8,
-                }),
-            )
-        };
         let u = UberExpr::VvMpyAdd(VvMpyAdd {
-            pairs: vec![pair(0), pair(1)],
+            pairs: vec![scalar_pair(0), scalar_pair(1)],
             saturating: false,
             out: ElemType::U16,
         });
         let e = lower(&u).expect("must lower");
         assert_eq!(count_op(&e, &|o| matches!(o, Op::VmpyScalar { .. })), 1, "got:\n{e}");
         assert_eq!(count_op(&e, &|o| matches!(o, Op::VmpyAcc { .. })), 1, "got:\n{e}");
+    }
+
+    #[test]
+    fn three_pair_dot_splits_its_accumulate_chain() {
+        // conv_nn's shape: three dependent accumulates schedule longer
+        // than two independent halves joined by one add.
+        let u = UberExpr::VvMpyAdd(VvMpyAdd {
+            pairs: vec![scalar_pair(0), scalar_pair(1), scalar_pair(2)],
+            saturating: false,
+            out: ElemType::U16,
+        });
+        let e = lower(&u).expect("must lower");
+        let weight = |k| ScalarOperand::Load { buffer: "w".into(), x: k, dy: 0 };
+        let load = |k| HvxExpr::vmem("in", ElemType::U8, k, 0);
+        let mut chain =
+            HvxExpr::op(Op::VmpyScalar { elem: ElemType::U8, scalar: weight(0) }, vec![load(0)]);
+        for k in 1..3 {
+            chain = HvxExpr::op(
+                Op::VmpyAcc { elem: ElemType::U8, scalar: weight(k) },
+                vec![chain, load(k)],
+            );
+        }
+        let chain = HvxExpr::op(Op::VshuffPair { elem: ElemType::U16 }, vec![chain]);
+        assert!(
+            cycles(&e) < cycles(&chain),
+            "{} vs {} cycles, got:\n{e}",
+            cycles(&e),
+            cycles(&chain)
+        );
+    }
+
+    #[test]
+    fn rounding_shift_under_a_cast_fuses_into_one_vasr_narrow() {
+        // average_pool[1], uint8x((acc + 2) >> 2): lifting nests a
+        // saturating same-width round-shift under a truncating narrow.
+        let inner = UberExpr::Narrow {
+            arg: Box::new(UberExpr::Data(halide_ir::Load {
+                buffer: "acc".into(),
+                dx: 0,
+                dy: 0,
+                ty: ElemType::U16,
+            })),
+            shift: 2,
+            round: true,
+            saturating: true,
+            out: ElemType::U16,
+        };
+        let u = UberExpr::Narrow {
+            arg: Box::new(inner),
+            shift: 0,
+            round: false,
+            saturating: false,
+            out: ElemType::U8,
+        };
+        let e = lower(&u).expect("must lower");
+        assert!(
+            matches!(e.root(), Op::VasrNarrow { shift: 2, round: true, sat: false, .. }),
+            "got:\n{e}"
+        );
+        assert_eq!(count_op(&e, &|o| matches!(o, Op::Vadd { .. } | Op::Vasr { .. })), 0);
+        let proving = Verifier { smt_lowering: true, ..Verifier::fast() };
+        assert!(proving.equiv_uber_hvx(&u, &e, false), "got:\n{e}");
     }
 
     #[test]

@@ -73,6 +73,10 @@ static SEQ: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static RING: OnceLock<Ring> = OnceLock::new();
 static SLOW: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
+/// Serializes drains: [`drain_trace`] sweeps every trace out of the ring
+/// and re-publishes the ones it does not own, so a concurrent drain would
+/// miss whatever the first one is holding. Publishing never takes it.
+static DRAINING: Mutex<()> = Mutex::new(());
 
 thread_local! {
     /// Stack of (trace_id, span_id) for implicit parenting.
@@ -472,6 +476,7 @@ pub fn submit(record: SpanRecord) {
 
 /// Remove and return every record in the ring, in publish order.
 pub fn drain() -> Vec<SpanRecord> {
+    let _draining = DRAINING.lock().unwrap_or_else(|e| e.into_inner());
     RING.get().map(Ring::sweep).unwrap_or_default()
 }
 
@@ -482,6 +487,7 @@ pub fn drain_trace(trace_id: u64) -> Vec<SpanRecord> {
     let Some(ring) = RING.get() else {
         return Vec::new();
     };
+    let _draining = DRAINING.lock().unwrap_or_else(|e| e.into_inner());
     let mut mine = Vec::new();
     for record in ring.sweep() {
         if record.trace_id == trace_id {
@@ -728,6 +734,38 @@ mod tests {
         let rest = drain();
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].name, "b");
+    }
+
+    #[test]
+    fn concurrent_drains_each_get_their_whole_trace() {
+        let _l = locked();
+        let barrier = std::sync::Barrier::new(4);
+        // Each thread counts its short drains instead of asserting: a
+        // panicking thread would leave the others waiting at the barrier.
+        let short: Vec<usize> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut short = 0;
+                        for _ in 0..100 {
+                            let trace_id = new_trace_id();
+                            {
+                                let _root = span_root("request", "http", trace_id);
+                                for _ in 0..20 {
+                                    drop(span("job", "driver"));
+                                }
+                            }
+                            barrier.wait();
+                            short += usize::from(drain_trace(trace_id).len() != 21);
+                        }
+                        short
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(short, [0; 4], "drains per thread that missed their own spans");
+        assert!(drain().is_empty());
     }
 
     #[test]

@@ -39,6 +39,13 @@ echo "   slow partition: ${slow_elapsed}s"
 [ "$slow_elapsed" -le 2700 ] \
   || { echo "slow test partition blew its 2700s budget (${slow_elapsed}s)"; exit 1; }
 
+echo "== release-only tests (goldens, heavy end-to-end runs, lowering proptests)"
+# These tests are ignored in debug builds (too slow there), so the two
+# partitions above skip them. The goldens pin every suite program and its
+# scheduled cycles; a codegen change that is not regenerated fails here.
+cargo test -q --release --offline --locked -p rake-bench --test golden --test end_to_end
+cargo test -q --release --offline --locked -p rake-synth
+
 echo "== oracle smoke (seeded differential fuzz, 60s budget)"
 # Every workload compiled and executed against the interpreter, plus a
 # budget-capped slice of generated expressions. Deterministic seed, so a

@@ -2,6 +2,9 @@
 //! workloads at the quick geometry (fixed harness seed).
 //!
 //! The snapshot for each workload lives in `tests/golden/<name>.txt`.
+//! Under each program it records the cycles the VLIW scheduler gives the
+//! Rake program and the baseline's, so a codegen change shows its cycle
+//! change in the diff.
 //! Regenerate after an intended codegen change with:
 //!
 //! ```sh
@@ -15,6 +18,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use hvx::{Program, SlotBudget};
 use rake_bench::{run_workload, RunConfig};
 
 fn golden_dir() -> PathBuf {
@@ -22,8 +26,10 @@ fn golden_dir() -> PathBuf {
 }
 
 fn snapshot(w: &workloads::Workload, memoize: bool) -> String {
-    let run = run_workload(w, RunConfig { memoize, ..RunConfig::quick(w) });
+    let cfg = RunConfig { memoize, ..RunConfig::quick(w) };
+    let run = run_workload(w, cfg);
     assert!(run.all_verified(), "{}: output mismatch against the interpreter", w.name);
+    let cycles = |p: &Program| p.schedule(cfg.lanes, cfg.vec_bytes, SlotBudget::hvx()).cycles;
     let mut out = String::new();
     let _ = writeln!(out, "# {} (quick geometry)", w.name);
     for (i, e) in run.exprs.iter().enumerate() {
@@ -31,9 +37,16 @@ fn snapshot(w: &workloads::Workload, memoize: bool) -> String {
         match &e.rake_program {
             Some(p) => {
                 let _ = writeln!(out, "{p}");
+                let _ = writeln!(
+                    out,
+                    "cycles: rake {}, baseline {}",
+                    cycles(p),
+                    cycles(&e.baseline_program)
+                );
             }
             None => {
                 let _ = writeln!(out, "(baseline: not optimized)");
+                let _ = writeln!(out, "cycles: baseline {}", cycles(&e.baseline_program));
             }
         }
     }
