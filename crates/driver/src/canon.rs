@@ -12,6 +12,13 @@
 //! 2. buffers are renamed `b0, b1, …` in first-occurrence order over the
 //!    canonicalized tree.
 //!
+//! Both steps take one pass over the tree. The name-blind key of a subtree
+//! is its S-expression with every buffer printed as `_`; the sort builds
+//! each node's key from its children's keys on the way up, so no subtree is
+//! renamed or printed again for each of its ancestors. The keys, and so
+//! the canonical forms and cache keys, are the strings a whole-subtree
+//! print gives (the tests hold the two to each other).
+//!
 //! The mapping back is a bijection, so a cached compilation is replayed
 //! for a new tile by renaming canonical buffers to the tile's buffers in
 //! every artifact (HVX expression, Uber-IR expression, trace strings).
@@ -22,7 +29,7 @@
 
 use std::collections::HashMap;
 
-use halide_ir::{Binary, BroadcastLoad, Cast, Expr, Load, Shift};
+use halide_ir::{BinOp, Binary, BroadcastLoad, Cast, Expr, Load, Shift, ShiftDir};
 use hvx::{HvxExpr, Op, ScalarOperand};
 use uber_ir::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
 
@@ -40,7 +47,7 @@ pub struct Canonical {
 
 /// Canonicalize `e` for cache addressing.
 pub fn canonicalize(e: &Expr) -> Canonical {
-    let sorted = sort_commutative(e);
+    let (sorted, _) = sort_commutative(e);
     let mut order: Vec<String> = Vec::new();
     buffer_order(&sorted, &mut order);
     let mut to_canonical = HashMap::new();
@@ -54,39 +61,51 @@ pub fn canonicalize(e: &Expr) -> Canonical {
     Canonical { expr, to_original, to_canonical }
 }
 
-/// Recursively sort commutative operands by their name-blind key. Stable:
-/// equal keys keep source order, which the canonical renaming then makes
+/// Recursively sort commutative operands by their name-blind key: the
+/// S-expression with every buffer printed as `_`. Returns the sorted tree
+/// with its key, each node's key built from its children's in one
+/// bottom-up pass, so a node's own tokens are printed once. Stable: equal
+/// keys keep source order, which the canonical renaming then makes
 /// irrelevant (alpha-equivalent inputs collide either way).
-fn sort_commutative(e: &Expr) -> Expr {
+fn sort_commutative(e: &Expr) -> (Expr, String) {
     match e {
-        Expr::Load(_) | Expr::Broadcast(_) | Expr::BroadcastLoad(_) => e.clone(),
-        Expr::Cast(c) => Expr::Cast(Cast {
-            to: c.to,
-            saturating: c.saturating,
-            arg: Box::new(sort_commutative(&c.arg)),
-        }),
-        Expr::Shift(s) => Expr::Shift(Shift {
-            dir: s.dir,
-            amount: s.amount,
-            arg: Box::new(sort_commutative(&s.arg)),
-        }),
-        Expr::Binary(b) => {
-            let lhs = sort_commutative(&b.lhs);
-            let rhs = sort_commutative(&b.rhs);
-            let (lhs, rhs) = if b.op.is_commutative() && blind_key(&rhs) < blind_key(&lhs) {
-                (rhs, lhs)
-            } else {
-                (lhs, rhs)
+        Expr::Load(l) => (e.clone(), format!("(load _ {} {} {})", l.ty, l.dx, l.dy)),
+        Expr::Broadcast(b) => (e.clone(), format!("(bcast {} {})", b.value, b.ty)),
+        Expr::BroadcastLoad(b) => (e.clone(), format!("(bcast-load _ {} {} {})", b.x, b.dy, b.ty)),
+        Expr::Cast(c) => {
+            let (arg, key) = sort_commutative(&c.arg);
+            let head = if c.saturating { "sat-cast" } else { "cast" };
+            let key = format!("({head} {} {key})", c.to);
+            (Expr::Cast(Cast { to: c.to, saturating: c.saturating, arg: Box::new(arg) }), key)
+        }
+        Expr::Shift(s) => {
+            let (arg, key) = sort_commutative(&s.arg);
+            let head = match s.dir {
+                ShiftDir::Left => "shl",
+                ShiftDir::Right => "shr",
             };
-            Expr::Binary(Binary { op: b.op, lhs: Box::new(lhs), rhs: Box::new(rhs) })
+            let key = format!("({head} {key} {})", s.amount);
+            (Expr::Shift(Shift { dir: s.dir, amount: s.amount, arg: Box::new(arg) }), key)
+        }
+        Expr::Binary(b) => {
+            let mut lhs = sort_commutative(&b.lhs);
+            let mut rhs = sort_commutative(&b.rhs);
+            if b.op.is_commutative() && rhs.1 < lhs.1 {
+                std::mem::swap(&mut lhs, &mut rhs);
+            }
+            let head = match b.op {
+                BinOp::Add => "add",
+                BinOp::Sub => "sub",
+                BinOp::Mul => "mul",
+                BinOp::Min => "min",
+                BinOp::Max => "max",
+                BinOp::Absd => "absd",
+            };
+            let key = format!("({head} {} {})", lhs.1, rhs.1);
+            let (lhs, rhs) = (Box::new(lhs.0), Box::new(rhs.0));
+            (Expr::Binary(Binary { op: b.op, lhs, rhs }), key)
         }
     }
-}
-
-/// A structural key that ignores buffer names: the canonical S-expression
-/// with every buffer replaced by `_`.
-fn blind_key(e: &Expr) -> String {
-    halide_ir::sexpr::to_sexpr(&rename_expr_with(e, &|_| "_".to_owned()))
 }
 
 fn buffer_order(e: &Expr, order: &mut Vec<String>) {
@@ -283,6 +302,78 @@ mod tests {
         let e3 = mul(bcast_load("k", 4, 0, U8), load("data", U8, 0, 0));
         assert_eq!(canonicalize(&e1).expr, canonicalize(&e2).expr);
         assert_ne!(canonicalize(&e2).expr, canonicalize(&e3).expr);
+    }
+
+    /// Whole-subtree sorting: each binary node renames and prints both
+    /// operands to compare them, so every node is printed once per
+    /// ancestor. The reference [`sort_commutative`] must agree with.
+    fn reference_sort(e: &Expr) -> Expr {
+        match e {
+            Expr::Load(_) | Expr::Broadcast(_) | Expr::BroadcastLoad(_) => e.clone(),
+            Expr::Cast(c) => Expr::Cast(Cast {
+                to: c.to,
+                saturating: c.saturating,
+                arg: Box::new(reference_sort(&c.arg)),
+            }),
+            Expr::Shift(s) => Expr::Shift(Shift {
+                dir: s.dir,
+                amount: s.amount,
+                arg: Box::new(reference_sort(&s.arg)),
+            }),
+            Expr::Binary(b) => {
+                let lhs = reference_sort(&b.lhs);
+                let rhs = reference_sort(&b.rhs);
+                let (lhs, rhs) = if b.op.is_commutative()
+                    && reference_blind_key(&rhs) < reference_blind_key(&lhs)
+                {
+                    (rhs, lhs)
+                } else {
+                    (lhs, rhs)
+                };
+                Expr::Binary(Binary { op: b.op, lhs: Box::new(lhs), rhs: Box::new(rhs) })
+            }
+        }
+    }
+
+    fn reference_blind_key(e: &Expr) -> String {
+        halide_ir::sexpr::to_sexpr(&rename_expr_with(e, &|_| "_".to_owned()))
+    }
+
+    fn reference_canonical(e: &Expr) -> Expr {
+        let sorted = reference_sort(e);
+        let mut order = Vec::new();
+        buffer_order(&sorted, &mut order);
+        let map = order.iter().enumerate().map(|(i, n)| (n.clone(), format!("b{i}"))).collect();
+        rename_expr(&sorted, &map)
+    }
+
+    #[test]
+    fn bottom_up_keys_match_whole_subtree_keys() {
+        let rake = rake::Rake::new(rake::Target::hvx_small(8));
+        let driver = crate::Driver::new(rake.clone());
+        let fingerprint = crate::fingerprint(rake.target(), &rake.options());
+        let cfg = oracle::GenConfig { max_nodes: 64, ..oracle::GenConfig::default() };
+        let mut rng = lanes::rng::Rng::seed_from_u64(0xB0770);
+        let mut exprs: Vec<Expr> = (0..500).map(|_| oracle::gen_expr(&mut rng, &cfg)).collect();
+        exprs.extend(workloads::all().into_iter().flat_map(|w| w.exprs));
+        for e in &exprs {
+            let map: HashMap<String, String> = halide_ir::analysis::buffers_used(e)
+                .into_iter()
+                .map(|n| (n.clone(), format!("z_{n}")))
+                .collect();
+            let renamed = rename_expr(e, &map);
+            let commuted = swap_commutative(&renamed, &mut rng);
+            for v in [e, &renamed, &commuted] {
+                let text = halide_ir::sexpr::to_sexpr(v);
+                let (sorted, key) = sort_commutative(v);
+                assert_eq!(sorted, reference_sort(v), "{text}");
+                assert_eq!(key, reference_blind_key(&sorted), "{text}");
+                let canonical = reference_canonical(v);
+                assert_eq!(canonicalize(v).expr, canonical, "{text}");
+                let key = format!("{}|{fingerprint}", halide_ir::sexpr::to_sexpr(&canonical));
+                assert_eq!(driver.cache_key(v), key, "{text}");
+            }
+        }
     }
 
     /// Recursively swap commutative operands at random: a semantics- and

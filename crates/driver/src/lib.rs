@@ -13,8 +13,10 @@
 //!   entry regardless of buffer naming. Keys also fingerprint the target
 //!   geometry and search options. An optional JSON file layer gives warm
 //!   starts across processes.
-//! * **Parallel execution**: a fixed pool of worker threads drains a
-//!   deduplicated job list; results are reported in input order.
+//! * **Parallel execution**: up to [`DriverConfig::workers`] workers drain
+//!   a deduplicated job list, the calling thread being one of them, so a
+//!   one-job batch (a warm cache hit, say) spawns no thread; results are
+//!   reported in input order.
 //! * **Graceful degradation** ([`tier`]): a job that times out or panics
 //!   under full synthesis is retried down a ladder of cheaper
 //!   configurations — reduced budgets, then direct per-op lowering —
@@ -62,7 +64,7 @@ pub mod tier;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use halide_ir::Expr;
@@ -132,11 +134,18 @@ pub struct DriverConfig {
     pub cancel: Option<synth::CancelFlag>,
 }
 
+/// The machine's core count, read once per process: on Linux
+/// `available_parallelism` reads cgroup files, and a server builds a
+/// [`DriverConfig::default`] for every request.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 impl Default for DriverConfig {
     fn default() -> DriverConfig {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8);
         DriverConfig {
-            workers,
+            workers: cores().min(8),
             job_timeout: None,
             tiers: Tier::ladder().to_vec(),
             max_retries: 1,
@@ -433,23 +442,35 @@ impl Driver {
         cache_key(&self.rake, e)
     }
 
-    fn key_of(&self, canonical: &canon::Canonical) -> String {
-        format!(
-            "{}|{}",
-            halide_ir::sexpr::to_sexpr(&canonical.expr),
-            fingerprint(self.rake.target(), &self.rake.options())
-        )
+    /// Canonicalize an input once: its cache key (the string
+    /// [`Driver::cache_key`] returns) and canonical form, to inspect with
+    /// [`Prepared::key`] and then compile with [`Driver::compile_prepared`]
+    /// without canonicalizing it again.
+    pub fn prepare(&self, expr: Expr) -> Prepared {
+        let canonical = canon::canonicalize(&expr);
+        let key = key_of(&self.rake, &canonical.expr);
+        Prepared { expr, canonical, key }
+    }
+
+    /// Compile a batch of prepared expressions. Results come back in input
+    /// order.
+    pub fn compile_prepared(&self, jobs: Vec<Prepared>) -> BatchReport {
+        self.run(jobs.into_iter().map(|p| (None, p)).collect(), None)
     }
 
     /// Compile a batch of expressions. Results come back in input order.
     pub fn compile_batch(&self, exprs: &[Expr]) -> BatchReport {
-        self.run(exprs.iter().map(|e| (None, e.clone())).collect(), None)
+        self.compile_prepared(exprs.iter().map(|e| self.prepare(e.clone())).collect())
     }
 
     /// Compile a batch of labeled expressions (labels show up in events
     /// and the summary table). Results come back in input order.
     pub fn compile_batch_named(&self, jobs: Vec<(String, Expr)>) -> BatchReport {
-        self.run(jobs.into_iter().map(|(name, e)| (Some(name), e)).collect(), None)
+        self.run(self.prepare_named(jobs), None)
+    }
+
+    fn prepare_named(&self, jobs: Vec<(String, Expr)>) -> Vec<(Option<String>, Prepared)> {
+        jobs.into_iter().map(|(name, e)| (Some(name), self.prepare(e))).collect()
     }
 
     /// Resume an interrupted batch: replay every job whose `job_completed`
@@ -462,13 +483,13 @@ impl Driver {
     /// on disk this is an ordinary [`Driver::compile_batch`].
     pub fn resume(&self, exprs: &[Expr]) -> BatchReport {
         let replay = self.load_journal();
-        self.run(exprs.iter().map(|e| (None, e.clone())).collect(), replay)
+        self.run(exprs.iter().map(|e| (None, self.prepare(e.clone()))).collect(), replay)
     }
 
     /// [`Driver::resume`] over labeled expressions.
     pub fn resume_named(&self, jobs: Vec<(String, Expr)>) -> BatchReport {
         let replay = self.load_journal();
-        self.run(jobs.into_iter().map(|(name, e)| (Some(name), e)).collect(), replay)
+        self.run(self.prepare_named(jobs), replay)
     }
 
     fn load_journal(&self) -> Option<HashMap<String, ReplayRecord>> {
@@ -482,33 +503,23 @@ impl Driver {
 
     fn run(
         &self,
-        inputs: Vec<(Option<String>, Expr)>,
+        inputs: Vec<(Option<String>, Prepared)>,
         replay: Option<HashMap<String, ReplayRecord>>,
     ) -> BatchReport {
         let batch_start = Instant::now();
 
-        // Canonicalize every input and deduplicate by cache key. The first
-        // occurrence of each key becomes the unique job that actually runs.
-        let mut unique: Vec<UniqueJob> = Vec::new();
-        let mut by_key: HashMap<String, usize> = HashMap::new();
-        let mut plan: Vec<InputPlan> = Vec::new();
-        for (name, expr) in inputs {
-            let canonical = canon::canonicalize(&expr);
-            let key = self.key_of(&canonical);
-            let (unique_index, primary) = match by_key.get(&key) {
-                Some(&u) => (u, false),
-                None => {
-                    let u = unique.len();
-                    by_key.insert(key.clone(), u);
-                    unique.push(UniqueJob {
-                        key: key.clone(),
-                        expr: expr.clone(),
-                        to_canonical: canonical.to_canonical.clone(),
-                    });
-                    (u, true)
-                }
-            };
-            plan.push(InputPlan { name, expr, canonical, key, unique_index, primary });
+        // Deduplicate by cache key. The first occurrence of each key
+        // becomes the unique job that actually runs.
+        let mut unique: Vec<&Prepared> = Vec::new();
+        let mut by_key: HashMap<&str, usize> = HashMap::new();
+        let mut unique_of: Vec<(usize, bool)> = Vec::with_capacity(inputs.len());
+        for (_, input) in &inputs {
+            let next = unique.len();
+            let u = *by_key.entry(&input.key).or_insert(next);
+            if u == next {
+                unique.push(input);
+            }
+            unique_of.push((u, u == next));
         }
 
         // The journal streams from here on: the batch header immediately,
@@ -529,12 +540,12 @@ impl Driver {
         let journal = journal.as_deref();
         let mut batch_span = trace::span("driver.batch", "driver");
         if batch_span.is_active() {
-            batch_span.arg("jobs", plan.len());
+            batch_span.arg("jobs", inputs.len());
             batch_span.arg("unique", unique.len());
             batch_span.arg("workers", self.config.workers.max(1));
         }
         let started = DriverEvent::BatchStarted {
-            jobs: plan.len(),
+            jobs: inputs.len(),
             unique: unique.len(),
             workers: self.config.workers.max(1),
             cache_entries: self.cache.len(),
@@ -555,12 +566,14 @@ impl Driver {
 
         // Assemble per-input results in input order, renaming the
         // canonical artifacts back to each input's own buffer names.
-        let mut results = Vec::with_capacity(plan.len());
+        let mut results = Vec::with_capacity(inputs.len());
         let mut stats = SynthStats::default();
         let target = self.rake.target();
-        for (index, input) in plan.into_iter().enumerate() {
-            let ur = &unique_results[input.unique_index];
-            let cache_hit = ur.cache_hit || !input.primary;
+        for (index, ((name, input), (unique_index, primary))) in
+            inputs.into_iter().zip(unique_of).enumerate()
+        {
+            let ur = &unique_results[unique_index];
+            let cache_hit = ur.cache_hit || !primary;
             let (outcome, job_stats) = match &ur.outcome {
                 UniqueOutcome::Compiled { artifacts, stats: fresh } => {
                     let hvx = canon::rename_hvx(&artifacts.hvx, &input.canonical.to_original);
@@ -614,7 +627,7 @@ impl Driver {
             if let Some(v) = &validation {
                 events.push(DriverEvent::JobValidated {
                     job: index,
-                    name: input.name.clone(),
+                    name: name.clone(),
                     key: input.key.clone(),
                     checks: v.checks,
                     mismatches: v.mismatches,
@@ -629,7 +642,7 @@ impl Driver {
             };
             events.push(DriverEvent::JobFinished(JobRecord {
                 index,
-                name: input.name.clone(),
+                name: name.clone(),
                 key: input.key.clone(),
                 cache_hit,
                 queue_wait: ur.queue_wait,
@@ -645,7 +658,7 @@ impl Driver {
             }));
             results.push(JobResult {
                 index,
-                name: input.name,
+                name,
                 key: input.key,
                 cache_hit,
                 outcome,
@@ -708,13 +721,14 @@ impl Driver {
         Some(ValidationOutcome { checks: report.checks, mismatches: report.failures.len() })
     }
 
-    /// Run the unique jobs on the worker pool; results indexed like
-    /// `jobs`. Each completed job is journaled (append + flush) and its
-    /// fresh cache entries persisted before the next job is picked up, so
-    /// a crash loses at most the in-flight jobs.
+    /// Run the unique jobs; results indexed like `jobs`. The calling thread
+    /// works the queue beside `min(workers, jobs) - 1` spawned threads, so
+    /// a one-job batch spawns none. Each completed job is journaled
+    /// (append + flush) and its fresh cache entries persisted before the
+    /// next job is picked up, so a crash loses at most the in-flight jobs.
     fn drain_queue(
         &self,
-        jobs: &[UniqueJob],
+        jobs: &[&Prepared],
         batch_start: Instant,
         replay: Option<&HashMap<String, ReplayRecord>>,
         journal: Option<&Journal>,
@@ -723,74 +737,77 @@ impl Driver {
         let queue: Mutex<std::collections::VecDeque<usize>> = Mutex::new((0..jobs.len()).collect());
         let slots: Mutex<Vec<Option<UniqueResult>>> = Mutex::new(vec![None; jobs.len()]);
         let workers = self.config.workers.max(1).min(jobs.len().max(1));
-        // Worker threads inherit the batch's span context explicitly:
-        // thread-local span stacks do not cross thread::scope.
+        let work = || loop {
+            let Some(job_index) =
+                queue.lock().expect("no worker panics holding the queue").pop_front()
+            else {
+                break;
+            };
+            let job = jobs[job_index];
+            let result = self.run_unique(job, batch_start, replay);
+            // WAL ordering: make the artifacts durable first, then the
+            // journal record that promises them. (A record without its
+            // cache entry is self-healing on resume; a cache entry without
+            // its record is just a warm hit.)
+            if !result.cache_hit
+                && matches!(
+                    result.outcome,
+                    UniqueOutcome::Compiled { .. } | UniqueOutcome::Failed(_)
+                )
+            {
+                if let Err(err) = self.cache.persist() {
+                    eprintln!("warning: failed to persist synthesis cache: {err}");
+                }
+            }
+            let event = DriverEvent::JobCompleted {
+                key: job.key.clone(),
+                outcome: result.kind(),
+                detail: match &result.outcome {
+                    UniqueOutcome::Failed(err) => Some(cache::error_name(err).to_owned()),
+                    UniqueOutcome::Panicked(msg) => Some(msg.clone()),
+                    UniqueOutcome::Quarantined(reason) => Some(reason.clone()),
+                    _ => None,
+                },
+                tier: result.tier(),
+                retries: result.retries,
+                fault_injected: result.fault_injected,
+                replayed: result.replayed,
+                run_time: result.run_time,
+            };
+            if let Some(journal) = journal {
+                // WAL durability is only worth an fsync when the record
+                // prevents redoing real work on resume; a cache-hit
+                // completion is re-derivable instantly.
+                if result.cache_hit {
+                    journal.append_relaxed(&event);
+                } else {
+                    journal.append(&event);
+                }
+            }
+            if let Some(sink) = &self.sink {
+                sink(&event);
+            }
+            completed.lock().expect("no worker panics holding the events").push(event);
+            slots.lock().expect("no worker panics holding the slots")[job_index] = Some(result);
+        };
+        // Spawned workers inherit the batch's span context explicitly:
+        // thread-local span stacks do not cross thread::scope. The calling
+        // thread's spans nest under the batch span as they are.
         let span_ctx = trace::current();
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 1..workers {
                 scope.spawn(|| {
                     let _adopted = span_ctx.map(trace::adopt);
-                    loop {
-                        let Some(job_index) = queue.lock().unwrap().pop_front() else {
-                            break;
-                        };
-                        let job = &jobs[job_index];
-                        let result = self.run_unique(job, batch_start, replay);
-                        // WAL ordering: make the artifacts durable first, then
-                        // the journal record that promises them. (A record
-                        // without its cache entry is self-healing on resume; a
-                        // cache entry without its record is just a warm hit.)
-                        if !result.cache_hit
-                            && matches!(
-                                result.outcome,
-                                UniqueOutcome::Compiled { .. } | UniqueOutcome::Failed(_)
-                            )
-                        {
-                            if let Err(err) = self.cache.persist() {
-                                eprintln!("warning: failed to persist synthesis cache: {err}");
-                            }
-                        }
-                        let event = DriverEvent::JobCompleted {
-                            key: job.key.clone(),
-                            outcome: result.kind(),
-                            detail: match &result.outcome {
-                                UniqueOutcome::Failed(err) => {
-                                    Some(cache::error_name(err).to_owned())
-                                }
-                                UniqueOutcome::Panicked(msg) => Some(msg.clone()),
-                                UniqueOutcome::Quarantined(reason) => Some(reason.clone()),
-                                _ => None,
-                            },
-                            tier: result.tier(),
-                            retries: result.retries,
-                            fault_injected: result.fault_injected,
-                            replayed: result.replayed,
-                            run_time: result.run_time,
-                        };
-                        if let Some(journal) = journal {
-                            // WAL durability is only worth an fsync when the
-                            // record prevents redoing real work on resume; a
-                            // cache-hit completion is re-derivable instantly.
-                            if result.cache_hit {
-                                journal.append_relaxed(&event);
-                            } else {
-                                journal.append(&event);
-                            }
-                        }
-                        if let Some(sink) = &self.sink {
-                            sink(&event);
-                        }
-                        completed.lock().unwrap().push(event);
-                        slots.lock().unwrap()[job_index] = Some(result);
-                    }
+                    work();
                 });
             }
+            work();
         });
         slots
             .into_inner()
             .unwrap()
             .into_iter()
-            .map(|r| r.expect("worker pool drained the whole queue"))
+            .map(|r| r.expect("the workers drained the whole queue"))
             .collect()
     }
 
@@ -800,7 +817,7 @@ impl Driver {
     /// storing the (canonicalized) result.
     fn run_unique(
         &self,
-        job: &UniqueJob,
+        job: &Prepared,
         batch_start: Instant,
         replay: Option<&HashMap<String, ReplayRecord>>,
     ) -> UniqueResult {
@@ -819,7 +836,7 @@ impl Driver {
 
     fn run_unique_inner(
         &self,
-        job: &UniqueJob,
+        job: &Prepared,
         batch_start: Instant,
         replay: Option<&HashMap<String, ReplayRecord>>,
     ) -> UniqueResult {
@@ -940,8 +957,8 @@ impl Driver {
                 match result {
                     Ok(Ok(c)) => {
                         let artifacts = CachedArtifacts {
-                            uber: canon::rename_uber(&c.uber, &job.to_canonical),
-                            hvx: canon::rename_hvx(&c.hvx, &job.to_canonical),
+                            uber: canon::rename_uber(&c.uber, &job.canonical.to_canonical),
+                            hvx: canon::rename_hvx(&c.hvx, &job.canonical.to_canonical),
                             trace: c.trace,
                             tier,
                         };
@@ -1013,7 +1030,7 @@ impl Driver {
     /// panic.
     fn compile_attempt(
         &self,
-        job: &UniqueJob,
+        job: &Prepared,
         tier: Tier,
         deadline: Option<Instant>,
         fault_injected: &mut bool,
@@ -1055,21 +1072,21 @@ impl Driver {
     }
 }
 
-/// One deduplicated job: the first-seen original expression for a key and
-/// the renaming that takes its buffers to canonical form.
-struct UniqueJob {
-    key: String,
-    expr: Expr,
-    to_canonical: HashMap<String, String>,
-}
-
-struct InputPlan {
-    name: Option<String>,
+/// An input expression with its canonical form and cache key, computed
+/// once by [`Driver::prepare`].
+#[derive(Debug, Clone)]
+pub struct Prepared {
     expr: Expr,
     canonical: canon::Canonical,
     key: String,
-    unique_index: usize,
-    primary: bool,
+}
+
+impl Prepared {
+    /// The content-addressed cache key: what [`Driver::cache_key`] returns
+    /// for the same expression.
+    pub fn key(&self) -> &str {
+        &self.key
+    }
 }
 
 #[derive(Clone)]
@@ -1158,10 +1175,13 @@ fn fingerprint(target: rake::Target, opts: &LoweringOptions) -> String {
 /// serving layer's worker-pool dispatch computes keys inside a closure
 /// that outlives its per-request driver).
 pub fn cache_key(rake: &Rake, e: &Expr) -> String {
-    let canonical = canon::canonicalize(e);
+    key_of(rake, &canon::canonicalize(e).expr)
+}
+
+fn key_of(rake: &Rake, canonical: &Expr) -> String {
     format!(
         "{}|{}",
-        halide_ir::sexpr::to_sexpr(&canonical.expr),
+        halide_ir::sexpr::to_sexpr(canonical),
         fingerprint(rake.target(), &rake.options())
     )
 }

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use halide_ir::builder::*;
@@ -207,6 +207,74 @@ fn stress_one_synthesis_per_unique_key_and_stable_order() {
         rep.results.iter().map(|r| r.key.clone()).collect::<Vec<_>>()
     };
     assert_eq!(keys(&report), keys(&again));
+}
+
+#[test]
+fn one_job_batch_runs_on_the_calling_thread() {
+    let rake = rake8();
+    let inner = rake.clone();
+    let ran_on = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&ran_on);
+    let driver = Driver::new(rake)
+        .with_config(DriverConfig { workers: 4, ..DriverConfig::default() })
+        .with_compile_fn(move |e: &Expr, _, _, _| {
+            seen.lock().unwrap().push(std::thread::current().id());
+            inner.compile(e)
+        });
+    let report = driver.compile_batch(&[pair_sum("in")]);
+    assert_eq!(report.compiled(), 1);
+    assert_eq!(*ran_on.lock().unwrap(), vec![std::thread::current().id()]);
+}
+
+#[test]
+fn two_jobs_on_two_workers_run_at_once() {
+    // Each compile waits, up to a bound, until both have started: run one
+    // after the other, the first one's wait times out.
+    let started = Arc::new((Mutex::new(0usize), Condvar::new()));
+    let overlapped = Arc::new(AtomicUsize::new(0));
+    let rake = rake8();
+    let inner = rake.clone();
+    let compile = {
+        let overlapped = Arc::clone(&overlapped);
+        move |e: &Expr, _, _, _| {
+            let (count, cv) = &*started;
+            let mut n = count.lock().unwrap();
+            *n += 1;
+            cv.notify_all();
+            let (n, wait) = cv.wait_timeout_while(n, Duration::from_secs(5), |n| *n < 2).unwrap();
+            drop(n);
+            if !wait.timed_out() {
+                overlapped.fetch_add(1, Ordering::SeqCst);
+            }
+            inner.compile(e)
+        }
+    };
+    let driver = Driver::new(rake)
+        .with_config(DriverConfig { workers: 2, ..DriverConfig::default() })
+        .with_compile_fn(compile);
+    let report =
+        driver.compile_batch(&[pair_sum("in"), absd(load("a", U8, 0, 0), load("b", U8, 0, 0))]);
+    assert_eq!(report.compiled(), 2);
+    assert_eq!(overlapped.load(Ordering::SeqCst), 2, "the two jobs ran one after the other");
+}
+
+#[test]
+fn prepared_inputs_compile_like_a_batch() {
+    let exprs = [pair_sum("in"), pair_sum("img"), absd(load("a", U8, 0, 0), load("b", U8, 0, 0))];
+    let driver = Driver::new(rake8());
+    let prepared: Vec<_> = exprs.iter().map(|e| driver.prepare(e.clone())).collect();
+    for (p, e) in prepared.iter().zip(&exprs) {
+        assert_eq!(p.key(), driver.cache_key(e));
+    }
+    let fresh = Driver::new(rake8()).compile_batch(&exprs);
+    let report = driver.compile_prepared(prepared);
+    let summary = |r: &rake_driver::BatchReport| {
+        r.results
+            .iter()
+            .map(|j| (j.key.clone(), j.cache_hit, j.program().map(ToString::to_string)))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(summary(&report), summary(&fresh));
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! HVX expression trees — the form Rake grafts back into the pipeline.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -104,21 +105,25 @@ impl HvxExpr {
     }
 
     /// Flatten the tree into an SSA program with common-subexpression
-    /// elimination (identical subtrees evaluate once).
+    /// elimination (identical subtrees evaluate once). One post-order pass:
+    /// a node is identified by its operation and its arguments'
+    /// instruction ids, so no subtree is hashed or cloned whole.
     pub fn to_program(&self) -> Program {
-        fn go(
-            e: &HvxExpr,
-            memo: &mut HashMap<HvxExpr, usize>,
+        fn go<'a>(
+            e: &'a HvxExpr,
+            memo: &mut HashMap<(&'a Op, Vec<usize>), usize>,
             instrs: &mut Vec<Instr>,
         ) -> usize {
-            if let Some(&id) = memo.get(e) {
-                return id;
-            }
             let args: Vec<usize> = e.args.iter().map(|a| go(a, memo, instrs)).collect();
-            let id = instrs.len();
-            instrs.push(Instr { op: e.op.clone(), args });
-            memo.insert(e.clone(), id);
-            id
+            match memo.entry((&e.op, args)) {
+                Entry::Occupied(seen) => *seen.get(),
+                Entry::Vacant(slot) => {
+                    let id = instrs.len();
+                    instrs.push(Instr { op: e.op.clone(), args: slot.key().1.clone() });
+                    slot.insert(id);
+                    id
+                }
+            }
         }
         let mut memo = HashMap::new();
         let mut instrs = Vec::new();

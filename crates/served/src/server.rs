@@ -18,8 +18,10 @@
 //! A fixed number of compile permits bounds concurrent synthesis; a
 //! bounded wait queue sits in front of the permits, and everything past
 //! it is answered `429 Too Many Requests` with `Retry-After`. Synthesis
-//! is serial within a job, so a request runs at most its driver's four
-//! worker threads, and the permits bound how many requests run at once.
+//! is serial within a job, so a request runs at most four jobs at once
+//! (its driver's workers, the connection's own thread among them), and the
+//! permits bound how many requests run at once. A one-expression request
+//! spawns no thread.
 //!
 //! ## Cancellation
 //!
@@ -56,7 +58,7 @@ use std::time::{Duration, Instant};
 use driver::cache::SynthCache;
 use driver::event::DriverEvent;
 use driver::json::{self, Json, ParseLimits};
-use driver::{CacheLimits, Driver, DriverConfig, JobOutcome, Journal, Tier};
+use driver::{CacheLimits, Driver, DriverConfig, JobOutcome, Journal, Prepared, Tier};
 use halide_ir::Expr;
 use hvx::SlotBudget;
 use rake::{CompileError, Compiled, Rake, Target};
@@ -750,7 +752,7 @@ fn route(
 
 /// Per-request knobs decoded from the `/compile` body.
 struct CompileRequest {
-    exprs: Vec<(String, Expr)>,
+    exprs: Vec<Expr>,
     lanes: usize,
     timeout: Option<Duration>,
     validate: bool,
@@ -808,7 +810,7 @@ fn parse_compile_request(shared: &Shared, body: &[u8]) -> Result<CompileRequest,
         }
         let expr = halide_ir::sexpr::parse(s.trim())
             .map_err(|e| bad(format!("expression {i}: {e}")))?;
-        exprs.push((s.clone(), expr));
+        exprs.push(expr);
     }
 
     let lanes = match doc.get("lanes") {
@@ -974,8 +976,11 @@ fn handle_compile_inner(
         driver = driver.with_compile_fn(sleeping_compile_fn(&base, ms));
     }
 
-    let expr_keys: Vec<String> =
-        parsed.exprs.iter().map(|(_, e)| driver.cache_key(e)).collect();
+    // Each expression is canonicalized once, here: its key serves the
+    // verdict cache, the warm check and single-flight, and the prepared
+    // form goes to the driver as it is.
+    let prepared: Vec<Prepared> = parsed.exprs.into_iter().map(|e| driver.prepare(e)).collect();
+    let expr_keys: Vec<String> = prepared.iter().map(|p| p.key().to_owned()).collect();
 
     // Remembered timeout verdicts (see [`VerdictCache`]): any expression
     // that recently timed out under the same knobs is answered from
@@ -1047,7 +1052,7 @@ fn handle_compile_inner(
     };
 
     shared.metrics.compile_started();
-    shared.metrics.exprs_submitted(parsed.exprs.len());
+    shared.metrics.exprs_submitted(prepared.len());
     let started = Instant::now();
 
     let mut memo_stats = (0u64, 0u64);
@@ -1067,9 +1072,12 @@ fn handle_compile_inner(
         // the cancel flag and the synthesis stops cooperatively.
         let monitor = cancel.and_then(|cancel| DisconnectMonitor::start(stream, cancel));
 
-        let exprs: Vec<Expr> =
-            to_compile.iter().map(|&i| parsed.exprs[i].1.clone()).collect();
-        let report = driver.compile_batch(&exprs);
+        let batch: Vec<Prepared> = prepared
+            .into_iter()
+            .zip(&slots)
+            .filter_map(|(p, slot)| slot.is_none().then_some(p))
+            .collect();
+        let report = driver.compile_prepared(batch);
 
         // The monitor is authoritative for mid-compile disconnects: a
         // small response written to a half-closed socket can still
@@ -1110,7 +1118,10 @@ fn handle_compile_inner(
 
     let results: Vec<Json> =
         slots.into_iter().map(|s| s.expect("every slot is filled")).collect();
-    let cache = shared.cache_snapshot();
+    // The counters the body prints, and no more: the full snapshot behind
+    // `/metrics` also stats two files and scans every entry under the lock
+    // that all connections share.
+    let stats = shared.cache.stats();
     let mut body: Vec<(String, Json)> = Vec::new();
     if let Some(tid) = trace_id {
         body.push(("trace_id".to_owned(), Json::Str(trace::fmt_id(tid))));
@@ -1120,9 +1131,9 @@ fn handle_compile_inner(
     body.push((
         "cache".to_owned(),
         Json::obj([
-            ("hits", cache.hits.into()),
-            ("misses", cache.misses.into()),
-            ("entries", cache.entries.into()),
+            ("hits", stats.hits.into()),
+            ("misses", stats.misses.into()),
+            ("entries", shared.cache.len().into()),
         ]),
     ));
     body.push((

@@ -142,6 +142,13 @@ fn isolated_compile_stitches_worker_smt_spans_under_the_job() {
         has_ancestor(&by_id, job, root.span),
         "driver.job must sit under http.request"
     );
+    // A one-expression batch runs its job on the connection thread itself,
+    // whose span stack already holds the batch span.
+    let batch = spans
+        .iter()
+        .find(|s| s.name == "driver.batch")
+        .expect("driver.batch span");
+    assert_eq!(job.parent, batch.span, "driver.job must nest under driver.batch");
 
     // The worker subprocess contributed its spans into the same tree:
     // `worker.compile` is parented (transitively) under the server-side

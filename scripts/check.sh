@@ -60,13 +60,19 @@ echo "== conform gate (metamorphic relations, full catalog, every proof decided)
 # (zero violations, >= 8 relations applied, untruncated). Deterministic
 # seed. Every proof in its trace must be decided: an "unknown" outcome
 # is a lifting step accepted on differential evidence alone. "sat" stays
-# allowed: the sweep's refuted candidates are correctly rejected.
+# allowed: the sweep's refuted candidates are correctly rejected. The
+# report is deterministic for its seed, so it must match the committed
+# results/conform-coverage.json byte for byte.
 conform_dir="$(mktemp -d /tmp/rake-conform-XXXXXX)"
 cargo run -q --release --offline --locked -p rake-bench --bin conform -- \
   --seed 0xRAKE --check --coverage-out "$conform_dir/coverage.json" \
   --trace-out "$conform_dir/trace.json"
 grep -q '"schema":"rake-conform-coverage-v1"' "$conform_dir/coverage.json" \
   || { echo "conform gate: coverage report missing its schema tag"; exit 1; }
+cmp "$conform_dir/coverage.json" results/conform-coverage.json \
+  || { echo "conform gate: results/conform-coverage.json is stale; regenerate it:" \
+         "cargo run --release -p rake-bench --bin conform --" \
+         "--seed 0xRAKE --check --coverage-out results/conform-coverage.json"; exit 1; }
 if grep -o '"outcome":"unknown"' "$conform_dir/trace.json"; then
   echo "conform gate: the SMT proofs above ran out of budget"
   exit 1
@@ -84,16 +90,16 @@ cargo run -q --release --offline --locked -p rake-bench --bin perf -- \
   --check "$perf_snapshot"
 rm -f "$perf_snapshot"
 
-echo "== rakebench (unit tests + fuzz-batch, full-width paper-suite and serve-mixed smokes)"
+echo "== rakebench (unit tests + fuzz-batch, full-width paper-suite, serve-mixed and serve-warm smokes)"
 # The benchmark of record is a package of its own, outside the workspace,
 # so the workspace steps above never build it. Its unit tests, then one
-# short fuzz-batch run, one short paper-suite run and one short
-# serve-mixed run: `bench` exits non-zero on a wrong output or a failed
-# unit. The paper-suite run checks every program at its full 64- or
-# 128-lane width against the Halide interpreter, which the quick-width
+# short run of each workload: `bench` exits non-zero on a wrong output or
+# a failed unit. The paper-suite run checks every program at its full 64-
+# or 128-lane width against the Halide interpreter, which the quick-width
 # goldens do not. The serve-mixed run drives rake-served's cold path (its
-# on-disk cache and journal included) and checks every served program.
-# No timing thresholds.
+# on-disk cache and journal included) and checks every served program;
+# the serve-warm run does the same for the warm path, where every request
+# is a renamed cache hit. No timing thresholds.
 cargo test -q --release --offline --locked --manifest-path rakebench/Cargo.toml
 cargo run -q --release --offline --locked --manifest-path rakebench/Cargo.toml -- \
   bench --workload fuzz-batch --seconds 3 --trace 0
@@ -101,6 +107,8 @@ cargo run -q --release --offline --locked --manifest-path rakebench/Cargo.toml -
   bench --workload paper-suite --seconds 3 --trace 0
 cargo run -q --release --offline --locked --manifest-path rakebench/Cargo.toml -- \
   bench --workload serve-mixed --seconds 3 --trace 0
+cargo run -q --release --offline --locked --manifest-path rakebench/Cargo.toml -- \
+  bench --workload serve-warm --seconds 3 --trace 0
 
 echo "== server smoke (rake-served round-trip, warm cache, metrics)"
 # Boots the compilation server on an ephemeral port, compiles three
