@@ -5,7 +5,7 @@
 //!
 //!   --workloads N   run only the first N workloads (CI smoke uses 3)
 //!   --full          full-width configuration (default: quick widths)
-//!   --no-memo       disable verdict/env/value/SMT-proof memoization
+//!   --no-memo       disable env/value/SMT-proof memoization
 //!   --jobs N        worker threads
 //!   --out PATH      output path (default: BENCH_4.json)
 //!   --check PATH    validate an existing snapshot's structure and exit
@@ -122,13 +122,13 @@ fn main() -> ExitCode {
         let ok = run.all_verified();
         all_verified &= ok;
         eprintln!(
-            "{:<16} {:>7.2?}  lift {:>6.2}s  smt {:>5}q/{:>6.2}s  memo {:>4} hits  {}",
+            "{:<16} {:>7.2?}  lift {:>6.2}s  smt {:>5}q/{:>6.2}s  {:>4} proof hits  {}",
             run.name,
             wall,
             run.stats.lifting_time.as_secs_f64(),
             run.stats.smt_queries,
             run.stats.smt_time.as_secs_f64(),
-            run.stats.verdict_cache_hits,
+            run.stats.proof_cache_hits,
             if ok { "verified" } else { "MISMATCH" },
         );
         let s = &run.stats;
@@ -143,7 +143,7 @@ fn main() -> ExitCode {
             ("sketching_queries", s.sketching_queries.into()),
             ("swizzling_queries", s.swizzling_queries.into()),
             ("smt_queries", s.smt_queries.into()),
-            ("verdict_cache_hits", s.verdict_cache_hits.into()),
+            ("proof_cache_hits", s.proof_cache_hits.into()),
             ("env_cache_hits", s.env_cache_hits.into()),
             ("cache_hits", s.cache_hits.into()),
             ("exprs", run.exprs.len().into()),
@@ -165,10 +165,9 @@ fn main() -> ExitCode {
         eprint!("{}", trace::slow_log_lines(&trace::drain_slow()));
     }
 
-    let screen_queries =
-        totals.lifting_queries + totals.sketching_queries + totals.swizzling_queries;
-    let verdict_rate = if screen_queries + totals.verdict_cache_hits > 0 {
-        totals.verdict_cache_hits as f64 / (screen_queries + totals.verdict_cache_hits) as f64
+    let proofs_asked = totals.smt_queries + totals.proof_cache_hits;
+    let proof_rate = if proofs_asked > 0 {
+        totals.proof_cache_hits as f64 / proofs_asked as f64
     } else {
         0.0
     };
@@ -199,10 +198,10 @@ fn main() -> ExitCode {
                 ("sketching_queries", totals.sketching_queries.into()),
                 ("swizzling_queries", totals.swizzling_queries.into()),
                 ("smt_queries", totals.smt_queries.into()),
-                ("verdict_cache_hits", totals.verdict_cache_hits.into()),
+                ("proof_cache_hits", totals.proof_cache_hits.into()),
                 ("env_cache_hits", totals.env_cache_hits.into()),
                 ("cache_hits", totals.cache_hits.into()),
-                ("verdict_hit_rate", Json::Num((verdict_rate * 1e4).round() / 1e4)),
+                ("proof_hit_rate", Json::Num((proof_rate * 1e4).round() / 1e4)),
                 ("verified", all_verified.into()),
             ]),
         ),
@@ -210,12 +209,12 @@ fn main() -> ExitCode {
     ]);
     std::fs::write(&args.out, format!("{doc}\n")).expect("write snapshot");
     eprintln!(
-        "total {:.2}s (lift {:.2}s, smt {:.2}s, {} verdict hits, {:.1}% hit rate) -> {}",
+        "total {:.2}s (lift {:.2}s, smt {:.2}s, {} proof-cache hits, {:.1}% hit rate) -> {}",
         total_wall.as_secs_f64(),
         totals.lifting_time.as_secs_f64(),
         totals.smt_time.as_secs_f64(),
-        totals.verdict_cache_hits,
-        verdict_rate * 100.0,
+        totals.proof_cache_hits,
+        proof_rate * 100.0,
         args.out,
     );
     if all_verified {
@@ -274,7 +273,7 @@ fn check_snapshot(path: &str) -> ExitCode {
         "smt_s",
         "lifting_queries",
         "smt_queries",
-        "verdict_cache_hits",
+        "proof_cache_hits",
         "env_cache_hits",
     ] {
         if !matches!(totals.get(key), Some(Json::Num(_))) {

@@ -236,7 +236,7 @@ impl Rake {
         let memo = verifier.memo_snapshot();
         stats.smt_queries += memo.smt_queries;
         stats.smt_time += memo.smt_time();
-        stats.verdict_cache_hits += memo.verdict_hits;
+        stats.proof_cache_hits += memo.proof_hits;
         stats.env_cache_hits += memo.env_hits;
         Ok(Compiled { uber, hvx, program, trace, stats })
     }

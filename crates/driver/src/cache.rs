@@ -570,9 +570,12 @@ impl SynthCache {
     /// not O(cache). When the log outgrows
     /// [`CacheLimits::log_compact_bytes`] (or loading found corruption),
     /// fold snapshot + log + memory into a fresh bounded snapshot via
-    /// tmp + rename and remove the log. With nothing pending this is a
-    /// no-op, so all-cache-hit batches (the serving layer's warm path)
-    /// never touch the disk.
+    /// tmp + rename and remove the log. With nothing pending this returns
+    /// before the persist lock, so all-cache-hit batches (the serving
+    /// layer's warm path) neither touch the disk nor wait behind another
+    /// batch's flush. A caller whose lines that flush took returns before
+    /// they are synced; the driver's journal tolerates that (a record
+    /// whose entry is missing recompiles on resume).
     ///
     /// # Errors
     ///
@@ -581,6 +584,9 @@ impl SynthCache {
     /// The un-flushed lines are re-queued, so a later persist retries.
     pub fn persist(&self) -> std::io::Result<()> {
         let (Some(path), Some(log_path)) = (&self.path, &self.log_path) else { return Ok(()) };
+        if self.mem.lock().unwrap().pending.is_empty() {
+            return Ok(());
+        }
         let _serialized = self.persist_lock.lock().unwrap();
         let lines: Vec<String> = std::mem::take(&mut self.mem.lock().unwrap().pending);
         if lines.is_empty() {
@@ -951,6 +957,23 @@ mod tests {
         assert_eq!(cache.stats().corrupted, 2);
         assert!(matches!(cache.lookup("good"), Some(CacheEntry::Failed(CompileError::LiftFailed))));
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn persist_with_nothing_pending_does_not_wait_for_a_flush() {
+        let dir = std::env::temp_dir().join("rake-driver-cache-nowait");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = SynthCache::persistent(&dir);
+        // Another batch is mid-flush: it holds the persist lock.
+        let flushing = cache.persist_lock.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(cache.persist().is_ok()).unwrap());
+            let returned = rx.recv_timeout(std::time::Duration::from_secs(5));
+            drop(flushing);
+            assert_eq!(returned, Ok(true), "a nothing-pending persist waited on the lock");
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use synth::SynthStats;
@@ -424,7 +424,8 @@ pub struct Journal {
 
 #[derive(Debug)]
 struct JournalInner {
-    file: std::fs::File,
+    /// Shared so a durable append can sync after releasing the lock.
+    file: Arc<std::fs::File>,
     bytes: u64,
 }
 
@@ -445,7 +446,7 @@ impl Journal {
         let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
         let bytes = file.metadata()?.len();
         Ok(Journal {
-            inner: Mutex::new(JournalInner { file, bytes }),
+            inner: Mutex::new(JournalInner { file: Arc::new(file), bytes }),
             path: path.to_owned(),
             rotate_bytes,
             rotations: AtomicU64::new(0),
@@ -482,28 +483,34 @@ impl Journal {
         self.write(event, false);
     }
 
+    /// Records are written in order under the writer lock; a durable
+    /// record's fsync runs after the lock is released, on a shared handle
+    /// to the file it was written to, so a relaxed append never waits
+    /// behind another writer's sync. The caller still returns only once
+    /// its record is synced (or folded into a synced rotation).
     fn write(&self, event: &DriverEvent, durable: bool) {
         let mut line = event.to_jsonl();
         line.push('\n');
-        let mut inner = self.inner.lock().unwrap();
-        let result = inner.file.write_all(line.as_bytes()).and_then(|()| {
-            if durable {
-                inner.file.sync_data()
-            } else {
-                Ok(())
-            }
-        });
-        match result {
-            Ok(()) => inner.bytes += line.len() as u64,
-            Err(err) => {
+        let file = {
+            let mut inner = self.inner.lock().unwrap();
+            if let Err(err) = (&*inner.file).write_all(line.as_bytes()) {
                 eprintln!("warning: failed to append event journal {}: {err}", self.path.display());
                 return;
             }
-        }
-        if self.rotate_bytes.is_some_and(|limit| inner.bytes > limit) {
-            if let Err(err) = self.rotate(&mut inner) {
-                eprintln!("warning: failed to rotate event journal {}: {err}", self.path.display());
+            inner.bytes += line.len() as u64;
+            let file = durable.then(|| Arc::clone(&inner.file));
+            if self.rotate_bytes.is_some_and(|limit| inner.bytes > limit) {
+                if let Err(err) = self.rotate(&mut inner) {
+                    eprintln!(
+                        "warning: failed to rotate event journal {}: {err}",
+                        self.path.display()
+                    );
+                }
             }
+            file
+        };
+        if let Some(Err(err)) = file.map(|f| f.sync_data()) {
+            eprintln!("warning: failed to sync event journal {}: {err}", self.path.display());
         }
     }
 
@@ -541,7 +548,8 @@ impl Journal {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, &self.path)?;
-        inner.file = std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
+        inner.file =
+            Arc::new(std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?);
         inner.bytes = inner.file.metadata()?.len();
         self.rotations.fetch_add(1, Ordering::Relaxed);
         Ok(())

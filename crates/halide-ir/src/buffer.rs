@@ -1,6 +1,7 @@
 //! 2-D input buffers and evaluation environments.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use lanes::ElemType;
 
@@ -11,6 +12,10 @@ use lanes::ElemType;
 /// Every element type is at most 32 bits wide, so a cell holds the value's
 /// 32-bit two's-complement pattern; [`Buffer2D::get`] returns the canonical
 /// `i64`.
+///
+/// Cells are shared: cloning a buffer or [renaming](Buffer2D::renamed) it
+/// copies no cells, and [`Buffer2D::set`] copies them on first write, so a
+/// write never shows through another holder of the same cells.
 ///
 /// # Example
 ///
@@ -29,7 +34,7 @@ pub struct Buffer2D {
     elem: ElemType,
     width: usize,
     height: usize,
-    data: Vec<i32>,
+    data: Arc<[i32]>,
 }
 
 impl Buffer2D {
@@ -53,7 +58,13 @@ impl Buffer2D {
                 data.push(elem.wrap(f(x, y)) as i32);
             }
         }
-        Buffer2D { name: name.to_owned(), elem, width, height, data }
+        Buffer2D { name: name.to_owned(), elem, width, height, data: data.into() }
+    }
+
+    /// The same cells under another name, sharing them rather than
+    /// copying.
+    pub fn renamed(&self, name: &str) -> Buffer2D {
+        Buffer2D { name: name.to_owned(), ..self.clone() }
     }
 
     /// A buffer filled with a constant.
@@ -98,14 +109,15 @@ impl Buffer2D {
         }
     }
 
-    /// Overwrite a site (wrapped into the element type).
+    /// Overwrite a site (wrapped into the element type). Cells shared with
+    /// another buffer are copied first.
     ///
     /// # Panics
     ///
     /// Panics if the coordinates are out of bounds — writes never clamp.
     pub fn set(&mut self, x: usize, y: usize, v: i64) {
         assert!(x < self.width && y < self.height, "write out of bounds");
-        self.data[y * self.width + x] = self.elem.wrap(v) as i32;
+        Arc::make_mut(&mut self.data)[y * self.width + x] = self.elem.wrap(v) as i32;
     }
 }
 
@@ -211,6 +223,15 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(env.iter().count(), 2);
+    }
+
+    #[test]
+    fn writes_do_not_show_through_shared_cells() {
+        let a = Buffer2D::from_fn("a", ElemType::U8, 2, 1, |x, _| x as i64);
+        let mut b = a.renamed("b");
+        assert_eq!((b.name(), b.get(1, 0)), ("b", 1));
+        b.set(1, 0, 9);
+        assert_eq!((a.get(1, 0), b.get(1, 0)), (1, 9));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! HVX expression trees — the form Rake grafts back into the pipeline.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 
 use halide_ir::Env;
-use lanes::ElemType;
+use lanes::{ElemType, FxHashMap};
 
 use crate::exec::{eval_op, ExecCtx, ExecError};
 use crate::ops::{Op, ScalarOperand};
@@ -111,7 +110,7 @@ impl HvxExpr {
     pub fn to_program(&self) -> Program {
         fn go<'a>(
             e: &'a HvxExpr,
-            memo: &mut HashMap<(&'a Op, Vec<usize>), usize>,
+            memo: &mut FxHashMap<(&'a Op, Vec<usize>), usize>,
             instrs: &mut Vec<Instr>,
         ) -> usize {
             let args: Vec<usize> = e.args.iter().map(|a| go(a, memo, instrs)).collect();
@@ -125,7 +124,7 @@ impl HvxExpr {
                 }
             }
         }
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         let mut instrs = Vec::new();
         let output = go(self, &mut memo, &mut instrs);
         Program::new(instrs, output)

@@ -27,11 +27,13 @@
 //! ```
 
 mod elem;
+mod fx;
 mod ops;
 pub mod rng;
 mod vector;
 
 pub use elem::ElemType;
+pub use fx::{FxHashMap, FxHasher};
 pub use ops::{
     absd, add_sat, add_wrap, asr, asr_rnd, asr_rnd_sat, avg, lsr, max, min, mul_wrap, navg, shl,
     sub_sat, sub_wrap,

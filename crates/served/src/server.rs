@@ -944,6 +944,9 @@ fn handle_compile_inner(
     disconnected: &AtomicBool,
     trace_id: Option<u64>,
 ) -> Response {
+    // The reported wall time covers the whole handler: parsing, keys and
+    // admission are the server's work too.
+    let started = Instant::now();
     if shared.draining.load(Ordering::SeqCst) {
         return Response::text(503, "draining\n");
     }
@@ -1053,7 +1056,6 @@ fn handle_compile_inner(
 
     shared.metrics.compile_started();
     shared.metrics.exprs_submitted(prepared.len());
-    let started = Instant::now();
 
     let mut memo_stats = (0u64, 0u64);
     if !to_compile.is_empty() {

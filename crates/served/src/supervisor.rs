@@ -781,7 +781,7 @@ fn parse_reply(reply: &Json) -> DispatchOutcome {
                     sketching_queries: count("sketching_queries"),
                     swizzling_queries: count("swizzling_queries"),
                     smt_queries: count("smt_queries"),
-                    verdict_cache_hits: count("verdict_cache_hits"),
+                    proof_cache_hits: count("proof_cache_hits"),
                     env_cache_hits: count("env_cache_hits"),
                     deadline_exceeded: stats
                         .and_then(|s| s.get("deadline_exceeded"))

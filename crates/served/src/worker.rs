@@ -302,7 +302,7 @@ fn compile_reply(job: &Job) -> Json {
                     ("sketching_queries", c.stats.sketching_queries.into()),
                     ("swizzling_queries", c.stats.swizzling_queries.into()),
                     ("smt_queries", c.stats.smt_queries.into()),
-                    ("verdict_cache_hits", c.stats.verdict_cache_hits.into()),
+                    ("proof_cache_hits", c.stats.proof_cache_hits.into()),
                     ("env_cache_hits", c.stats.env_cache_hits.into()),
                     ("deadline_exceeded", c.stats.deadline_exceeded.into()),
                 ]),

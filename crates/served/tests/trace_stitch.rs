@@ -47,6 +47,8 @@ struct Span {
     span: u64,
     parent: u64,
     pid: u64,
+    /// Duration in microseconds.
+    dur: i64,
 }
 
 /// Load and strictly decode a `rake-trace-v1` file; panics on any
@@ -82,6 +84,7 @@ fn load_trace(path: &Path) -> Vec<Span> {
                 span: id("span"),
                 parent: id("parent"),
                 pid: ev.get("pid").and_then(Json::as_i64).expect("pid") as u64,
+                dur: ev.get("dur").and_then(Json::as_i64).expect("dur"),
             }
         })
         .collect()
@@ -227,6 +230,49 @@ fn isolated_compile_stitches_worker_smt_spans_under_the_job() {
         );
     }
 
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A request's `wall_ms` covers the whole handler, parse and canonical
+/// keys included: on a warm request whose expressions are large, those are
+/// most of the work, and the reported time must match the request's own
+/// `http.request` span.
+#[test]
+fn warm_wall_ms_covers_parsing_and_keys() {
+    let dir = std::env::temp_dir().join(format!("rake-trace-wall-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = start_with_retry(|| ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        trace_out: Some(dir.clone()),
+        max_body_bytes: 1 << 20,
+        ..ServerConfig::default()
+    });
+    // A balanced 64-tap widening sum, repeated up to the per-request cap:
+    // one synthesis, then many parses.
+    let mut sums: Vec<String> =
+        (0..64).map(|i| format!("(cast u16 (load in u8 {} {}))", i % 8, i / 8)).collect();
+    while sums.len() > 1 {
+        sums = sums.chunks(2).map(|p| format!("(add {} {})", p[0], p[1])).collect();
+    }
+    let body = Json::obj([("exprs", Json::Arr(vec![Json::Str(sums.remove(0)); 64]))]);
+    let (status, doc) = post_compile(&handle, &body);
+    assert_eq!(status, 200, "{doc}");
+    // The best of three warm requests, so a stall outside the handler's
+    // timed work cannot fail the check. Reading the time only after parse
+    // and keys puts wall_ms near 40% of the span here; from handler entry
+    // it is 75-90%, the rest being the response's serialization.
+    let best = (0..3)
+        .map(|_| {
+            let (status, doc) = post_compile(&handle, &body);
+            assert_eq!(status, 200, "{doc}");
+            let Some(&Json::Num(wall_ms)) = doc.get("wall_ms") else { panic!("no wall_ms") };
+            let spans = load_trace(&trace_file(&dir, &doc));
+            let root = spans.iter().find(|s| s.name == "http.request").expect("request span");
+            wall_ms / (root.dur as f64 / 1e3)
+        })
+        .fold(0.0, f64::max);
+    assert!(best >= 0.65, "wall_ms covers only {:.0}% of the request span", best * 100.0);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,5 @@
 //! Tseitin bit-blasting of terms to CNF.
 
-use std::collections::HashMap;
-
 use sat::{Lit, Solver};
 
 use crate::term::{Context, Node, TermId};
@@ -11,7 +9,9 @@ use crate::term::{Context, Node, TermId};
 pub(crate) struct Blaster<'a> {
     ctx: &'a Context,
     pub(crate) sat: Solver,
-    bits: HashMap<TermId, Vec<Lit>>,
+    /// Each blasted term's literals, indexed by term id (empty until
+    /// blasted: every term is at least one bit wide).
+    bits: Vec<Vec<Lit>>,
     tt: Lit,
 }
 
@@ -20,7 +20,7 @@ impl<'a> Blaster<'a> {
         let mut sat = Solver::new();
         let tt = Lit::pos(sat.new_var());
         sat.add_clause([tt]);
-        Blaster { ctx, sat, bits: HashMap::new(), tt }
+        Blaster { ctx, sat, bits: vec![Vec::new(); ctx.len()], tt }
     }
 
     fn tt(&self) -> Lit {
@@ -154,8 +154,8 @@ impl<'a> Blaster<'a> {
 
     /// Bit vector of a term, LSB first (memoized).
     pub(crate) fn blast(&mut self, t: TermId) -> Vec<Lit> {
-        if let Some(bits) = self.bits.get(&t) {
-            return bits.clone();
+        if !self.bits[t.0 as usize].is_empty() {
+            return self.bits[t.0 as usize].clone();
         }
         let w = self.ctx.width(t) as usize;
         let bits: Vec<Lit> = match self.ctx.node(t) {
@@ -269,7 +269,7 @@ impl<'a> Blaster<'a> {
             }
         };
         debug_assert_eq!(bits.len(), w);
-        self.bits.insert(t, bits.clone());
+        self.bits[t.0 as usize] = bits.clone();
         bits
     }
 
@@ -282,6 +282,6 @@ impl<'a> Blaster<'a> {
 
     /// Literals of a term if it has been blasted.
     pub(crate) fn bits_of(&self, t: TermId) -> Option<&[Lit]> {
-        self.bits.get(&t).map(|v| v.as_slice())
+        Some(self.bits[t.0 as usize].as_slice()).filter(|b| !b.is_empty())
     }
 }

@@ -11,11 +11,10 @@
 //! account their verification to the swizzling stage; pure compute
 //! candidates to the sketching stage (Table 1's split).
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use hvx::{CostModel, HvxExpr, Op, ScalarOperand, SlotBudget};
-use lanes::ElemType;
+use lanes::{ElemType, FxHashMap};
 use uber_ir::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
 
 use crate::stats::SynthStats;
@@ -121,7 +120,7 @@ pub fn lower_expr(
     let sketches_before = stats.sketching_queries;
     let verifier =
         Verifier { lanes: opts.lanes, vec_bytes: opts.vec_bytes, ..verifier.clone() };
-    let mut lw = Lowerer { verifier, opts, stats, memo: HashMap::new() };
+    let mut lw = Lowerer { verifier, opts, stats, memo: FxHashMap::default() };
     let best = lw.lower(u, Layout::Natural);
     if sp.is_active() {
         sp.arg("sketching_queries", stats.sketching_queries - sketches_before);
@@ -135,7 +134,7 @@ struct Lowerer<'a> {
     verifier: Verifier,
     opts: LoweringOptions,
     stats: &'a mut SynthStats,
-    memo: HashMap<(UberExpr, Layout), Option<Lowered>>,
+    memo: FxHashMap<(UberExpr, Layout), Option<Lowered>>,
 }
 
 impl Lowerer<'_> {
@@ -988,7 +987,7 @@ mod tests {
             verifier: Verifier::fast(),
             opts: opts(),
             stats: &mut stats,
-            memo: HashMap::new(),
+            memo: FxHashMap::default(),
         };
         let dealt = lw.lower(&u, Layout::Deinterleaved).expect("must lower").expr;
         assert_eq!(count_op(&dealt, &|o| matches!(o, Op::VmpyAcc { .. })), 1, "got:\n{dealt}");

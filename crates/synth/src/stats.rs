@@ -18,15 +18,15 @@ pub struct SynthStats {
     pub sketching_time: Duration,
     /// Wall-clock time in swizzle synthesis.
     pub swizzling_time: Duration,
-    /// SMT solver queries actually issued (after the verdict and proof
-    /// caches; counted whether or not memoization is on).
+    /// SMT solver queries actually issued (after the proof cache; counted
+    /// whether or not memoization is on).
     pub smt_queries: u64,
     /// Wall-clock time inside the SMT solver (term construction through
     /// the CDCL search), across all stages.
     pub smt_time: Duration,
-    /// Equivalence queries answered by the verifier's verdict cache
-    /// instead of re-running differential tests and proofs.
-    pub verdict_cache_hits: u64,
+    /// SMT queries answered by the process-wide proof cache instead of
+    /// the solver.
+    pub proof_cache_hits: u64,
     /// Test-environment families served from the verifier's env cache
     /// instead of regenerated.
     pub env_cache_hits: u64,
@@ -55,7 +55,7 @@ impl SynthStats {
         self.swizzling_time += other.swizzling_time;
         self.smt_queries += other.smt_queries;
         self.smt_time += other.smt_time;
-        self.verdict_cache_hits += other.verdict_cache_hits;
+        self.proof_cache_hits += other.proof_cache_hits;
         self.env_cache_hits += other.env_cache_hits;
         self.cache_hits += other.cache_hits;
         self.deadline_exceeded |= other.deadline_exceeded;
@@ -77,7 +77,7 @@ mod tests {
             swizzling_time: Duration::from_millis(30),
             smt_queries: 5,
             smt_time: Duration::from_millis(40),
-            verdict_cache_hits: 6,
+            proof_cache_hits: 6,
             env_cache_hits: 7,
             cache_hits: 1,
             deadline_exceeded: false,
@@ -87,7 +87,7 @@ mod tests {
         assert_eq!(a.swizzling_queries, 8);
         assert_eq!(a.smt_queries, 10);
         assert_eq!(a.smt_time, Duration::from_millis(80));
-        assert_eq!(a.verdict_cache_hits, 12);
+        assert_eq!(a.proof_cache_hits, 12);
         assert_eq!(a.env_cache_hits, 14);
         assert_eq!(a.cache_hits, 2);
         assert!(!a.deadline_exceeded);

@@ -8,19 +8,22 @@
 //! proof).
 //!
 //! The oracle memoizes its hot path (on by default, [`Verifier::memoize`]):
-//! test-environment families are generated once per buffer signature, full
-//! verdicts are cached keyed by the canonicalized (alpha-renamed) query
-//! pair plus the oracle configuration, and SMT outcomes are cached
-//! process-wide keyed by the offset-translated pair. Each family also
-//! keeps a value memo: the values every Halide, uber and HVX subexpression
-//! the oracle has evaluated took in each of its environments, packed at
-//! element width. Screening is node-incremental over it: a query evaluates
-//! only the nodes it has not seen, one node step per environment from its
+//! test-environment families are built once per buffer signature (from
+//! buffers the process generates once, see [`crate::envs`]), and SMT
+//! outcomes are cached process-wide keyed by the offset-translated pair.
+//! Each family also keeps a value memo: the values every Halide, uber and
+//! HVX subexpression the oracle has evaluated took in each of its
+//! environments, packed at element width. Screening is node-incremental
+//! over it: a query evaluates only the nodes it has not seen, from its
 //! children's stored values, and all three checks compare stored values.
-//! Clones of a `Verifier` — including the re-pinned clones the lowering
-//! stages make — share one memo, so a query answered during lifting is
-//! free when sketch synthesis asks again. `rake::Rake::compile` gives
-//! every compilation a fresh memo; only the proof cache outlives it.
+//! A node that reads no buffer is lane-wise, so it steps once over the
+//! concatenated lanes of all environments; a buffer read and an HVX
+//! instruction step once per environment, and an uber vector load reuses
+//! the value of the Halide load it equals. A repeated query therefore
+//! costs value-memo reads and a proof-cache hit. Clones of a `Verifier` —
+//! including the re-pinned clones the lowering stages make — share one
+//! memo. `rake::Rake::compile` gives every compilation a fresh memo; only
+//! the proof cache and the buffer table outlive it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use halide_ir::{Env, EvalCtx, EvalError, Expr};
 use hvx::{ExecCtx, ExecError, HvxExpr, Op, Value, VecReg};
-use lanes::{ElemType, Vector};
+use lanes::{ElemType, FxHashMap, Vector};
 use smt::Context;
 use uber_ir::{ScalarSource, UberExpr};
 
@@ -63,14 +66,14 @@ pub struct Verifier {
     /// to the target width; off by default — lowering is otherwise
     /// verified differentially).
     pub smt_lowering: bool,
-    /// Memoize verdicts, test environments, subexpression values and SMT
+    /// Memoize test-environment families, subexpression values and SMT
     /// proof outcomes across queries. Off reproduces the unmemoized path
-    /// exactly (fresh envs, whole-tree evaluation by the recursive
+    /// exactly (fresh families, whole-tree evaluation by the recursive
     /// interpreters and a proof per query); verdicts are identical either
     /// way.
     pub memoize: bool,
-    /// Shared memo state (verdict cache, env families with their value
-    /// memos, query counters).
+    /// Shared memo state (env families with their value memos, query
+    /// counters).
     /// Clones share it; a fresh handle starts cold.
     pub memo: MemoHandle,
 }
@@ -101,8 +104,8 @@ pub struct MemoSnapshot {
     pub smt_queries: u64,
     /// Nanoseconds spent inside SMT queries.
     pub smt_time_nanos: u64,
-    /// Verdict-cache hits.
-    pub verdict_hits: u64,
+    /// Proof-cache hits: SMT queries answered by an earlier proof.
+    pub proof_hits: u64,
     /// Env-cache hits.
     pub env_hits: u64,
 }
@@ -112,33 +115,6 @@ impl MemoSnapshot {
     pub fn smt_time(&self) -> Duration {
         Duration::from_nanos(self.smt_time_nanos)
     }
-}
-
-/// The oracle configuration fields a verdict depends on. Embedded in every
-/// cache key so re-pinned clones (different lanes) sharing one memo can
-/// never serve each other stale verdicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct OracleConfig {
-    lanes: usize,
-    vec_bytes: usize,
-    alt_lanes: usize,
-    random_envs: usize,
-    use_smt: bool,
-    smt_lanes: usize,
-    smt_conflict_budget: u64,
-    smt_lowering: bool,
-}
-
-/// A memoized equivalence query.
-#[derive(PartialEq, Eq, Hash)]
-enum VerdictKey {
-    /// Lifting oracle: Halide vs uber, canonicalized by joint buffer
-    /// alpha-renaming.
-    HalideUber { cfg: OracleConfig, h: Expr, u: UberExpr },
-    /// Sketch/swizzle oracle.
-    UberHvx { cfg: OracleConfig, deinterleaved: bool, u: UberExpr, h: HvxExpr },
-    /// Final end-to-end check.
-    HalideHvx { cfg: OracleConfig, e: Expr, h: HvxExpr },
 }
 
 /// A memoized SMT proof outcome, keyed by the offset-translated canonical
@@ -179,11 +155,10 @@ type EnvKey = (BufferSpec, usize, usize);
 
 #[derive(Default)]
 struct MemoState {
-    verdicts: Mutex<HashMap<VerdictKey, bool>>,
-    envs: Mutex<HashMap<EnvKey, Arc<Family>>>,
+    envs: Mutex<FxHashMap<EnvKey, Arc<Family>>>,
     smt_queries: AtomicU64,
     smt_nanos: AtomicU64,
-    verdict_hits: AtomicU64,
+    proof_hits: AtomicU64,
     env_hits: AtomicU64,
 }
 
@@ -201,10 +176,10 @@ struct Family {
 /// false.
 #[derive(Default)]
 struct ValueMemo {
-    halide: HashMap<Expr, Option<Arc<Lanes>>>,
-    uber: HashMap<UberExpr, Option<Arc<Lanes>>>,
+    halide: FxHashMap<Expr, Option<Arc<Lanes>>>,
+    uber: FxHashMap<UberExpr, Option<Arc<Lanes>>>,
     /// Keyed by register width first: an HVX value depends on `vec_bytes`.
-    hvx: HashMap<usize, HashMap<HvxExpr, Option<Arc<Regs>>>>,
+    hvx: FxHashMap<usize, FxHashMap<HvxExpr, Option<Arc<Regs>>>>,
 }
 
 /// A Halide or uber subexpression's lanes in every environment of a
@@ -213,6 +188,13 @@ struct ValueMemo {
 struct Lanes {
     ty: ElemType,
     bytes: Box<[u8]>,
+}
+
+impl Lanes {
+    /// All environments' lanes, concatenated in environment order.
+    fn whole(&self) -> Vector {
+        Vector::from_le_bytes(self.ty, &self.bytes)
+    }
 }
 
 /// An HVX subexpression's register bytes in every environment of a
@@ -248,6 +230,25 @@ impl Family {
             ty = Some(v.ty());
         }
         Some(Arc::new(Lanes { ty: ty?, bytes: bytes.into_boxed_slice() }))
+    }
+
+    /// One step of a node that reads no buffer, over every environment at
+    /// once. Such a node is lane-wise, so evaluating it once at `lanes ×
+    /// envs` lanes over its children's [whole](Lanes::whole) values gives
+    /// the bytes a step per environment would pack. The step sees no
+    /// buffers: a buffer read routed here fails rather than reading one
+    /// environment's cells.
+    fn step_lanewise(
+        &self,
+        f: impl FnOnce(&EvalCtx<'_>) -> Result<Vector, EvalError>,
+    ) -> Option<Arc<Lanes>> {
+        let no_buffers = Env::new();
+        let lanes = self.lanes * self.envs.len();
+        let ctx = EvalCtx { env: &no_buffers, x0: MARGIN_X, y0: MARGIN_Y, lanes };
+        let v = f(&ctx).ok()?;
+        let mut bytes = Vec::new();
+        v.extend_le_bytes(&mut bytes);
+        Some(Arc::new(Lanes { ty: v.ty(), bytes: bytes.into_boxed_slice() }))
     }
 
     /// [`Family::pack_lanes`] for HVX values at register width `vec_bytes`.
@@ -343,32 +344,19 @@ pub struct MemoHandle(Arc<MemoState>);
 impl std::fmt::Debug for MemoHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoHandle")
-            .field("verdicts", &lock(&self.0.verdicts).len())
             .field("proofs", &lock(global_proofs()).len())
             .field("families", &lock(&self.0.envs).len())
             .field("smt_queries", &self.0.smt_queries.load(Ordering::Relaxed))
-            .field("verdict_hits", &self.0.verdict_hits.load(Ordering::Relaxed))
+            .field("proof_hits", &self.0.proof_hits.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl MemoHandle {
-    fn lookup(&self, key: &VerdictKey) -> Option<bool> {
-        let hit = lock(&self.0.verdicts).get(key).copied();
-        if hit.is_some() {
-            self.0.verdict_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    fn insert(&self, key: VerdictKey, verdict: bool) {
-        lock(&self.0.verdicts).insert(key, verdict);
-    }
-
     fn lookup_proof(&self, key: &ProofKey) -> Option<Option<bool>> {
         let hit = lock(global_proofs()).get(key).copied();
         if hit.is_some() {
-            self.0.verdict_hits.fetch_add(1, Ordering::Relaxed);
+            self.0.proof_hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
@@ -386,7 +374,7 @@ impl MemoHandle {
         MemoSnapshot {
             smt_queries: self.0.smt_queries.load(Ordering::Relaxed),
             smt_time_nanos: self.0.smt_nanos.load(Ordering::Relaxed),
-            verdict_hits: self.0.verdict_hits.load(Ordering::Relaxed),
+            proof_hits: self.0.proof_hits.load(Ordering::Relaxed),
             env_hits: self.0.env_hits.load(Ordering::Relaxed),
         }
     }
@@ -434,9 +422,9 @@ fn add_hvx_loads(e: &HvxExpr, spec: &mut BufferSpec) {
     }
 }
 
-/// A joint rewrite of a (Halide, uber) query pair used to canonicalize
-/// cache keys: buffer alpha-renaming, optionally with per-buffer uniform
-/// offset translation.
+/// A joint rewrite of a (Halide, uber) query pair that canonicalizes its
+/// proof-cache key: buffer alpha-renaming with per-buffer uniform offset
+/// translation.
 #[derive(Default)]
 struct Canon {
     /// Buffer → canonical name (`b0`, `b1`, ... in first-appearance order
@@ -450,14 +438,6 @@ struct Canon {
 }
 
 impl Canon {
-    /// Alpha-renaming only: verdict-preserving for the whole oracle
-    /// (differential + proof), since buffer names are opaque to both.
-    fn alpha(h: &Expr, u: &UberExpr) -> Canon {
-        let mut canon = Canon::default();
-        canon.collect_names(h, u);
-        canon
-    }
-
     /// Alpha-renaming plus per-buffer offset translation. This preserves
     /// the *SMT* verdict exactly — the encoder names a load variable by
     /// `(buffer, dx + lane, dy)` and a scalar by `(buffer, x, dy)`, so a
@@ -646,19 +626,6 @@ impl Verifier {
         self.memo.snapshot()
     }
 
-    fn oracle_config(&self) -> OracleConfig {
-        OracleConfig {
-            lanes: self.lanes,
-            vec_bytes: self.vec_bytes,
-            alt_lanes: self.alt_lanes,
-            random_envs: self.random_envs,
-            use_smt: self.use_smt,
-            smt_lanes: self.smt_lanes,
-            smt_conflict_budget: self.smt_conflict_budget,
-            smt_lowering: self.smt_lowering,
-        }
-    }
-
     /// The environment family for `spec` at `lanes`: memoized with its
     /// value memo, or generated fresh (and left empty) when memoization
     /// is off.
@@ -682,9 +649,11 @@ impl Verifier {
     }
 
     /// The values of `e` over `family`. Memoized, only the nodes the value
-    /// memo has not seen are evaluated, each by one node step per
-    /// environment from its children's stored values; unmemoized, the
-    /// recursive interpreter evaluates the whole tree and nothing is kept.
+    /// memo has not seen are evaluated: a buffer read by one step per
+    /// environment, any other node by one [lane-wise
+    /// step](Family::step_lanewise) from its children's stored values.
+    /// Unmemoized, the recursive interpreter evaluates the whole tree and
+    /// nothing is kept.
     fn halide_values(&self, family: &Family, e: &Expr) -> Option<Arc<Lanes>> {
         if !self.memoize {
             return family.pack_lanes(|_, ctx| halide_ir::eval(e, ctx));
@@ -692,21 +661,30 @@ impl Verifier {
         if let Some(hit) = lock(&family.values).halide.get(e) {
             return hit.clone();
         }
-        let kids: Option<Vec<(&Expr, Arc<Lanes>)>> = e
-            .children()
-            .into_iter()
-            .map(|c| Some((c, self.halide_values(family, c)?)))
-            .collect();
-        let values = kids.and_then(|kids| {
-            family.pack_lanes(|i, ctx| {
-                halide_ir::eval_with(e, ctx, |c| Ok(family.lanes_at(kid_values(&kids, c), i)))
-            })
-        });
+        let values = match e {
+            Expr::Load(_) | Expr::BroadcastLoad(_) => {
+                family.pack_lanes(|_, ctx| halide_ir::eval(e, ctx))
+            }
+            _ => {
+                let kids: Option<Vec<(&Expr, Arc<Lanes>)>> = e
+                    .children()
+                    .into_iter()
+                    .map(|c| Some((c, self.halide_values(family, c)?)))
+                    .collect();
+                kids.and_then(|kids| {
+                    family.step_lanewise(|ctx| {
+                        halide_ir::eval_with(e, ctx, |c| Ok(kid_values(&kids, c).whole()))
+                    })
+                })
+            }
+        };
         lock(&family.values).halide.insert(e.clone(), values.clone());
         values
     }
 
-    /// [`Verifier::halide_values`] for an uber-expression.
+    /// [`Verifier::halide_values`] for an uber-expression. A vector load
+    /// takes the value of the Halide load with the same buffer, offsets
+    /// and type, so each load is read once per family.
     fn uber_values(&self, family: &Family, u: &UberExpr) -> Option<Arc<Lanes>> {
         if !self.memoize {
             return family.pack_lanes(|_, ctx| uber_ir::eval_uber(u, ctx));
@@ -714,16 +692,24 @@ impl Verifier {
         if let Some(hit) = lock(&family.values).uber.get(u) {
             return hit.clone();
         }
-        let kids: Option<Vec<(&UberExpr, Arc<Lanes>)>> = u
-            .children()
-            .into_iter()
-            .map(|c| Some((c, self.uber_values(family, c)?)))
-            .collect();
-        let values = kids.and_then(|kids| {
-            family.pack_lanes(|i, ctx| {
-                uber_ir::eval_uber_with(u, ctx, |c| Ok(family.lanes_at(kid_values(&kids, c), i)))
-            })
-        });
+        let values = match u {
+            UberExpr::Data(l) => self.halide_values(family, &Expr::Load(l.clone())),
+            UberExpr::Bcast { value: ScalarSource::Scalar { .. }, .. } => {
+                family.pack_lanes(|_, ctx| uber_ir::eval_uber(u, ctx))
+            }
+            _ => {
+                let kids: Option<Vec<(&UberExpr, Arc<Lanes>)>> = u
+                    .children()
+                    .into_iter()
+                    .map(|c| Some((c, self.uber_values(family, c)?)))
+                    .collect();
+                kids.and_then(|kids| {
+                    family.step_lanewise(|ctx| {
+                        uber_ir::eval_uber_with(u, ctx, |c| Ok(kid_values(&kids, c).whole()))
+                    })
+                })
+            }
+        };
         lock(&family.values).uber.insert(u.clone(), values.clone());
         values
     }
@@ -757,21 +743,6 @@ impl Verifier {
     /// Differential + SMT equivalence of a Halide expression and an
     /// uber-expression (the lifting oracle).
     pub fn equiv_halide_uber(&self, h: &Expr, u: &UberExpr) -> bool {
-        if !self.memoize {
-            return self.equiv_halide_uber_uncached(h, u);
-        }
-        let canon = Canon::alpha(h, u);
-        let key =
-            VerdictKey::HalideUber { cfg: self.oracle_config(), h: canon.halide(h), u: canon.uber(u) };
-        if let Some(v) = self.memo.lookup(&key) {
-            return v;
-        }
-        let v = self.equiv_halide_uber_uncached(h, u);
-        self.memo.insert(key, v);
-        v
-    }
-
-    fn equiv_halide_uber_uncached(&self, h: &Expr, u: &UberExpr) -> bool {
         if h.ty() != u.ty() {
             return false;
         }
@@ -861,24 +832,6 @@ impl Verifier {
     /// expression (the sketch/swizzle oracle). `deinterleaved` states the
     /// layout the HVX value is expected in.
     pub fn equiv_uber_hvx(&self, u: &UberExpr, h: &HvxExpr, deinterleaved: bool) -> bool {
-        if !self.memoize {
-            return self.equiv_uber_hvx_uncached(h, u, deinterleaved);
-        }
-        let key = VerdictKey::UberHvx {
-            cfg: self.oracle_config(),
-            deinterleaved,
-            u: u.clone(),
-            h: h.clone(),
-        };
-        if let Some(v) = self.memo.lookup(&key) {
-            return v;
-        }
-        let v = self.equiv_uber_hvx_uncached(h, u, deinterleaved);
-        self.memo.insert(key, v);
-        v
-    }
-
-    fn equiv_uber_hvx_uncached(&self, h: &HvxExpr, u: &UberExpr, deinterleaved: bool) -> bool {
         let mut spec = BufferSpec::new();
         add_uber_loads(u, &mut spec);
         add_hvx_loads(h, &mut spec);
@@ -913,20 +866,6 @@ impl Verifier {
     /// End-to-end differential check: Halide expression against the final
     /// lowered HVX expression in natural order.
     pub fn equiv_halide_hvx(&self, e: &Expr, h: &HvxExpr) -> bool {
-        if !self.memoize {
-            return self.equiv_halide_hvx_uncached(e, h);
-        }
-        let key =
-            VerdictKey::HalideHvx { cfg: self.oracle_config(), e: e.clone(), h: h.clone() };
-        if let Some(v) = self.memo.lookup(&key) {
-            return v;
-        }
-        let v = self.equiv_halide_hvx_uncached(e, h);
-        self.memo.insert(key, v);
-        v
-    }
-
-    fn equiv_halide_hvx_uncached(&self, e: &Expr, h: &HvxExpr) -> bool {
         let mut spec = BufferSpec::new();
         add_halide_loads(e, &mut spec);
         add_hvx_loads(h, &mut spec);
@@ -1020,7 +959,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_queries_hit_the_verdict_cache() {
+    fn repeated_queries_hit_the_proof_cache() {
         let ver = v();
         let h = hb::add(
             hb::mul(hb::widen(hb::load("in", ElemType::U8, 0, 0)), hb::bcast(2, ElemType::U16)),
@@ -1031,12 +970,13 @@ mod tests {
         let before = ver.memo_snapshot();
         assert!(ver.equiv_halide_uber(&h, &u));
         let after = ver.memo_snapshot();
-        assert_eq!(after.verdict_hits, before.verdict_hits + 1);
-        assert_eq!(after.smt_queries, before.smt_queries, "cached verdicts issue no proofs");
+        assert_eq!(after.proof_hits, before.proof_hits + 1);
+        assert_eq!(after.env_hits, before.env_hits + 2, "both widths' families are reused");
+        assert_eq!(after.smt_queries, before.smt_queries, "a repeat issues no proof");
     }
 
     #[test]
-    fn buffer_renaming_shares_one_cache_entry() {
+    fn buffer_renaming_shares_one_proof() {
         let ver = v();
         let query = |buf: &str| {
             let h = hb::add(
@@ -1052,15 +992,15 @@ mod tests {
         let before = ver.memo_snapshot();
         assert!(ver.equiv_halide_uber(&h2, &u2));
         let after = ver.memo_snapshot();
-        assert_eq!(after.verdict_hits, before.verdict_hits + 1, "alpha-renamed pair must hit");
+        assert_eq!(after.proof_hits, before.proof_hits + 1, "alpha-renamed pair must hit");
+        assert_eq!(after.smt_queries, before.smt_queries);
     }
 
     #[test]
     fn translated_queries_share_one_proof() {
         // Two queries whose loads differ only by a uniform per-buffer
-        // offset shift: distinct verdict-cache entries (the differential
-        // data differs), but one shared SMT proof, so the second verdict
-        // does not prove afresh.
+        // offset shift: the differential data differs, but they share one
+        // SMT proof, so the second verdict does not prove afresh.
         let ver = v();
         let query = |(ax, ay): (i32, i32), (bx, by): (i32, i32)| {
             let h = hb::absd(
@@ -1091,7 +1031,7 @@ mod tests {
         assert!(ver.equiv_halide_uber(&h2, &u2));
         let after = ver.memo_snapshot();
         assert_eq!(after.smt_queries, before.smt_queries, "translated query must reuse the proof");
-        assert_eq!(after.verdict_hits, before.verdict_hits + 1, "the proof-cache hit is counted");
+        assert_eq!(after.proof_hits, before.proof_hits + 1, "the proof-cache hit is counted");
     }
 
     #[test]
@@ -1113,30 +1053,29 @@ mod tests {
             })),
         );
         assert!(ver.equiv_halide_uber(&h, &u));
-        // A re-pinned clone (the lowering pattern) shares the memo...
+        // A re-pinned clone (the lowering pattern) shares the families and
+        // the proof...
         let clone = Verifier { lanes: ver.lanes, vec_bytes: ver.vec_bytes, ..ver.clone() };
         let before = clone.memo_snapshot();
         assert!(clone.equiv_halide_uber(&h, &u));
-        assert_eq!(clone.memo_snapshot().verdict_hits, before.verdict_hits + 1);
-        // ...a different differential geometry re-runs the differential
-        // under its own verdict key, sharing only the SMT proof (which
-        // depends on smt_lanes and budget, not on the test geometry)...
+        let after = clone.memo_snapshot();
+        assert_eq!((after.env_hits, after.proof_hits), (before.env_hits + 2, before.proof_hits + 1));
+        // ...a different differential geometry builds its own family at
+        // the new width, sharing the SMT proof (which depends on smt_lanes
+        // and budget, not on the test geometry)...
         let wider = Verifier { lanes: 16, vec_bytes: 16, ..ver.clone() };
         let before = wider.memo_snapshot();
         assert!(wider.equiv_halide_uber(&h, &u));
         let after = wider.memo_snapshot();
         assert_eq!(after.smt_queries, before.smt_queries, "proof is geometry-independent");
-        assert_eq!(
-            after.verdict_hits,
-            before.verdict_hits + 1,
-            "the hit is the proof, not the verdict"
-        );
-        // ...and a different proof configuration misses both cache layers.
+        assert_eq!(after.proof_hits, before.proof_hits + 1);
+        assert_eq!(after.env_hits, before.env_hits + 1, "only the alternate width is shared");
+        // ...and a different proof configuration proves afresh.
         let deeper = Verifier { smt_lanes: ver.smt_lanes + 1, ..ver.clone() };
         let before = deeper.memo_snapshot();
         assert!(deeper.equiv_halide_uber(&h, &u));
         let after = deeper.memo_snapshot();
-        assert_eq!(after.verdict_hits, before.verdict_hits, "no stale hits across configs");
+        assert_eq!(after.proof_hits, before.proof_hits, "no stale hits across configs");
         assert_eq!(after.smt_queries, before.smt_queries + 1);
     }
 

@@ -39,11 +39,13 @@ echo "   slow partition: ${slow_elapsed}s"
 [ "$slow_elapsed" -le 2700 ] \
   || { echo "slow test partition blew its 2700s budget (${slow_elapsed}s)"; exit 1; }
 
-echo "== release-only tests (goldens, heavy end-to-end runs, lowering proptests)"
+echo "== release-only tests (goldens, heavy end-to-end runs, memoization equivalence, lowering proptests)"
 # These tests are ignored in debug builds (too slow there), so the two
 # partitions above skip them. The goldens pin every suite program and its
 # scheduled cycles; a codegen change that is not regenerated fails here.
-cargo test -q --release --offline --locked -p rake-bench --test golden --test end_to_end
+# hot_path compiles generated streams memoized and unmemoized and demands
+# the same programs.
+cargo test -q --release --offline --locked -p rake-bench --test golden --test end_to_end --test hot_path
 cargo test -q --release --offline --locked -p rake-synth
 
 echo "== oracle smoke (seeded differential fuzz, 60s budget)"

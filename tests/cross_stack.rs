@@ -334,7 +334,10 @@ fn visit_uber(u: &UberExpr, f: &mut impl FnMut(&UberExpr)) {
 
 /// `eval_with` and `eval_uber_with`, fed by recursive evaluation of the
 /// children, equal `eval` and `eval_uber` at every node of generated
-/// expressions and of their liftings, at 1, 16 and 128 lanes.
+/// expressions and of their liftings, at 1, 16 and 128 lanes. The
+/// verifier's memoized screen, which steps every node that reads no
+/// buffer once over a whole family's lanes, accepts each lifting exactly
+/// as the recursive interpreters do.
 #[test]
 fn prop_node_steps_match_the_recursive_interpreters() {
     let cfg = oracle::GenConfig::default();
@@ -343,7 +346,10 @@ fn prop_node_steps_match_the_recursive_interpreters() {
     let mut lifted = 0;
     for _ in 0..16 {
         let e = oracle::gen_expr(&mut rng, &cfg);
-        let u = synth::lift_expr(&e, &v(), &mut synth::SynthStats::default()).map(|(u, _)| u);
+        // Lifted by the recursive interpreters, so the memoized screen
+        // below is checked against liftings it did not choose.
+        let plain = Verifier { memoize: false, ..v() };
+        let u = synth::lift_expr(&e, &plain, &mut synth::SynthStats::default()).map(|(u, _)| u);
         lifted += usize::from(u.is_some());
         for lanes in [1, 16, 128] {
             for env in synth::envs::test_envs(&spec, lanes + 64, 17, 3) {
@@ -359,6 +365,14 @@ fn prop_node_steps_match_the_recursive_interpreters() {
                         assert_eq!(step, uber_ir::eval_uber(n, &ctx), "{n} at {lanes} lanes");
                     });
                 }
+            }
+            if let Some(u) = &u {
+                let verdicts = [true, false].map(|memoize| {
+                    let screen =
+                        Verifier { memoize, use_smt: false, lanes, alt_lanes: lanes, ..v() };
+                    screen.equiv_halide_uber(&e, u)
+                });
+                assert_eq!(verdicts, [true, true], "memoized, unmemoized: {e} at {lanes} lanes");
             }
         }
     }

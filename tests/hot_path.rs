@@ -33,7 +33,7 @@ fn memoized_and_unmemoized_compilations_agree_on_generated_streams() {
     let mut rng = lanes::rng::Rng::seed_from_u64(0x5EED_4);
     let memo = rake(true);
     let plain = rake(false);
-    let (mut memo_hits, mut memo_queries, mut plain_queries) = (0, 0, 0);
+    let (mut env_hits, mut proof_hits, mut memo_queries, mut plain_queries) = (0, 0, 0, 0);
     for i in 0..30 {
         let e = gen_expr(&mut rng, &cfg);
         let a = memo.compile(&e);
@@ -46,7 +46,8 @@ fn memoized_and_unmemoized_compilations_agree_on_generated_streams() {
                     cb.program.to_string(),
                     "compiled programs differ on #{i}: {e}"
                 );
-                memo_hits += ca.stats.verdict_cache_hits;
+                env_hits += ca.stats.env_cache_hits;
+                proof_hits += ca.stats.proof_cache_hits;
                 memo_queries += ca.stats.smt_queries;
                 plain_queries += cb.stats.smt_queries;
             }
@@ -58,10 +59,11 @@ fn memoized_and_unmemoized_compilations_agree_on_generated_streams() {
             ),
         }
     }
-    // The memoized run answered from cache at least some of the time and
-    // never proved more than the unmemoized run.
-    assert!(memo_hits > 0, "stream produced no cache hits");
-    assert!(memo_queries <= plain_queries, "memoization increased SMT queries");
+    // The memoized run reused its test families, and it asked exactly the
+    // proofs the unmemoized run solved: each one either solved or answered
+    // from the proof cache.
+    assert!(env_hits > 0, "stream reused no test family");
+    assert_eq!(memo_queries + proof_hits, plain_queries, "the two runs asked different proofs");
 }
 
 /// Every compilation starts from a cold memo, so compiling one expression
@@ -76,11 +78,11 @@ fn compiling_twice_reports_the_same_work() {
         .with_verifier(bench_verifier(cfg));
     let work = || {
         let s = rake.compile(&w.exprs[0]).expect("sobel[0] compiles").stats;
-        (s.env_cache_hits, s.verdict_cache_hits + s.smt_queries)
+        (s.env_cache_hits, s.proof_cache_hits + s.smt_queries)
     };
     let first = work();
     assert!(first.0 > 0 && first.1 > 0, "sobel[0] did no memoized work: {first:?}");
-    assert_eq!(work(), first, "(env hits, verdict hits + queries) of two compiles");
+    assert_eq!(work(), first, "(env hits, proof hits + queries) of two compiles");
 }
 
 /// Regression: with memoization on, compiling the sobel workload issues no
@@ -108,5 +110,6 @@ fn sobel_smt_queries_are_monotone_non_increasing_under_memoization() {
         memo.smt_queries,
         plain.smt_queries
     );
-    assert!(memo.verdict_cache_hits > 0, "sobel should hit the verdict cache");
+    assert!(memo.env_cache_hits > 0, "sobel should reuse its test families");
+    assert!(memo.proof_cache_hits > 0, "sobel's translated rows should share proofs");
 }
