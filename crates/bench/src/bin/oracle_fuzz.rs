@@ -249,12 +249,7 @@ fn fuzz_workloads(opts: &Opts, t0: Instant) -> usize {
             }
             mismatched += 1;
             let e = &w.exprs[r.index];
-            // Shrink with the selector pinned at the tier that produced the
-            // failing program: a tier-dependent miscompile (e.g. one only
-            // the Direct tier's differential screening misses) must not
-            // vanish mid-minimization because the subject recompiled at
-            // full budget.
-            let subject = CompilingSubject::new(r.tier.apply(&rake));
+            let subject = CompilingSubject::new(rake.clone());
             let run =
                 |e: &Expr, env: &Env, x0: i64, y0: i64, l: usize| subject.run(e, env, x0, y0, l);
             let checker = Oracle { lanes, width: lanes + 24, ..Oracle::default() };

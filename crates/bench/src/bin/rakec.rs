@@ -20,8 +20,8 @@
 //!   --log FILE     append the JSONL event stream / write-ahead journal
 //!   --resume       replay completed jobs from the --log journal and
 //!                  recompile only the remainder (needs --log)
-//!   --timeout SEC  wall-clock synthesis budget (shared across the
-//!                  degradation ladder: full -> reduced -> direct)
+//!   --timeout SEC  wall-clock synthesis budget; past it the baseline
+//!                  program is printed instead
 //!   --validate     differentially validate the compiled program against
 //!                  the Halide IR interpreter on adversarial inputs
 //!   --trace-out FILE  record structured spans for the whole compile and
@@ -29,10 +29,10 @@
 //!   --trace-slow-ms N  log spans slower than N ms to stderr
 //!
 //! Exit codes distinguish how the compile concluded:
-//!   0  compiled (any synthesis tier)
+//!   0  compiled
 //!   1  usage or input error
 //!   2  synthesis failed deterministically
-//!   3  synthesis budget exhausted on every ladder tier
+//!   3  synthesis budget exhausted (the baseline program is printed)
 //!   4  compiled but the differential oracle found a mismatch (miscompile)
 //!   5  the selector panicked
 //!   7  the expression is quarantined as a poison pill (it repeatedly
@@ -42,7 +42,7 @@ use std::io::Read as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use driver::{Driver, DriverConfig, JobOutcome, Tier};
+use driver::{Driver, DriverConfig, JobOutcome};
 use hvx::SlotBudget;
 use rake::{Rake, Target};
 
@@ -176,14 +176,6 @@ fn main() -> ExitCode {
     }
     match &result.outcome {
         JobOutcome::Compiled(c) => {
-            if result.tier != Tier::Full {
-                println!(
-                    "; degraded: synthesized on the `{}` tier after {} retr{}",
-                    result.tier.name(),
-                    result.retries,
-                    if result.retries == 1 { "y" } else { "ies" }
-                );
-            }
             if trace {
                 println!("\n; lifting trace");
                 for (i, s) in c.trace.steps.iter().enumerate() {
@@ -236,9 +228,7 @@ fn main() -> ExitCode {
             ExitCode::from(EXIT_FAILED)
         }
         JobOutcome::TimedOut => {
-            eprintln!(
-                "rakec: synthesis budget exhausted on every tier; rerun with a larger --timeout"
-            );
+            eprintln!("rakec: synthesis budget exhausted; rerun with a larger --timeout");
             print_fallback(result, lanes, vec_bytes);
             ExitCode::from(EXIT_TIMED_OUT)
         }
@@ -261,8 +251,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// For degraded outcomes, print the baseline program the driver fell back
-/// to (when the baseline covers the expression).
+/// For outcomes without a synthesized program, print the baseline program
+/// the driver fell back to (when the baseline covers the expression).
 fn print_fallback(result: &driver::JobResult, lanes: usize, vec_bytes: usize) {
     if let Some(p) = &result.fallback {
         println!("\n; baseline fallback codegen");
@@ -283,7 +273,7 @@ fn usage(err: &str) -> ExitCode {
          [--cache DIR] [--log FILE] [--resume] [--timeout SEC] \
          [--trace-out FILE] [--trace-slow-ms N] [file.sexp]\n\
          exit codes: 0 compiled, 1 usage/input error, 2 synthesis failed, \
-         3 timed out on every tier, 4 validation mismatch, 5 selector panicked, \
+         3 timed out, 4 validation mismatch, 5 selector panicked, \
          7 quarantined poison pill"
     );
     if err.is_empty() {

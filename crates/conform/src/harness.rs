@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use driver::json::{self, Json};
-use driver::{Driver, DriverConfig, Tier};
+use driver::{Driver, DriverConfig};
 use halide_ir::{eval, Buffer2D, Env, EvalCtx, Expr};
 use hvx::{CostModel, Program};
 use lanes::rng::Rng;
@@ -109,7 +109,6 @@ impl Summary {
 /// One compiled side of a pair.
 struct Side {
     program: Program,
-    tier: Tier,
 }
 
 /// Compilation backend: in-process drivers (one per lane width, sharing
@@ -158,7 +157,7 @@ impl Backend {
                 report
                     .results
                     .iter()
-                    .map(|r| r.program().map(|p| Side { program: p.clone(), tier: r.tier }))
+                    .map(|r| r.program().map(|p| Side { program: p.clone() }))
                     .collect()
             }
             Backend::Server { addr } => server_compile(addr, batch, lanes)?,
@@ -204,9 +203,7 @@ fn parse_side(r: &Json) -> Option<Side> {
         return None;
     }
     let hvx_expr = hvx::sexpr::parse(r.get("hvx")?.as_str()?).ok()?;
-    let tier =
-        r.get("tier").and_then(|t| t.as_str()).and_then(Tier::from_name).unwrap_or(Tier::Full);
-    Some(Side { program: hvx_expr.to_program(), tier })
+    Some(Side { program: hvx_expr.to_program() })
 }
 
 /// Rebuild the environment a transformed variant must be evaluated in:
@@ -306,24 +303,17 @@ pub fn seed_corpus() -> Vec<(String, Expr)> {
     ]
 }
 
-/// A minimizer subject compiling each candidate through a tier-pinned
+/// A minimizer subject compiling each candidate with the sweep's own
 /// selector, memoized by S-expression (the minimizer re-invokes the
 /// subject per shrink candidate).
-struct PinnedSubject {
+struct CompilingSubject {
     rake: Rake,
     programs: RefCell<HashMap<String, Option<Program>>>,
 }
 
-impl PinnedSubject {
-    /// Pin the selector at the tier that produced the failing program —
-    /// the original tier floor travels through minimization, so a
-    /// tier-dependent miscompile does not vanish when the subject
-    /// recompiles (the PR-2 minimizer's contract).
-    fn new(lanes: usize, tier: Tier) -> PinnedSubject {
-        PinnedSubject {
-            rake: tier.apply(&base_rake(lanes)),
-            programs: RefCell::new(HashMap::new()),
-        }
+impl CompilingSubject {
+    fn new(lanes: usize) -> CompilingSubject {
+        CompilingSubject { rake: base_rake(lanes), programs: RefCell::new(HashMap::new()) }
     }
 
     fn run(&self, e: &Expr, env: &Env, x0: i64, y0: i64, lanes: usize) -> Option<Vector> {
@@ -488,7 +478,7 @@ fn check_expr(
         }
 
         // Lane-for-lane equality over adversarial environments.
-        let mut violation: Option<(Expr, Env, i64, i64, Tier)> = None;
+        let mut violation: Option<(Expr, Env, i64, i64)> = None;
         'points: for env in &envs {
             let var_env = variant_env(env, &applied);
             for &(x0, y0) in &oracle.origins {
@@ -520,22 +510,22 @@ fn check_expr(
                     .as_ref()
                     .is_some_and(|o| oracle::first_mismatch(&want_var, o).is_some());
                 if base_bad || var_bad {
-                    let (expr, env, x0, tier) = if var_bad {
-                        (applied.expr.clone(), var_env.clone(), x0 + applied.origin_dx, var.tier)
+                    let (expr, env, x0) = if var_bad {
+                        (applied.expr.clone(), var_env.clone(), x0 + applied.origin_dx)
                     } else {
-                        (e.clone(), env.clone(), x0, base.tier)
+                        (e.clone(), env.clone(), x0)
                     };
-                    violation = Some((expr, env, x0, y0, tier));
+                    violation = Some((expr, env, x0, y0));
                     break 'points;
                 }
             }
         }
 
-        if let Some((expr, env, x0, y0, tier)) = violation {
+        if let Some((expr, env, x0, y0)) = violation {
             stats.violations += 1;
             summary.violations += 1;
             eprintln!("VIOLATION {label}/{}: minimizing", rel.name);
-            let subject = PinnedSubject::new(lanes, tier);
+            let subject = CompilingSubject::new(lanes);
             let run_subject =
                 |e: &Expr, env: &Env, x0: i64, y0: i64, l: usize| subject.run(e, env, x0, y0, l);
             let repro = oracle::minimize(&expr, &env, x0, y0, lanes, &run_subject);

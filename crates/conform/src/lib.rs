@@ -3,7 +3,7 @@
 //! Point checks (the oracle's random expressions, the workloads' golden
 //! outputs) leave whole bug classes unprobed: rewrites that are
 //! individually verified but compose incorrectly, cost regressions, and
-//! cache/tier interactions. This crate closes that gap with *metamorphic
+//! cache interactions. This crate closes that gap with *metamorphic
 //! relations*: semantics-preserving Halide-IR transformations
 //! ([`relations`]) under which the compiled HVX output must stay
 //! lane-for-lane identical and the cost must stay inside a declared

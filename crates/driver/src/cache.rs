@@ -12,9 +12,9 @@
 //! # Lifecycle
 //!
 //! The in-memory layer is bounded by [`CacheLimits`]: when an entry or
-//! byte cap is exceeded, entries are evicted cost-aware-LRU — cheap
-//! `Direct`-tier artifacts go first, expensive `Full`-tier proofs and
-//! negative verdicts last, least-recently-used within each class.
+//! byte cap is exceeded, entries are evicted cost-aware-LRU — compiled
+//! artifacts go first, negative and quarantine verdicts last,
+//! least-recently-used within each class.
 //!
 //! The persistent layer is a segment pair inside the cache directory:
 //! a `synthcache.json` snapshot plus a `synthcache.log` of per-entry
@@ -37,7 +37,6 @@ use rake::CompileError;
 use synth::{LiftRule, LiftStep, LiftTrace};
 
 use crate::json::{self, Json};
-use crate::tier::Tier;
 
 /// File name of the persistent snapshot inside the cache directory.
 pub const CACHE_FILE: &str = "synthcache.json";
@@ -85,9 +84,6 @@ pub struct CachedArtifacts {
     pub hvx: hvx::HvxExpr,
     /// The lifting trace (rendered with canonical buffer names).
     pub trace: LiftTrace,
-    /// The degradation-ladder tier that produced the artifacts, so warm
-    /// cache hits report honestly which budget the program came from.
-    pub tier: Tier,
 }
 
 /// The crash verdict stored for a poison-pill key: a key whose jobs
@@ -147,9 +143,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing usable.
     pub misses: u64,
-    /// Misses caused specifically by a present entry whose producing tier
-    /// was below the request's floor (a subset of `misses`).
-    pub floor_misses: u64,
     /// Entries loaded from the persistent layer at startup.
     pub loaded: u64,
     /// Entries (or whole files) dropped as corrupted at startup.
@@ -238,21 +231,14 @@ impl MemState {
     }
 }
 
-/// Eviction class: lower is evicted first. `Direct`-tier artifacts are
-/// cheap to recompute (no SMT proofs) and go first; `Full`-tier proofs
-/// are the expensive product; negative verdicts are full-tier SMT work in
-/// a handful of bytes, so they go last.
+/// Eviction class: lower is evicted first. Compiled artifacts go first;
+/// a negative verdict is a whole search's work in a handful of bytes, and
+/// a quarantine verdict cost (at least) `crash_threshold` dead workers to
+/// earn — forgetting it early invites more crashes — so both go last.
 fn evict_class(entry: &CacheEntry) -> u8 {
     match entry {
-        CacheEntry::Compiled(a) => match a.tier {
-            Tier::Direct | Tier::Baseline => 0,
-            Tier::Reduced => 1,
-            Tier::Full => 2,
-        },
-        CacheEntry::Failed(_) => 3,
-        // A quarantine verdict cost (at least) `crash_threshold` dead
-        // workers to earn; forgetting it early invites more crashes.
-        CacheEntry::Quarantined(_) => 3,
+        CacheEntry::Compiled(_) => 0,
+        CacheEntry::Failed(_) | CacheEntry::Quarantined(_) => 1,
     }
 }
 
@@ -353,6 +339,8 @@ impl SynthCache {
                     path.display()
                 );
                 stats.corrupted += 1;
+                // Bytes that are not UTF-8 are damage: rewrite the file.
+                force_compact |= err.kind() == std::io::ErrorKind::InvalidData;
             }
         }
 
@@ -389,6 +377,7 @@ impl SynthCache {
                     log_path.display()
                 );
                 stats.corrupted += 1;
+                force_compact |= err.kind() == std::io::ErrorKind::InvalidData;
             }
         }
 
@@ -410,30 +399,19 @@ impl SynthCache {
         self.limits
     }
 
-    /// Look up a key, counting the hit or miss. Serves any tier.
+    /// Look up a key, counting the hit or miss. An expired quarantine
+    /// verdict reads as a miss.
     pub fn lookup(&self, key: &str) -> Option<CacheEntry> {
-        self.lookup_meeting(key, Tier::Baseline)
-    }
-
-    /// Look up a key for a request whose weakest acceptable tier is
-    /// `floor`. A compiled entry produced below the floor (e.g. a
-    /// `Direct`-tier artifact stored under deadline pressure, asked for
-    /// with `floor = Full`) is reported as a miss so the caller recompiles
-    /// at an acceptable tier and overwrites it with the better entry.
-    /// Negative entries always qualify: they are primary-tier verdicts.
-    pub fn lookup_meeting(&self, key: &str, floor: Tier) -> Option<CacheEntry> {
         let mut state = self.mem.lock().unwrap();
-        let entry = state.map.get(key).map(|s| s.entry.clone());
-        let (found, below_floor) = match entry {
-            Some(CacheEntry::Compiled(a)) if !a.tier.meets(floor) => (None, true),
+        let found = match state.map.get(key).map(|s| s.entry.clone()) {
             Some(CacheEntry::Quarantined(q)) if q.expired_at((self.clock)()) => {
                 // The TTL elapsed: the key earns a fresh attempt. Dropping
                 // the resident entry is enough — the next store overwrites
                 // the persisted verdict via normal last-wins replay.
                 state.remove(key);
-                (None, false)
+                None
             }
-            other => (other, false),
+            other => other,
         };
         if found.is_some() {
             state.touch(key);
@@ -444,26 +422,17 @@ impl SynthCache {
             stats.hits += 1;
         } else {
             stats.misses += 1;
-            stats.floor_misses += u64::from(below_floor);
         }
         found
     }
 
-    /// Whether a key is present, without counting a hit or miss — for
-    /// admission decisions that precede the real (counted) lookup.
+    /// Whether [`SynthCache::lookup`] would answer a key, without counting
+    /// a hit or miss — for admission decisions that precede the real
+    /// (counted) lookup. An expired quarantine verdict is absent.
     pub fn contains(&self, key: &str) -> bool {
-        self.mem.lock().unwrap().map.contains_key(key)
-    }
-
-    /// [`SynthCache::contains`] under a tier floor: present *and* usable
-    /// for a request that refuses artifacts below `floor`.
-    pub fn contains_meeting(&self, key: &str, floor: Tier) -> bool {
-        match self.mem.lock().unwrap().map.get(key) {
-            Some(slot) => match &slot.entry {
-                CacheEntry::Compiled(a) => a.tier.meets(floor),
-                CacheEntry::Failed(_) => true,
-                CacheEntry::Quarantined(q) => !q.expired_at((self.clock)()),
-            },
+        match self.mem.lock().unwrap().map.get(key).map(|s| &s.entry) {
+            Some(CacheEntry::Quarantined(q)) => !q.expired_at((self.clock)()),
+            Some(_) => true,
             None => false,
         }
     }
@@ -770,7 +739,6 @@ fn entry_json(key: &str, entry: &CacheEntry) -> Json {
     match entry {
         CacheEntry::Compiled(a) => {
             obj.push(("kind".to_owned(), "compiled".into()));
-            obj.push(("tier".to_owned(), a.tier.name().into()));
             obj.push(("uber".to_owned(), uber_ir::sexpr::to_sexpr(&a.uber).into()));
             obj.push(("hvx".to_owned(), hvx::sexpr::to_sexpr(&a.hvx).into()));
             let steps = a
@@ -841,13 +809,8 @@ fn load_entry(entry: &Json) -> Option<(String, CacheEntry)> {
                     lifted: step.get("lifted")?.as_str()?.to_owned(),
                 });
             }
-            // Entries from before tiering default to the full tier.
-            let tier = entry
-                .get("tier")
-                .and_then(Json::as_str)
-                .and_then(Tier::from_name)
-                .unwrap_or(Tier::Full);
-            CacheEntry::Compiled(CachedArtifacts { uber, hvx, trace, tier })
+            // A `tier` field written by older builds is ignored.
+            CacheEntry::Compiled(CachedArtifacts { uber, hvx, trace })
         }
         "failed" => CacheEntry::Failed(error_from(entry.get("error")?.as_str()?)?),
         "quarantined" => CacheEntry::Quarantined(QuarantineInfo {
@@ -865,10 +828,6 @@ mod tests {
     use lanes::ElemType::{U16, U8};
 
     fn artifacts() -> CachedArtifacts {
-        artifacts_at(Tier::Reduced)
-    }
-
-    fn artifacts_at(tier: Tier) -> CachedArtifacts {
         let hvx = hvx::HvxExpr::op(
             hvx::Op::Vtmpy { elem: U8, w0: 1, w1: 2 },
             vec![hvx::HvxExpr::vmem("b0", U8, -1, 0), hvx::HvxExpr::vmem("b0", U8, 7, 0)],
@@ -880,7 +839,7 @@ mod tests {
             halide: "u16(b0(x-1, y))".to_owned(),
             lifted: "(vs-mpy-add ...)".to_owned(),
         });
-        CachedArtifacts { uber, hvx, trace, tier }
+        CachedArtifacts { uber, hvx, trace }
     }
 
     #[test]
@@ -905,7 +864,6 @@ mod tests {
         let orig = artifacts();
         assert_eq!(a.uber, orig.uber);
         assert_eq!(a.hvx, orig.hvx);
-        assert_eq!(a.tier, Tier::Reduced, "producing tier must survive the roundtrip");
         assert_eq!(a.trace.steps.len(), 1);
         assert_eq!(a.trace.steps[0].rule, LiftRule::Update);
         let Some(CacheEntry::Failed(err)) = warm.lookup("k2|hvx128") else {
@@ -935,6 +893,27 @@ mod tests {
         let warm = SynthCache::persistent(&dir);
         assert_eq!(warm.len(), 1);
         assert_eq!(warm.stats().corrupted, 0, "the snapshot must be healed");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_files_are_rewritten_on_the_next_persist() {
+        let dir = std::env::temp_dir().join("rake-driver-cache-non-utf8");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(CACHE_FILE), b"{\"version\":1,\xff\xfe").unwrap();
+        std::fs::write(dir.join(LOG_FILE), b"\xff\n").unwrap();
+
+        let cache = SynthCache::persistent(&dir);
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats().corrupted, 2);
+        cache.store("k", CacheEntry::Failed(CompileError::LowerFailed));
+        cache.persist().unwrap();
+        assert_eq!(cache.stats().compactions, 1, "damaged files must force a compaction");
+        let warm = SynthCache::persistent(&dir);
+        assert_eq!(warm.len(), 1);
+        assert_eq!(warm.stats().corrupted, 0, "both files must be healed");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1042,23 +1021,23 @@ mod tests {
     }
 
     #[test]
-    fn eviction_prefers_cheap_tiers_then_lru() {
+    fn eviction_prefers_compiled_entries_then_lru() {
         let limits = CacheLimits { max_entries: Some(3), ..CacheLimits::unbounded() };
         let cache = SynthCache::in_memory_bounded(limits);
-        cache.store("full", CacheEntry::Compiled(artifacts_at(Tier::Full)));
-        cache.store("direct-old", CacheEntry::Compiled(artifacts_at(Tier::Direct)));
-        cache.store("direct-new", CacheEntry::Compiled(artifacts_at(Tier::Direct)));
-        // Refresh direct-old: within the Direct class, direct-new is now
-        // the least recently used.
-        assert!(cache.lookup("direct-old").is_some());
-
         cache.store("negative", CacheEntry::Failed(CompileError::LiftFailed));
+        cache.store("compiled-old", CacheEntry::Compiled(artifacts()));
+        cache.store("compiled-new", CacheEntry::Compiled(artifacts()));
+        // Refresh compiled-old: among compiled entries, compiled-new is
+        // now the least recently used.
+        assert!(cache.lookup("compiled-old").is_some());
+
+        cache.quarantine("poison", "worker killed by signal 6", None);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats().evicted, 1);
-        assert!(cache.contains("full"), "a Full-tier proof must outlive cheap Direct-tier entries");
-        assert!(cache.contains("negative"), "negative verdicts are evicted last");
-        assert!(cache.contains("direct-old"), "LRU within the class: the touched entry survives");
-        assert!(!cache.contains("direct-new"), "the cold Direct entry goes first");
+        assert!(cache.contains("negative"), "the oldest entry, a verdict, outlives artifacts");
+        assert!(cache.contains("poison"), "quarantine verdicts are evicted last");
+        assert!(cache.contains("compiled-old"), "LRU within the class: the touched entry survives");
+        assert!(!cache.contains("compiled-new"), "the cold compiled entry goes first");
     }
 
     #[test]
@@ -1114,7 +1093,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_roundtrips_and_meets_any_floor() {
+    fn quarantine_roundtrips_and_answers_lookups() {
         let dir = std::env::temp_dir().join("rake-driver-cache-quarantine");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1123,13 +1102,10 @@ mod tests {
         cache.quarantine("poison", "worker killed by signal 6", None);
         assert_eq!(cache.quarantine_reason("poison").as_deref(), Some("worker killed by signal 6"));
         assert_eq!(cache.quarantined_count(), 1);
-        // Quarantine verdicts are floor-independent: they answer even the
-        // strictest request (re-running would just crash another worker).
-        assert!(cache.contains_meeting("poison", Tier::Full));
-        assert!(matches!(
-            cache.lookup_meeting("poison", Tier::Full),
-            Some(CacheEntry::Quarantined(_))
-        ));
+        // A live verdict answers lookups: re-running the key would just
+        // crash another worker.
+        assert!(cache.contains("poison"));
+        assert!(matches!(cache.lookup("poison"), Some(CacheEntry::Quarantined(_))));
         cache.persist().unwrap();
 
         // The verdict survives a restart via the normal snapshot/log path.
@@ -1156,8 +1132,8 @@ mod tests {
             }),
         );
         assert!(cache.quarantine_reason("stale").is_none());
-        assert!(!cache.contains_meeting("stale", Tier::Direct));
-        assert!(cache.lookup_meeting("stale", Tier::Direct).is_none());
+        assert!(!cache.contains("stale"));
+        assert!(cache.lookup("stale").is_none());
         assert_eq!(cache.len(), 0, "expired verdicts are dropped, not served");
 
         // A fresh TTL keeps the verdict live.
@@ -1166,31 +1142,8 @@ mod tests {
         assert_eq!(cache.quarantined_count(), 1);
 
         // Recompiling a previously-quarantined key overwrites the verdict.
-        cache.store("live", CacheEntry::Compiled(artifacts_at(Tier::Full)));
+        cache.store("live", CacheEntry::Compiled(artifacts()));
         assert!(cache.quarantine_reason("live").is_none());
         assert!(matches!(cache.lookup("live"), Some(CacheEntry::Compiled(_))));
-    }
-
-    #[test]
-    fn floor_lookup_rejects_degraded_entries() {
-        let cache = SynthCache::in_memory();
-        cache.store("k", CacheEntry::Compiled(artifacts_at(Tier::Direct)));
-        assert!(cache.lookup_meeting("k", Tier::Direct).is_some());
-        assert!(cache.lookup_meeting("k", Tier::Full).is_none(), "Direct entry under a Full floor");
-        assert!(!cache.contains_meeting("k", Tier::Reduced));
-        assert!(cache.contains_meeting("k", Tier::Direct));
-        let stats = cache.stats();
-        assert_eq!(stats.floor_misses, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-
-        // Negative entries are primary-tier verdicts: they meet any floor.
-        cache.store("neg", CacheEntry::Failed(CompileError::LiftFailed));
-        assert!(cache.lookup_meeting("neg", Tier::Full).is_some());
-        assert!(cache.contains_meeting("neg", Tier::Full));
-
-        // Recompiling at a better tier overwrites; the floor now passes.
-        cache.store("k", CacheEntry::Compiled(artifacts_at(Tier::Full)));
-        assert!(cache.lookup_meeting("k", Tier::Full).is_some());
     }
 }

@@ -7,9 +7,8 @@
 //! * worker **panics** — both `&str` payloads and non-string payloads
 //!   (`panic_any(42)`), exercising the panic-capture path end to end;
 //! * **forced deadline exhaustion** — the compile call reports
-//!   `DeadlineExceeded` immediately, as a starved solver would; the fault
-//!   is *sticky* per (job, tier), so retry-with-backoff exhausts its
-//!   attempts and the degradation ladder demonstrably moves down a rung;
+//!   `DeadlineExceeded` immediately, as a starved solver would, and the
+//!   job must end `timed_out` with the baseline program;
 //! * artificial **latency** before the real compile runs;
 //! * persistent **cache-file corruption** ([`corrupt_cache_file`]) —
 //!   truncated tail, garbage bytes, or a version bump — used by the chaos
@@ -22,9 +21,7 @@
 use std::path::Path;
 use std::time::Duration;
 
-use crate::tier::Tier;
-
-/// One injected fault, decided per (job key, tier).
+/// One injected fault, decided per job key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The worker panics with a `&str` payload.
@@ -33,8 +30,7 @@ pub enum Fault {
     /// exercising the typed-placeholder capture path.
     PanicNonStr,
     /// The compile call reports `DeadlineExceeded` immediately (a starved
-    /// solver / exhausted budget). Sticky across retries of the same
-    /// (job, tier), so the ladder degrades.
+    /// solver / exhausted budget).
     ForcedDeadline,
     /// The worker sleeps this long before compiling for real.
     Latency(Duration),
@@ -87,19 +83,19 @@ pub enum CacheCorruption {
 pub struct FaultPlan {
     /// The schedule seed: same seed, same batch → same faults.
     pub seed: u64,
-    /// Probability a (job, tier) is handed a [`Fault::ForcedDeadline`].
+    /// Probability a job is handed a [`Fault::ForcedDeadline`].
     pub deadline_rate: f64,
-    /// Probability a (job, tier) panics (split evenly between string and
+    /// Probability a job panics (split evenly between string and
     /// non-string payloads).
     pub panic_rate: f64,
-    /// Probability a (job, tier) is delayed before compiling.
+    /// Probability a job is delayed before compiling.
     pub latency_rate: f64,
     /// Upper bound on the injected delay.
     pub max_latency: Duration,
-    /// Probability a (job, tier) aborts the worker process outright.
+    /// Probability a job aborts the worker process outright.
     /// Zero by default: only meaningful under process isolation.
     pub abort_rate: f64,
-    /// Probability a (job, tier) allocates until killed. Zero by default:
+    /// Probability a job allocates until killed. Zero by default:
     /// only meaningful under process isolation.
     pub oom_rate: f64,
 }
@@ -119,12 +115,11 @@ impl FaultPlan {
         }
     }
 
-    /// The fault (if any) scheduled for this job at this tier. Purely a
-    /// function of `(seed, key, tier)` — retries of the same tier see the
-    /// same answer, which is what makes forced deadlines exhaust the
-    /// retry budget instead of flaking away.
-    pub fn fault_for(&self, key: &str, tier: Tier) -> Option<Fault> {
-        let h = mix(self.seed ^ fnv1a(key.as_bytes()) ^ fnv1a(tier.name().as_bytes()));
+    /// The fault (if any) scheduled for this job. Purely a function of
+    /// `(seed, key)`: asking again gives the same answer, so a schedule
+    /// replays exactly.
+    pub fn fault_for(&self, key: &str) -> Option<Fault> {
+        let h = mix(self.seed ^ fnv1a(key.as_bytes()));
         let r = unit(h);
         if r < self.deadline_rate {
             return Some(Fault::ForcedDeadline);
@@ -212,12 +207,10 @@ mod tests {
     fn schedule_is_deterministic_and_sticky() {
         let plan = FaultPlan::seeded(0xC4A05);
         for key in ["job-a|l8", "job-b|l8", "job-c|l8"] {
-            for tier in Tier::ladder() {
-                // Ask repeatedly: the answer never changes (stickiness).
-                let first = plan.fault_for(key, tier);
-                for _ in 0..5 {
-                    assert_eq!(plan.fault_for(key, tier), first);
-                }
+            // Ask repeatedly: the answer never changes (stickiness).
+            let first = plan.fault_for(key);
+            for _ in 0..5 {
+                assert_eq!(plan.fault_for(key), first);
             }
         }
     }
@@ -227,7 +220,7 @@ mod tests {
         let keys: Vec<String> = (0..64).map(|i| format!("job-{i}")).collect();
         let a = FaultPlan::seeded(1);
         let b = FaultPlan::seeded(2);
-        let differs = keys.iter().any(|k| a.fault_for(k, Tier::Full) != b.fault_for(k, Tier::Full));
+        let differs = keys.iter().any(|k| a.fault_for(k) != b.fault_for(k));
         assert!(differs, "different seeds must give different schedules");
     }
 
@@ -235,8 +228,7 @@ mod tests {
     fn rates_are_roughly_respected() {
         let plan = FaultPlan::seeded(7);
         let n = 2000;
-        let faults =
-            (0..n).filter(|i| plan.fault_for(&format!("job-{i}"), Tier::Full).is_some()).count();
+        let faults = (0..n).filter(|i| plan.fault_for(&format!("job-{i}")).is_some()).count();
         let expected = plan.deadline_rate + plan.panic_rate + plan.latency_rate;
         let got = faults as f64 / n as f64;
         assert!((got - expected).abs() < 0.05, "fault rate {got} vs configured {expected}");
@@ -248,7 +240,7 @@ mod tests {
         // harness must keep working unchanged.
         let plan = FaultPlan::seeded(0xDEAD);
         for i in 0..256 {
-            let f = plan.fault_for(&format!("job-{i}"), Tier::Full);
+            let f = plan.fault_for(&format!("job-{i}"));
             assert!(
                 !matches!(f, Some(Fault::Abort) | Some(Fault::Oom)),
                 "lethal fault from default plan: {f:?}"
@@ -269,8 +261,8 @@ mod tests {
         let mut ooms = 0;
         for i in 0..64 {
             let key = format!("job-{i}");
-            let first = lethal.fault_for(&key, Tier::Full);
-            assert_eq!(lethal.fault_for(&key, Tier::Full), first, "sticky");
+            let first = lethal.fault_for(&key);
+            assert_eq!(lethal.fault_for(&key), first, "sticky");
             match first {
                 Some(Fault::Abort) => aborts += 1,
                 Some(Fault::Oom) => ooms += 1,

@@ -33,7 +33,6 @@ use std::time::Duration;
 use synth::SynthStats;
 
 use crate::json::{self, Json};
-use crate::tier::Tier;
 
 /// How one job concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,11 +104,6 @@ pub struct JobRecord {
     pub instructions: Option<usize>,
     /// Synthesis statistics for the job (zero-query on cache hits).
     pub stats: SynthStats,
-    /// The degradation-ladder tier that produced the program
-    /// ([`Tier::Baseline`] for every non-compiled outcome).
-    pub tier: Tier,
-    /// Transient-deadline retries spent across the job's ladder tiers.
-    pub retries: u32,
     /// Whether the chaos plane injected a fault into this job.
     pub fault_injected: bool,
     /// Whether the outcome was replayed from a prior run's journal.
@@ -142,11 +136,6 @@ pub enum DriverEvent {
         /// Stable error name (`lift_failed`, ...) for failures, the panic
         /// description for panics.
         detail: Option<String>,
-        /// The tier that produced the program ([`Tier::Baseline`] for
-        /// non-compiled outcomes).
-        tier: Tier,
-        /// Transient-deadline retries spent across the ladder.
-        retries: u32,
         /// Whether the chaos plane injected a fault.
         fault_injected: bool,
         /// Whether this outcome was itself replayed from an earlier
@@ -197,8 +186,6 @@ pub enum DriverEvent {
     WorkerCrashed {
         /// The cache key of the job the worker was running, if any.
         key: Option<String>,
-        /// The degradation tier the job was attempted at, if known.
-        tier: Option<Tier>,
         /// What killed the worker: `signal`, `exit`, `wallclock`, `rss`,
         /// or `spawn` (the respawn itself failed).
         cause: String,
@@ -248,8 +235,6 @@ impl DriverEvent {
                 key,
                 outcome,
                 detail,
-                tier,
-                retries,
                 fault_injected,
                 replayed,
                 run_time,
@@ -262,8 +247,6 @@ impl DriverEvent {
                 if let Some(detail) = detail {
                     obj.push(("detail".to_owned(), detail.as_str().into()));
                 }
-                obj.push(("tier".to_owned(), tier.name().into()));
-                obj.push(("retries".to_owned(), (*retries as u64).into()));
                 obj.push(("fault_injected".to_owned(), (*fault_injected).into()));
                 if *replayed {
                     obj.push(("replayed".to_owned(), true.into()));
@@ -284,8 +267,6 @@ impl DriverEvent {
                 if let Some(detail) = &r.detail {
                     obj.push(("detail".to_owned(), detail.as_str().into()));
                 }
-                obj.push(("tier".to_owned(), r.tier.name().into()));
-                obj.push(("retries".to_owned(), (r.retries as u64).into()));
                 obj.push(("fault_injected".to_owned(), r.fault_injected.into()));
                 if r.replayed {
                     obj.push(("replayed".to_owned(), true.into()));
@@ -337,20 +318,10 @@ impl DriverEvent {
                 ("cache_hits", (*cache_hits).into()),
                 ("wall_ms", ms(*wall)),
             ]),
-            DriverEvent::WorkerCrashed {
-                key,
-                tier,
-                cause,
-                signal,
-                crashes_for_key,
-                stderr_tail,
-            } => {
+            DriverEvent::WorkerCrashed { key, cause, signal, crashes_for_key, stderr_tail } => {
                 let mut obj = vec![("event".to_owned(), "worker_crashed".into())];
                 if let Some(key) = key {
                     obj.push(("key".to_owned(), key.as_str().into()));
-                }
-                if let Some(tier) = tier {
-                    obj.push(("tier".to_owned(), tier.name().into()));
                 }
                 obj.push(("cause".to_owned(), cause.as_str().into()));
                 if let Some(signal) = signal {
@@ -376,7 +347,6 @@ impl DriverEvent {
 pub(crate) struct ReplayRecord {
     pub(crate) outcome: OutcomeKind,
     pub(crate) detail: Option<String>,
-    pub(crate) retries: u32,
 }
 
 /// Parse the write-ahead journal at `path` into the latest
@@ -390,6 +360,8 @@ pub(crate) fn parse_journal(path: &Path) -> Option<HashMap<String, ReplayRecord>
 
 /// The replay map of a journal text: last `job_completed` record per key,
 /// unknown events (including rotation markers) and torn lines skipped.
+/// Fields replay does not read, such as the `tier` and `retries` that
+/// older builds wrote, are ignored.
 fn replay_records(text: &str) -> HashMap<String, ReplayRecord> {
     let mut map = HashMap::new();
     for line in text.lines() {
@@ -404,8 +376,7 @@ fn replay_records(text: &str) -> HashMap<String, ReplayRecord> {
             continue;
         };
         let detail = v.get("detail").and_then(Json::as_str).map(str::to_owned);
-        let retries = v.get("retries").and_then(Json::as_i64).and_then(|n| u32::try_from(n).ok());
-        map.insert(key.to_owned(), ReplayRecord { outcome, detail, retries: retries.unwrap_or(0) });
+        map.insert(key.to_owned(), ReplayRecord { outcome, detail });
     }
     map
 }
@@ -536,7 +507,6 @@ impl Journal {
             if let Some(detail) = rec.detail {
                 obj.push(("detail".to_owned(), Json::Str(detail)));
             }
-            obj.push(("retries".to_owned(), u64::from(rec.retries).into()));
             obj.push(("snapshot".to_owned(), true.into()));
             doc.push_str(&Json::Obj(obj).to_string());
             doc.push('\n');
@@ -561,24 +531,20 @@ impl Journal {
 pub fn summary_table(events: &[DriverEvent]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<4} {:<18} {:<9} {:<8} {:>5} {:>5} {:>8} {:>9} {:>7} {:>6}\n",
-        "job", "name", "outcome", "tier", "retry", "cache", "wait_ms", "run_ms", "queries", "insns"
+        "{:<4} {:<18} {:<9} {:>5} {:>8} {:>9} {:>7} {:>6}\n",
+        "job", "name", "outcome", "cache", "wait_ms", "run_ms", "queries", "insns"
     ));
     let mut total_queries = 0u64;
-    let mut degraded = 0usize;
     for event in events {
         let DriverEvent::JobFinished(r) = event else { continue };
         let queries =
             r.stats.lifting_queries + r.stats.sketching_queries + r.stats.swizzling_queries;
         total_queries += queries;
-        degraded += usize::from(r.outcome == OutcomeKind::Compiled && r.tier != Tier::Full);
         out.push_str(&format!(
-            "{:<4} {:<18} {:<9} {:<8} {:>5} {:>5} {:>8.1} {:>9.1} {:>7} {:>6}\n",
+            "{:<4} {:<18} {:<9} {:>5} {:>8.1} {:>9.1} {:>7} {:>6}\n",
             r.index,
             r.name.as_deref().unwrap_or("-"),
             r.outcome.name(),
-            r.tier.name(),
-            r.retries,
             if r.cache_hit { "hit" } else { "miss" },
             r.queue_wait.as_secs_f64() * 1e3,
             r.run_time.as_secs_f64() * 1e3,
@@ -601,7 +567,7 @@ pub fn summary_table(events: &[DriverEvent]) -> String {
             continue;
         };
         out.push_str(&format!(
-            "total: {compiled} compiled ({degraded} on degraded tiers), {failed} failed, \
+            "total: {compiled} compiled, {failed} failed, \
              {timed_out} timed out, {panicked} panicked, {cancelled} cancelled, \
              {quarantined} quarantined; {cache_hits} cache hits, {total_queries} queries, \
              {:.1} ms wall\n",
@@ -628,8 +594,6 @@ mod tests {
             detail: None,
             instructions: Some(7),
             stats: SynthStats::default(),
-            tier: Tier::Reduced,
-            retries: 1,
             fault_injected: false,
             replayed: false,
         }
@@ -662,8 +626,6 @@ mod tests {
         assert_eq!(job.get("cache_hit").unwrap().as_bool(), Some(true));
         assert_eq!(job.get("queue_wait_ms").unwrap(), &Json::Num(1.5));
         assert_eq!(job.get("instructions").unwrap().as_i64(), Some(7));
-        assert_eq!(job.get("tier").unwrap().as_str(), Some("reduced"));
-        assert_eq!(job.get("retries").unwrap().as_i64(), Some(1));
         assert_eq!(job.get("fault_injected").unwrap().as_bool(), Some(false));
     }
 
@@ -673,8 +635,6 @@ mod tests {
             key: "(vadd ...)|l8v8".to_owned(),
             outcome: OutcomeKind::TimedOut,
             detail: None,
-            tier: Tier::Baseline,
-            retries: 2,
             fault_injected: true,
             replayed: false,
             run_time: Duration::from_millis(5),
@@ -683,8 +643,6 @@ mod tests {
         assert_eq!(v.get("event").unwrap().as_str(), Some("job_completed"));
         assert_eq!(v.get("key").unwrap().as_str(), Some("(vadd ...)|l8v8"));
         assert_eq!(v.get("outcome").unwrap().as_str(), Some("timed_out"));
-        assert_eq!(v.get("tier").unwrap().as_str(), Some("baseline"));
-        assert_eq!(v.get("retries").unwrap().as_i64(), Some(2));
         assert_eq!(v.get("fault_injected").unwrap().as_bool(), Some(true));
         assert!(v.get("replayed").is_none(), "replayed is emitted only when true");
     }
@@ -695,8 +653,6 @@ mod tests {
             key: "k".to_owned(),
             outcome: OutcomeKind::Compiled,
             detail: None,
-            tier: Tier::Full,
-            retries: 0,
             fault_injected: false,
             replayed: false,
             run_time: Duration::from_millis(1),
@@ -712,7 +668,6 @@ mod tests {
     fn worker_crash_forensics_serialize_and_are_replay_invisible() {
         let ev = DriverEvent::WorkerCrashed {
             key: Some("(vadd ...)|l8v8".to_owned()),
-            tier: Some(Tier::Full),
             cause: "signal".to_owned(),
             signal: Some(9),
             crashes_for_key: 2,
@@ -736,12 +691,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
 
-        let completed = |key: &str, outcome: OutcomeKind, retries: u32| DriverEvent::JobCompleted {
+        let completed = |key: &str, outcome: OutcomeKind| DriverEvent::JobCompleted {
             key: key.to_owned(),
             outcome,
             detail: (outcome == OutcomeKind::Failed).then(|| "lower_failed".to_owned()),
-            tier: Tier::Baseline,
-            retries,
             fault_injected: false,
             replayed: false,
             run_time: Duration::from_millis(1),
@@ -757,10 +710,10 @@ mod tests {
                 cache_entries: 0,
             });
             let outcome = if i % 3 == 0 { OutcomeKind::Failed } else { OutcomeKind::Compiled };
-            journal.append(&completed(&format!("key-{i:02}"), outcome, i as u32));
+            journal.append(&completed(&format!("key-{i:02}"), outcome));
         }
         // Re-complete one key: last record wins through rotation too.
-        journal.append(&completed("key-00", OutcomeKind::Compiled, 9));
+        journal.append(&completed("key-00", OutcomeKind::Compiled));
         assert!(journal.rotations() >= 1, "512-byte threshold must have rotated");
         assert!(journal.bytes() < 4096, "rotated journal stays bounded");
 
@@ -780,10 +733,9 @@ mod tests {
                 assert_eq!(rec.detail.as_deref(), Some("lower_failed"));
             }
         }
-        assert_eq!(replay.get("key-00").unwrap().retries, 9, "last record wins");
 
         // Appends continue cleanly on the reopened handle.
-        journal.append(&completed("key-99", OutcomeKind::Compiled, 0));
+        journal.append(&completed("key-99", OutcomeKind::Compiled));
         assert!(parse_journal(&path).unwrap().contains_key("key-99"));
 
         let _ = std::fs::remove_dir_all(&dir);

@@ -17,13 +17,11 @@
 //!   a deduplicated job list, the calling thread being one of them, so a
 //!   one-job batch (a warm cache hit, say) spawns no thread; results are
 //!   reported in input order.
-//! * **Graceful degradation** ([`tier`]): a job that times out or panics
-//!   under full synthesis is retried down a ladder of cheaper
-//!   configurations — reduced budgets, then direct per-op lowering —
-//!   before surrendering to the baseline selector. Each tier gets a
-//!   weighted slice of the job's wall-clock budget; transient deadline
-//!   overruns are retried with backoff; the producing tier is recorded on
-//!   every result.
+//! * **One search per job, baseline on failure**: each cache miss runs
+//!   the configured selector once, under the job's whole wall-clock
+//!   budget and panic isolation. A deterministic failure is
+//!   negative-cached; a deadline or a panic is not, and every job that
+//!   did not compile carries the baseline selector's program.
 //! * **Crash-safe resume**: the JSONL event stream doubles as a
 //!   write-ahead journal — one flushed `job_completed` record per unique
 //!   job — and [`Driver::resume`] replays completed jobs from journal +
@@ -34,8 +32,8 @@
 //!   latency, and cache corruption — the harness that proves the
 //!   guarantees above hold under fire.
 //! * **Observability** ([`event`]): a structured JSONL event stream with
-//!   per-job timings, cache outcomes, tiers and query counts, plus a
-//!   summary table printer.
+//!   per-job timings, cache outcomes and query counts, plus a summary
+//!   table printer.
 //!
 //! ```
 //! use rake_driver::{Driver, DriverConfig};
@@ -59,7 +57,6 @@ pub mod chaos;
 pub mod event;
 pub mod json;
 pub mod lockfile;
-pub mod tier;
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,28 +73,16 @@ pub use cache::CacheLimits;
 use cache::{CacheEntry, CacheStats, CachedArtifacts, SynthCache};
 pub use event::Journal;
 use event::{DriverEvent, JobRecord, OutcomeKind, ReplayRecord};
-pub use tier::Tier;
 
 /// Service-layer configuration.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
     /// Worker threads in the pool. Clamped to at least 1.
     pub workers: usize,
-    /// Per-job wall-clock budget, shared across the degradation ladder
-    /// (each tier receives a weighted slice of what remains). `None`
-    /// disables deadlines.
+    /// Per-job wall-clock budget for the job's one synthesis attempt;
+    /// when it runs out the job ends [`JobOutcome::TimedOut`] with the
+    /// baseline program. `None` disables deadlines.
     pub job_timeout: Option<Duration>,
-    /// The degradation ladder: tiers tried in order until one compiles.
-    /// The first tier's deterministic failures are negative-cached and
-    /// final; later tiers only run after a timeout or panic. Empty is
-    /// treated as `[Tier::Full]`.
-    pub tiers: Vec<Tier>,
-    /// Retries (per tier) of *transient* `DeadlineExceeded` outcomes —
-    /// ones that returned while tier budget still remained, as an
-    /// interrupted solver does. Real budget exhaustion is never retried.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub retry_backoff: Duration,
     /// Directory for the persistent cache layer (`synthcache.json` plus
     /// the `synthcache.log` segment log). `None` keeps the cache in
     /// memory only.
@@ -147,9 +132,6 @@ impl Default for DriverConfig {
         DriverConfig {
             workers: cores().min(8),
             job_timeout: None,
-            tiers: Tier::ladder().to_vec(),
-            max_retries: 1,
-            retry_backoff: Duration::from_millis(25),
             cache_dir: None,
             cache_limits: CacheLimits::default(),
             log_path: None,
@@ -161,16 +143,11 @@ impl Default for DriverConfig {
 }
 
 /// The compile function a worker runs per cache miss. Receives the
-/// *original* (non-canonical) expression, the attempt deadline, the
-/// degradation-ladder tier being tried, and the batch's cancellation flag
-/// (if any) to forward into the cooperative deadline plumbing.
+/// *original* (non-canonical) expression, the job's deadline, and the
+/// batch's cancellation flag (if any) to forward into the cooperative
+/// deadline plumbing.
 pub type CompileFn = Arc<
-    dyn Fn(
-            &Expr,
-            Option<Instant>,
-            Tier,
-            Option<synth::CancelFlag>,
-        ) -> Result<Compiled, CompileError>
+    dyn Fn(&Expr, Option<Instant>, Option<synth::CancelFlag>) -> Result<Compiled, CompileError>
         + Send
         + Sync,
 >;
@@ -183,10 +160,10 @@ pub enum JobOutcome {
     Compiled(Box<Compiled>),
     /// Synthesis failed deterministically.
     Failed(CompileError),
-    /// The per-job wall-clock budget expired on every ladder tier.
+    /// The per-job wall-clock budget expired. Proves nothing about the
+    /// tile: never cached.
     TimedOut,
-    /// The selector panicked on this job (on the full tier; degraded
-    /// retries did not recover it); the batch continued.
+    /// The selector panicked on this job; the batch continued.
     Panicked(String),
     /// The batch's cancellation flag was raised before the job finished
     /// (e.g. the requesting client disconnected). Proves nothing about the
@@ -225,13 +202,6 @@ pub struct JobResult {
     pub cache_hit: bool,
     /// How the job concluded.
     pub outcome: JobOutcome,
-    /// The degradation-ladder tier that produced the program:
-    /// [`Tier::Full`]/[`Tier::Reduced`]/[`Tier::Direct`] for compiled
-    /// outcomes, [`Tier::Baseline`] otherwise (the fallback, when any,
-    /// came from the baseline selector).
-    pub tier: Tier,
-    /// Transient-deadline retries spent across the job's ladder tiers.
-    pub retries: u32,
     /// Whether the chaos plane injected a fault into this job (always
     /// `false` without the `chaos` feature).
     pub fault_injected: bool,
@@ -292,15 +262,6 @@ impl BatchReport {
         self.results.iter().filter(|r| matches!(r.outcome, JobOutcome::Compiled(_))).count()
     }
 
-    /// Number of inputs whose program came from a degraded (non-full)
-    /// synthesis tier.
-    pub fn degraded(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| matches!(r.outcome, JobOutcome::Compiled(_)) && r.tier != Tier::Full)
-            .count()
-    }
-
     /// Render the human-readable per-job summary table.
     pub fn summary_table(&self) -> String {
         event::summary_table(&self.events)
@@ -338,7 +299,7 @@ pub struct Driver {
 
 impl Driver {
     /// A driver over the given selector, with a default config (in-memory
-    /// cache, no deadlines, auto-sized pool, full degradation ladder).
+    /// cache, no deadlines, auto-sized pool).
     pub fn new(rake: Rake) -> Driver {
         let compile_fn = default_compile_fn(&rake);
         Driver {
@@ -403,17 +364,12 @@ impl Driver {
     }
 
     /// Replace the per-job compile function. Intended for tests (fault
-    /// injection, synthesis counting); production callers should rely on
-    /// the default, which runs [`Rake::compile`] under the tier's budget
-    /// reductions with the attempt deadline and cancellation flag.
+    /// injection, synthesis counting) and the serving layer's isolated
+    /// workers; other callers should rely on the default, which runs
+    /// [`Rake::compile`] with the job's deadline and cancellation flag.
     pub fn with_compile_fn(
         mut self,
-        f: impl Fn(
-                &Expr,
-                Option<Instant>,
-                Tier,
-                Option<synth::CancelFlag>,
-            ) -> Result<Compiled, CompileError>
+        f: impl Fn(&Expr, Option<Instant>, Option<synth::CancelFlag>) -> Result<Compiled, CompileError>
             + Send
             + Sync
             + 'static,
@@ -651,8 +607,6 @@ impl Driver {
                 detail,
                 instructions,
                 stats: job_stats,
-                tier: ur.tier(),
-                retries: ur.retries,
                 fault_injected: ur.fault_injected,
                 replayed: ur.replayed,
             }));
@@ -662,8 +616,6 @@ impl Driver {
                 key: input.key,
                 cache_hit,
                 outcome,
-                tier: ur.tier(),
-                retries: ur.retries,
                 fault_injected: ur.fault_injected,
                 replayed: ur.replayed,
                 fallback,
@@ -768,8 +720,6 @@ impl Driver {
                     UniqueOutcome::Quarantined(reason) => Some(reason.clone()),
                     _ => None,
                 },
-                tier: result.tier(),
-                retries: result.retries,
                 fault_injected: result.fault_injected,
                 replayed: result.replayed,
                 run_time: result.run_time,
@@ -811,9 +761,8 @@ impl Driver {
             .collect()
     }
 
-    /// Execute one unique job: journal replay, cache lookup, then the
-    /// degradation ladder — each tier compiled under a weighted slice of
-    /// the remaining budget with panic isolation and bounded retries —
+    /// Execute one unique job: journal replay, cache lookup, then one
+    /// compile under the job's whole deadline with panic isolation,
     /// storing the (canonicalized) result.
     fn run_unique(
         &self,
@@ -826,8 +775,6 @@ impl Driver {
         if sp.is_active() {
             sp.arg("key", job.key.clone());
             sp.arg("outcome", result.kind().name());
-            sp.arg("tier", result.tier().name());
-            sp.arg("retries", result.retries);
             sp.arg("cache_hit", result.cache_hit);
             sp.arg("replayed", result.replayed);
         }
@@ -842,12 +789,11 @@ impl Driver {
     ) -> UniqueResult {
         let picked = Instant::now();
         let queue_wait = picked.duration_since(batch_start);
-        let finish = |outcome, cache_hit, replayed, retries, fault_injected| UniqueResult {
+        let finish = |outcome, cache_hit, replayed, fault_injected| UniqueResult {
             queue_wait,
             run_time: picked.elapsed(),
             cache_hit,
             replayed,
-            retries,
             fault_injected,
             outcome,
         };
@@ -856,7 +802,7 @@ impl Driver {
         // nothing about the tile is learned, nothing is cached, and resume
         // recompiles them.
         if synth::cancel::cancelled(self.config.cancel) {
-            return finish(UniqueOutcome::Cancelled, false, false, 0, false);
+            return finish(UniqueOutcome::Cancelled, false, false, false);
         }
 
         // Journal replay: terminal non-compiled outcomes are replayed
@@ -869,19 +815,19 @@ impl Driver {
                 OutcomeKind::Failed => {
                     if let Some(err) = rec.detail.as_deref().and_then(cache::error_from) {
                         self.cache.store(&job.key, CacheEntry::Failed(err.clone()));
-                        return finish(UniqueOutcome::Failed(err), false, true, rec.retries, false);
+                        return finish(UniqueOutcome::Failed(err), false, true, false);
                     }
                     // Unrecognized error name: recompile rather than guess.
                 }
                 OutcomeKind::TimedOut => {
-                    return finish(UniqueOutcome::TimedOut, false, true, rec.retries, false);
+                    return finish(UniqueOutcome::TimedOut, false, true, false);
                 }
                 OutcomeKind::Panicked => {
                     let msg = rec
                         .detail
                         .clone()
                         .unwrap_or_else(|| "replayed panic (detail lost)".to_owned());
-                    return finish(UniqueOutcome::Panicked(msg), false, true, rec.retries, false);
+                    return finish(UniqueOutcome::Panicked(msg), false, true, false);
                 }
                 // A cancelled record is not a verdict: recompile.
                 OutcomeKind::Cancelled => {}
@@ -893,136 +839,54 @@ impl Driver {
             }
         }
 
-        // The weakest configured tier is the request's quality floor: a
-        // cached artifact produced below it (by a previous, more degraded
-        // run) is not good enough — recompile and overwrite it.
-        let tiers: &[Tier] =
-            if self.config.tiers.is_empty() { &[Tier::Full] } else { &self.config.tiers };
-        let floor = tiers.iter().copied().max_by_key(|t| t.rank()).unwrap_or(Tier::Full);
-
-        match self.cache.lookup_meeting(&job.key, floor) {
+        let replayed = replay_rec.is_some();
+        match self.cache.lookup(&job.key) {
             Some(CacheEntry::Compiled(artifacts)) => {
                 let outcome = UniqueOutcome::Compiled {
                     artifacts: Box::new(artifacts),
                     stats: SynthStats::default(),
                 };
-                return finish(outcome, true, replay_rec.is_some(), 0, false);
+                return finish(outcome, true, replayed, false);
             }
             Some(CacheEntry::Failed(err)) => {
-                return finish(UniqueOutcome::Failed(err), true, replay_rec.is_some(), 0, false);
+                return finish(UniqueOutcome::Failed(err), true, replayed, false);
             }
             Some(CacheEntry::Quarantined(q)) => {
                 // A poison pill answers from its cached crash verdict:
                 // re-running it would only kill another worker.
-                return finish(
-                    UniqueOutcome::Quarantined(q.reason),
-                    true,
-                    replay_rec.is_some(),
-                    0,
-                    false,
-                );
+                return finish(UniqueOutcome::Quarantined(q.reason), true, replayed, false);
             }
             None => {}
         }
 
-        // The degradation ladder. Tier i gets weight_i / remaining_weight
-        // of whatever wall-clock budget is left when it starts.
-        let hard_end = self.config.job_timeout.map(|budget| picked + budget);
-        let mut remaining_weight: u32 = tiers.iter().map(|t| t.weight()).sum();
-        let mut first_terminal: Option<UniqueOutcome> = None;
-        let mut retries = 0u32;
+        let deadline = self.config.job_timeout.map(|budget| picked + budget);
         let mut fault_injected = false;
-
-        for (rung, &tier) in tiers.iter().enumerate() {
-            let tier_end = hard_end.map(|end| {
-                let now = Instant::now();
-                let left = end.saturating_duration_since(now);
-                now + left.mul_f64(f64::from(tier.weight()) / f64::from(remaining_weight))
-            });
-            remaining_weight -= tier.weight();
-
-            let mut attempt = 0u32;
-            let tier_terminal = loop {
-                if synth::cancel::cancelled(self.config.cancel) {
-                    break UniqueOutcome::Cancelled;
-                }
-                let result = {
-                    let mut asp = trace::span("driver.attempt", "driver");
-                    if asp.is_active() {
-                        asp.arg("tier", tier.name());
-                        asp.arg("attempt", attempt);
-                    }
-                    self.compile_attempt(job, tier, tier_end, &mut fault_injected)
+        let outcome = match self.compile_attempt(job, deadline, &mut fault_injected) {
+            Ok(Ok(c)) => {
+                let artifacts = CachedArtifacts {
+                    uber: canon::rename_uber(&c.uber, &job.canonical.to_canonical),
+                    hvx: canon::rename_hvx(&c.hvx, &job.canonical.to_canonical),
+                    trace: c.trace,
                 };
-                match result {
-                    Ok(Ok(c)) => {
-                        let artifacts = CachedArtifacts {
-                            uber: canon::rename_uber(&c.uber, &job.canonical.to_canonical),
-                            hvx: canon::rename_hvx(&c.hvx, &job.canonical.to_canonical),
-                            trace: c.trace,
-                            tier,
-                        };
-                        self.cache.store(&job.key, CacheEntry::Compiled(artifacts.clone()));
-                        let outcome = UniqueOutcome::Compiled {
-                            artifacts: Box::new(artifacts),
-                            stats: c.stats,
-                        };
-                        return finish(outcome, false, false, retries, fault_injected);
-                    }
-                    Ok(Err(CompileError::DeadlineExceeded)) => {
-                        // Cancellation surfaces through the deadline
-                        // plumbing: a raised flag means the "timeout" was
-                        // a cancelled search, never retried or degraded.
-                        if synth::cancel::cancelled(self.config.cancel) {
-                            break UniqueOutcome::Cancelled;
-                        }
-                        // Transient if the tier's budget was NOT actually
-                        // exhausted (a starved solver gave up early);
-                        // retry with backoff. Real exhaustion degrades.
-                        let transient = tier_end
-                            .is_none_or(|end| Instant::now() + self.config.retry_backoff < end);
-                        if transient && attempt < self.config.max_retries {
-                            std::thread::sleep(self.config.retry_backoff * (1 << attempt.min(4)));
-                            attempt += 1;
-                            retries += 1;
-                            continue;
-                        }
-                        break UniqueOutcome::TimedOut;
-                    }
-                    Ok(Err(err)) => {
-                        if rung == 0 {
-                            // A deterministic verdict from the primary
-                            // tier is final: negative-cache it, skip the
-                            // ladder (weaker tiers cannot do better).
-                            self.cache.store(&job.key, CacheEntry::Failed(err.clone()));
-                            return finish(
-                                UniqueOutcome::Failed(err),
-                                false,
-                                false,
-                                retries,
-                                fault_injected,
-                            );
-                        }
-                        break UniqueOutcome::Failed(err);
-                    }
-                    Err(msg) => break UniqueOutcome::Panicked(msg),
-                }
-            };
-            // A cancelled job skips the rest of the ladder: weaker tiers
-            // would only burn budget nobody is waiting for.
-            if matches!(tier_terminal, UniqueOutcome::Cancelled) {
-                return finish(UniqueOutcome::Cancelled, false, false, retries, fault_injected);
+                self.cache.store(&job.key, CacheEntry::Compiled(artifacts.clone()));
+                UniqueOutcome::Compiled { artifacts: Box::new(artifacts), stats: c.stats }
             }
-            // No tier compiled so far: the reported outcome mirrors the
-            // primary tier's terminal state (that is the honest verdict on
-            // the configured search; degraded rungs were bonus attempts).
-            if first_terminal.is_none() {
-                first_terminal = Some(tier_terminal);
+            // Cancellation surfaces through the deadline plumbing: with the
+            // flag raised, the "timeout" was a cancelled search.
+            Ok(Err(CompileError::DeadlineExceeded))
+                if synth::cancel::cancelled(self.config.cancel) =>
+            {
+                UniqueOutcome::Cancelled
             }
-        }
-
-        let outcome = first_terminal.expect("ladder has at least one tier");
-        finish(outcome, false, false, retries, fault_injected)
+            Ok(Err(CompileError::DeadlineExceeded)) => UniqueOutcome::TimedOut,
+            Ok(Err(err)) => {
+                // A deterministic verdict on the tile: negative-cache it.
+                self.cache.store(&job.key, CacheEntry::Failed(err.clone()));
+                UniqueOutcome::Failed(err)
+            }
+            Err(msg) => UniqueOutcome::Panicked(msg),
+        };
+        finish(outcome, false, false, fault_injected)
     }
 
     /// One compile attempt under panic isolation, with the chaos plane's
@@ -1031,13 +895,12 @@ impl Driver {
     fn compile_attempt(
         &self,
         job: &Prepared,
-        tier: Tier,
         deadline: Option<Instant>,
         fault_injected: &mut bool,
     ) -> Result<Result<Compiled, CompileError>, String> {
         #[cfg(feature = "chaos")]
         if let Some(plan) = &self.chaos {
-            if let Some(fault) = plan.fault_for(&job.key, tier) {
+            if let Some(fault) = plan.fault_for(&job.key) {
                 *fault_injected = true;
                 match fault {
                     chaos::Fault::ForcedDeadline => return Ok(Err(CompileError::DeadlineExceeded)),
@@ -1063,9 +926,7 @@ impl Driver {
         }
         let _ = fault_injected;
         let cancel = self.config.cancel;
-        match catch_unwind(AssertUnwindSafe(|| {
-            (self.compile_fn)(&job.expr, deadline, tier, cancel)
-        })) {
+        match catch_unwind(AssertUnwindSafe(|| (self.compile_fn)(&job.expr, deadline, cancel))) {
             Ok(result) => Ok(result),
             Err(payload) => Err(panic_message(payload.as_ref())),
         }
@@ -1105,7 +966,6 @@ struct UniqueResult {
     run_time: Duration,
     cache_hit: bool,
     replayed: bool,
-    retries: u32,
     fault_injected: bool,
     outcome: UniqueOutcome,
 }
@@ -1121,37 +981,17 @@ impl UniqueResult {
             UniqueOutcome::Quarantined(_) => OutcomeKind::Quarantined,
         }
     }
-
-    fn tier(&self) -> Tier {
-        match &self.outcome {
-            UniqueOutcome::Compiled { artifacts, .. } => artifacts.tier,
-            _ => Tier::Baseline,
-        }
-    }
 }
 
 /// The compile function a [`Driver`] runs unless
-/// [`Driver::with_compile_fn`] replaces it: [`Rake::compile`] under the
-/// tier's budget reductions, with the attempt deadline and cancellation
-/// flag.
+/// [`Driver::with_compile_fn`] replaces it: [`Rake::compile`] with the
+/// job's deadline and cancellation flag.
 pub fn default_compile_fn(rake: &Rake) -> CompileFn {
-    let full = rake.clone();
-    let reduced = Tier::Reduced.apply(rake);
-    let direct = Tier::Direct.apply(rake);
-    Arc::new(
-        move |e: &Expr,
-              deadline: Option<Instant>,
-              tier: Tier,
-              cancel: Option<synth::CancelFlag>| {
-            let base = match tier {
-                Tier::Full | Tier::Baseline => &full,
-                Tier::Reduced => &reduced,
-                Tier::Direct => &direct,
-            };
-            let opts = LoweringOptions { deadline, cancel, ..base.options() };
-            base.clone().with_options(opts).compile(e)
-        },
-    )
+    let rake = rake.clone();
+    Arc::new(move |e: &Expr, deadline: Option<Instant>, cancel: Option<synth::CancelFlag>| {
+        let opts = LoweringOptions { deadline, cancel, ..rake.options() };
+        rake.clone().with_options(opts).compile(e)
+    })
 }
 
 /// Geometry + search-option fingerprint mixed into every cache key. The
@@ -1159,13 +999,12 @@ pub fn default_compile_fn(rake: &Rake) -> CompileFn {
 /// what a verified answer means.
 fn fingerprint(target: rake::Target, opts: &LoweringOptions) -> String {
     format!(
-        "l{}v{}|bt{}ly{}al{}ns{}ld{}",
+        "l{}v{}|bt{}ly{}al{}ld{}",
         target.lanes,
         target.vec_bytes,
         u8::from(opts.backtrack),
         u8::from(opts.layouts),
         u8::from(opts.aligned_loads),
-        u8::from(opts.naive_swizzles),
         opts.max_lift_depth.map_or_else(|| "-".to_owned(), |d| d.to_string()),
     )
 }

@@ -1,6 +1,6 @@
 //! Fault-injection tests of the driver (feature `chaos`): the seeded
-//! chaos plane drives the degradation ladder, panic capture, and cache
-//! self-healing end to end.
+//! chaos plane drives deadline and panic handling, panic capture, and
+//! cache self-healing end to end.
 #![cfg(feature = "chaos")]
 
 use std::sync::Once;
@@ -11,7 +11,7 @@ use halide_ir::Expr;
 use lanes::ElemType::{U16, U8};
 use rake::{Rake, Target};
 use rake_driver::chaos::{corrupt_cache_file, CacheCorruption, Fault, FaultPlan};
-use rake_driver::{Driver, DriverConfig, JobOutcome, Tier};
+use rake_driver::{Driver, DriverConfig, JobOutcome};
 use synth::Verifier;
 
 fn rake8() -> Rake {
@@ -41,7 +41,7 @@ fn batch() -> Vec<(String, Expr)> {
 }
 
 /// Scan for a seed whose schedule satisfies `want` — the plan is a pure
-/// function of (seed, key, tier), so this costs microseconds and keeps
+/// function of (seed, key), so this costs microseconds and keeps
 /// the test deterministic without hand-picked magic constants.
 fn find_seed(want: impl Fn(&FaultPlan) -> bool) -> FaultPlan {
     (0..10_000)
@@ -59,7 +59,6 @@ fn chaos_batches_terminate_in_order_with_honest_results() {
                 workers: 4,
                 job_timeout: Some(Duration::from_secs(30)),
                 validate: true,
-                retry_backoff: Duration::from_millis(1),
                 ..DriverConfig::default()
             })
             .with_chaos(FaultPlan::seeded(seed));
@@ -74,82 +73,55 @@ fn chaos_batches_terminate_in_order_with_honest_results() {
     }
 }
 
-#[test]
-fn forced_deadline_at_full_tier_lands_on_reduced() {
-    quiet_panics();
+/// A batch under a seed whose schedule hands some job `fault`: the driver
+/// and that job's result.
+fn faulted_job(fault: Fault) -> (Driver, rake_driver::JobResult) {
     let probe = Driver::new(rake8());
     let jobs = batch();
     let keys: Vec<String> = jobs.iter().map(|(_, e)| probe.cache_key(e)).collect();
-    // A seed where some job is starved at the full tier but runs clean on
-    // the reduced tier: the ladder must recover it, not baseline it.
-    let plan = find_seed(|p| {
-        keys.iter().any(|k| {
-            p.fault_for(k, Tier::Full) == Some(Fault::ForcedDeadline)
-                && p.fault_for(k, Tier::Reduced).is_none()
-        })
-    });
+    let plan = find_seed(|p| keys.iter().any(|k| p.fault_for(k) == Some(fault)));
     let driver = Driver::new(rake8())
         .with_config(DriverConfig {
             workers: 2,
             job_timeout: Some(Duration::from_secs(60)),
-            retry_backoff: Duration::from_millis(1),
             ..DriverConfig::default()
         })
         .with_chaos(plan.clone());
     let report = driver.compile_batch_named(jobs);
-    let recovered = report.results.iter().find(|r| {
-        plan.fault_for(&r.key, Tier::Full) == Some(Fault::ForcedDeadline)
-            && plan.fault_for(&r.key, Tier::Reduced).is_none()
-    });
-    let r = recovered.expect("the probed job is in the batch");
+    let r = report
+        .results
+        .into_iter()
+        .find(|r| plan.fault_for(&r.key) == Some(fault))
+        .expect("the probed job is in the batch");
+    (driver, r)
+}
+
+#[test]
+fn forced_deadline_times_out_with_the_baseline_program() {
+    quiet_panics();
+    let (driver, r) = faulted_job(Fault::ForcedDeadline);
     assert!(r.fault_injected, "the injected fault must be flagged on the result");
-    assert!(matches!(r.outcome, JobOutcome::Compiled(_)), "got {:?}", r.outcome);
-    assert_eq!(r.tier, Tier::Reduced, "recovery must land one rung down, not at baseline");
-    assert!(r.retries > 0, "the sticky forced deadline must first exhaust the retry budget");
+    assert!(matches!(r.outcome, JobOutcome::TimedOut), "got {:?}", r.outcome);
+    assert!(r.fallback.is_some(), "a timed-out job carries the baseline program");
+    // A timeout is not a verdict: nothing negative-cached.
+    assert!(driver.cache().lookup(&r.key).is_none());
 }
 
 #[test]
 fn non_string_panic_payload_is_captured_with_type_info() {
     quiet_panics();
-    let probe = Driver::new(rake8());
-    let jobs = batch();
-    let keys: Vec<String> = jobs.iter().map(|(_, e)| probe.cache_key(e)).collect();
-    // A seed where some job panics with a non-string payload at the full
-    // tier and no lower tier can compile it (every rung faults), so the
-    // captured payload is what surfaces on the final outcome.
-    let blocks = |f: Option<Fault>| {
-        matches!(f, Some(Fault::PanicStr | Fault::PanicNonStr | Fault::ForcedDeadline))
-    };
-    let plan = find_seed(|p| {
-        keys.iter().any(|k| {
-            p.fault_for(k, Tier::Full) == Some(Fault::PanicNonStr)
-                && blocks(p.fault_for(k, Tier::Reduced))
-                && blocks(p.fault_for(k, Tier::Direct))
-        })
-    });
-    let driver = Driver::new(rake8())
-        .with_config(DriverConfig {
-            workers: 2,
-            retry_backoff: Duration::from_millis(1),
-            ..DriverConfig::default()
-        })
-        .with_chaos(plan.clone());
-    let report = driver.compile_batch_named(jobs);
-    let poisoned = report
-        .results
-        .iter()
-        .find(|r| plan.fault_for(&r.key, Tier::Full) == Some(Fault::PanicNonStr))
-        .expect("the probed job is in the batch");
-    assert!(poisoned.fault_injected);
-    let JobOutcome::Panicked(msg) = &poisoned.outcome else {
-        panic!("expected a panic outcome, got {:?}", poisoned.outcome);
+    let (driver, r) = faulted_job(Fault::PanicNonStr);
+    assert!(r.fault_injected);
+    let JobOutcome::Panicked(msg) = &r.outcome else {
+        panic!("expected a panic outcome, got {:?}", r.outcome);
     };
     assert!(
         msg.contains("i32(42)"),
         "non-string payloads must be captured with type info, got: {msg}"
     );
+    assert!(r.fallback.is_some(), "a panicked job carries the baseline program");
     // A panic is not a verdict: nothing negative-cached.
-    assert!(driver.cache().lookup(&poisoned.key).is_none());
+    assert!(driver.cache().lookup(&r.key).is_none());
 }
 
 #[test]

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use halide_ir::builder::*;
 use halide_ir::Expr;
@@ -13,7 +13,7 @@ use lanes::ElemType::{U16, U8};
 use rake::{Rake, Target};
 use rake_driver::cache::{CacheEntry, SynthCache, CACHE_FILE, LOG_FILE};
 use rake_driver::event::DriverEvent;
-use rake_driver::{canon, json, Driver, DriverConfig, JobOutcome, Tier};
+use rake_driver::{canon, json, Driver, DriverConfig, JobOutcome};
 use synth::Verifier;
 
 fn rake8() -> Rake {
@@ -162,10 +162,7 @@ fn stress_one_synthesis_per_unique_key_and_stable_order() {
             let syntheses = Arc::clone(&syntheses);
             let total = Arc::clone(&total);
             let rake = rake.clone();
-            move |e: &Expr,
-                  _deadline: Option<std::time::Instant>,
-                  _tier: rake_driver::Tier,
-                  _cancel: Option<synth::CancelFlag>| {
+            move |e: &Expr, _deadline: Option<Instant>, _cancel: Option<synth::CancelFlag>| {
                 let key = halide_ir::sexpr::to_sexpr(&canon::canonicalize(e).expr);
                 *syntheses.lock().unwrap().entry(key).or_insert(0) += 1;
                 total.fetch_add(1, Ordering::SeqCst);
@@ -217,7 +214,7 @@ fn one_job_batch_runs_on_the_calling_thread() {
     let seen = Arc::clone(&ran_on);
     let driver = Driver::new(rake)
         .with_config(DriverConfig { workers: 4, ..DriverConfig::default() })
-        .with_compile_fn(move |e: &Expr, _, _, _| {
+        .with_compile_fn(move |e: &Expr, _, _| {
             seen.lock().unwrap().push(std::thread::current().id());
             inner.compile(e)
         });
@@ -236,7 +233,7 @@ fn two_jobs_on_two_workers_run_at_once() {
     let inner = rake.clone();
     let compile = {
         let overlapped = Arc::clone(&overlapped);
-        move |e: &Expr, _, _, _| {
+        move |e: &Expr, _, _| {
             let (count, cv) = &*started;
             let mut n = count.lock().unwrap();
             *n += 1;
@@ -281,10 +278,13 @@ fn prepared_inputs_compile_like_a_batch() {
 fn panicking_job_is_isolated_with_baseline_fallback() {
     let rake = rake8();
     let inner = rake.clone();
+    let booms = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&booms);
     let driver = Driver::new(rake)
         .with_config(DriverConfig { workers: 2, ..DriverConfig::default() })
-        .with_compile_fn(move |e: &Expr, _, _, _| {
+        .with_compile_fn(move |e: &Expr, _, _| {
             if halide_ir::sexpr::to_sexpr(e).contains("boom") {
+                seen.fetch_add(1, Ordering::SeqCst);
                 panic!("injected selector bug");
             }
             inner.compile(e)
@@ -304,6 +304,7 @@ fn panicking_job_is_isolated_with_baseline_fallback() {
         panic!("injected panic must surface as Panicked");
     };
     assert!(msg.contains("injected selector bug"));
+    assert_eq!(booms.load(Ordering::SeqCst), 1, "a panicked search is not retried");
     // The batch degrades, it does not abort: the baseline selector still
     // provides a program for the poisoned job.
     assert!(report.results[1].fallback.is_some());
@@ -381,13 +382,10 @@ fn jsonl_event_log_is_written_and_parseable() {
     assert_eq!(kinds, ["batch_started", "job_completed", "job_finished", "batch_finished"]);
     let wal = json::parse(lines[1]).unwrap();
     assert_eq!(wal.get("outcome").unwrap().as_str(), Some("compiled"));
-    assert_eq!(wal.get("tier").unwrap().as_str(), Some("full"));
     let job = json::parse(lines[2]).unwrap();
     assert_eq!(job.get("name").unwrap().as_str(), Some("pair"));
     assert_eq!(job.get("outcome").unwrap().as_str(), Some("compiled"));
     assert_eq!(job.get("cache_hit").unwrap().as_bool(), Some(false));
-    assert_eq!(job.get("tier").unwrap().as_str(), Some("full"));
-    assert_eq!(job.get("retries").unwrap().as_i64(), Some(0));
     assert_eq!(job.get("fault_injected").unwrap().as_bool(), Some(false));
     assert!(job.get("lifting_queries").unwrap().as_i64().unwrap() > 0);
 
@@ -399,59 +397,65 @@ fn jsonl_event_log_is_written_and_parseable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A search that honours its deadline and needs 200 ms under a 300 ms
+/// job budget gets the whole budget: it reaches its verdict on the one
+/// call, and the verdict is negative-cached.
 #[test]
-fn deadline_at_full_tier_degrades_to_reduced() {
-    let rake = rake8();
-    let inner = rake.clone();
-    let attempts: Arc<Mutex<Vec<Tier>>> = Arc::new(Mutex::new(Vec::new()));
-    let seen = Arc::clone(&attempts);
-    let driver = Driver::new(rake)
+fn one_search_gets_the_whole_deadline() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&calls);
+    let driver = Driver::new(rake8())
         .with_config(DriverConfig {
             workers: 1,
-            job_timeout: Some(Duration::from_secs(60)),
-            max_retries: 1,
-            retry_backoff: Duration::from_millis(1),
+            job_timeout: Some(Duration::from_millis(300)),
             ..DriverConfig::default()
         })
-        .with_compile_fn(move |e: &Expr, _, tier, _| {
-            seen.lock().unwrap().push(tier);
-            if tier == Tier::Full {
-                // A starved solver: gives up long before the tier budget.
+        .with_compile_fn(move |_: &Expr, deadline: Option<Instant>, _| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            let verdict_at = Instant::now() + Duration::from_millis(200);
+            let deadline = deadline.expect("the job has a budget");
+            std::thread::sleep(verdict_at.min(deadline).saturating_duration_since(Instant::now()));
+            if deadline < verdict_at {
                 return Err(rake::CompileError::DeadlineExceeded);
             }
-            inner.compile(e)
+            Err(rake::CompileError::LowerFailed)
         });
     let report = driver.compile_batch(&[pair_sum("in")]);
     let r = &report.results[0];
-    assert!(matches!(r.outcome, JobOutcome::Compiled(_)), "got {:?}", r.outcome);
-    assert_eq!(r.tier, Tier::Reduced, "the ladder must land one rung down");
-    assert_eq!(r.retries, 1, "a transient deadline is retried once before degrading");
-    assert_eq!(report.degraded(), 1);
-    // Full was tried twice (attempt + retry), then Reduced succeeded.
-    assert_eq!(*attempts.lock().unwrap(), vec![Tier::Full, Tier::Full, Tier::Reduced]);
-    // The producing tier lands in the summary table and the cache entry.
-    assert!(report.summary_table().contains("reduced"));
-    let again = driver.compile_batch(&[pair_sum("in")]);
-    assert!(again.results[0].cache_hit);
-    assert_eq!(again.results[0].tier, Tier::Reduced);
+    assert!(
+        matches!(r.outcome, JobOutcome::Failed(rake::CompileError::LowerFailed)),
+        "got {:?}",
+        r.outcome
+    );
+    assert_eq!(calls.load(Ordering::SeqCst), 1, "one search per job");
+    assert!(r.fallback.is_some());
+    assert!(matches!(
+        driver.cache().lookup(&r.key),
+        Some(CacheEntry::Failed(rake::CompileError::LowerFailed))
+    ));
 }
 
 #[test]
-fn panic_at_full_tier_recovers_on_degraded_tier() {
-    let rake = rake8();
-    let inner = rake.clone();
-    let driver = Driver::new(rake)
-        .with_config(DriverConfig { workers: 1, ..DriverConfig::default() })
-        .with_compile_fn(move |e: &Expr, _, tier, _| {
-            if tier == Tier::Full {
-                panic!("full-tier-only selector bug");
-            }
-            inner.compile(e)
+fn early_deadline_is_not_retried() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&calls);
+    let driver = Driver::new(rake8())
+        .with_config(DriverConfig {
+            workers: 1,
+            job_timeout: Some(Duration::from_secs(60)),
+            ..DriverConfig::default()
+        })
+        .with_compile_fn(move |_: &Expr, _, _| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            // A starved solver: gives up long before the job's budget.
+            Err(rake::CompileError::DeadlineExceeded)
         });
     let report = driver.compile_batch(&[pair_sum("in")]);
     let r = &report.results[0];
-    assert!(matches!(r.outcome, JobOutcome::Compiled(_)), "got {:?}", r.outcome);
-    assert_eq!(r.tier, Tier::Reduced);
+    assert!(matches!(r.outcome, JobOutcome::TimedOut), "got {:?}", r.outcome);
+    assert_eq!(calls.load(Ordering::SeqCst), 1, "a deadline ends the job at once");
+    assert!(r.fallback.is_some(), "a timed-out job carries the baseline program");
+    assert!(driver.cache().is_empty(), "a timeout is not a verdict: nothing is cached");
 }
 
 #[test]
@@ -476,7 +480,7 @@ fn resume_replays_journal_and_recompiles_only_the_remainder() {
         let rake = rake8();
         let inner = rake.clone();
         let count = Arc::clone(count);
-        Driver::new(rake).with_config(config()).with_compile_fn(move |e: &Expr, _, _, _| {
+        Driver::new(rake).with_config(config()).with_compile_fn(move |e: &Expr, _, _| {
             count.fetch_add(1, Ordering::SeqCst);
             inner.compile(e)
         })
@@ -575,7 +579,7 @@ fn resume_over_a_rotated_journal_is_byte_identical() {
         let count = Arc::clone(&resumed_count);
         Driver::new(rake)
             .with_config(config())
-            .with_compile_fn(move |e: &Expr, _, _, _| {
+            .with_compile_fn(move |e: &Expr, _, _| {
                 count.fetch_add(1, Ordering::SeqCst);
                 inner.compile(e)
             })
@@ -614,69 +618,12 @@ fn resume_over_a_rotated_journal_is_byte_identical() {
 }
 
 #[test]
-fn below_floor_cache_hits_recompile_and_upgrade() {
-    let dir = tmp_dir("tier-floor");
-    let config = |tiers: Vec<Tier>| DriverConfig {
-        workers: 1,
-        cache_dir: Some(dir.clone()),
-        tiers,
-        ..DriverConfig::default()
-    };
-    let counting = |tiers: Vec<Tier>, count: &Arc<AtomicUsize>| {
-        let rake = rake8();
-        let inner = rake.clone();
-        let count = Arc::clone(count);
-        Driver::new(rake).with_config(config(tiers)).with_compile_fn(
-            move |e: &Expr, _, tier: Tier, _| {
-                count.fetch_add(1, Ordering::SeqCst);
-                tier.apply(&inner).compile(e)
-            },
-        )
-    };
-
-    // Seed the cache from a fully degraded run: the entry records Direct.
-    let seeded = Driver::new(rake8()).with_config(config(vec![Tier::Direct]));
-    let report = seeded.compile_batch(&[pair_sum("in")]);
-    assert_eq!(report.compiled(), 1);
-    assert_eq!(report.results[0].tier, Tier::Direct);
-
-    // The default ladder's floor is Direct: the degraded entry satisfies
-    // it and serves as a plain hit.
-    let lax_count = Arc::new(AtomicUsize::new(0));
-    let lax = counting(Tier::ladder().to_vec(), &lax_count);
-    let report = lax.compile_batch(&[pair_sum("in")]);
-    assert_eq!(report.stats.cache_hits, 1);
-    assert_eq!(lax_count.load(Ordering::SeqCst), 0);
-    assert_eq!(report.results[0].tier, Tier::Direct);
-
-    // A Full-only request outranks the cached entry: miss, fresh Full
-    // synthesis, and the better artifact overwrites the degraded one.
-    let strict_count = Arc::new(AtomicUsize::new(0));
-    let strict = counting(vec![Tier::Full], &strict_count);
-    let report = strict.compile_batch(&[pair_sum("in")]);
-    assert_eq!(report.compiled(), 1);
-    assert_eq!(report.stats.cache_hits, 0, "a below-floor entry must not serve the hit");
-    assert_eq!(strict_count.load(Ordering::SeqCst), 1);
-    assert_eq!(report.results[0].tier, Tier::Full);
-    assert_eq!(strict.cache().stats().floor_misses, 1);
-
-    // The upgraded entry now satisfies the strict floor from cache.
-    let warm_count = Arc::new(AtomicUsize::new(0));
-    let warm = counting(vec![Tier::Full], &warm_count);
-    let report = warm.compile_batch(&[pair_sum("in")]);
-    assert_eq!(report.stats.cache_hits, 1);
-    assert_eq!(warm_count.load(Ordering::SeqCst), 0);
-    assert_eq!(report.results[0].tier, Tier::Full);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn resume_replays_failures_and_timeouts_verbatim() {
     let dir = tmp_dir("resume-verbatim");
     let log = dir.join("events.jsonl");
     // A hand-written journal: one deterministic failure, one timeout, one
-    // panic — none backed by cache entries.
+    // panic — none backed by cache entries. Its records carry the `tier`
+    // and `retries` fields older builds wrote; replay ignores them.
     let driver = Driver::new(rake8()).with_config(DriverConfig {
         workers: 1,
         cache_dir: Some(dir.clone()),
@@ -703,7 +650,6 @@ fn resume_replays_failures_and_timeouts_verbatim() {
     let report = driver.resume_named(batch);
     assert!(matches!(report.results[0].outcome, JobOutcome::Failed(_)));
     assert!(matches!(report.results[1].outcome, JobOutcome::TimedOut));
-    assert_eq!(report.results[1].retries, 2, "retry count replays with the record");
     let JobOutcome::Panicked(msg) = &report.results[2].outcome else {
         panic!("panic outcome must replay");
     };
@@ -806,7 +752,7 @@ fn validation_flags_a_miscompiled_program() {
     let inner = rake.clone();
     let driver = Driver::new(rake)
         .with_config(DriverConfig { workers: 1, validate: true, ..DriverConfig::default() })
-        .with_compile_fn(move |e: &Expr, _, _, _| {
+        .with_compile_fn(move |e: &Expr, _, _| {
             let wrong = match e {
                 Expr::Binary(b) if b.op == halide_ir::BinOp::Add => {
                     Expr::Binary(halide_ir::Binary {

@@ -10,15 +10,12 @@ use std::time::Duration;
 use rake_driver::cache::{CacheEntry, SynthCache};
 use rake_driver::event::{DriverEvent, Journal, OutcomeKind};
 use rake_driver::json::{self, Json};
-use rake_driver::Tier;
 
 fn completed(key: String) -> DriverEvent {
     DriverEvent::JobCompleted {
         key,
         outcome: OutcomeKind::Compiled,
         detail: None,
-        tier: Tier::Full,
-        retries: 0,
         fault_injected: false,
         replayed: false,
         run_time: Duration::from_millis(1),
@@ -102,13 +99,13 @@ fn quarantine_ttl_expires_exactly_at_the_boundary() {
     NOW.store(1_029, Ordering::SeqCst);
     assert!(matches!(cache.lookup("pill"), Some(CacheEntry::Quarantined(_))));
     assert_eq!(cache.quarantine_reason("pill").as_deref(), Some("worker killed by signal 9"));
-    assert!(cache.contains_meeting("pill", Tier::Full));
+    assert!(cache.contains("pill"));
     assert_eq!(cache.quarantined_count(), 1);
 
     // Exactly at the deadline: expired, dropped, and the key is free.
     NOW.store(1_030, Ordering::SeqCst);
     assert_eq!(cache.quarantined_count(), 0, "now == deadline must already read expired");
-    assert!(!cache.contains_meeting("pill", Tier::Full));
+    assert!(!cache.contains("pill"));
     assert!(cache.quarantine_reason("pill").is_none(), "expired verdict must not be served");
     assert!(cache.lookup("pill").is_none(), "expired verdict must read as a miss");
     assert_eq!(cache.len(), 0, "expiry drops the resident entry");

@@ -111,8 +111,8 @@ pub fn minimize(
         }
     }
 
-    // Phase 3: re-verify the final pair. A tier-dependent subject (a
-    // degraded driver job, a warm cache serving a different tier) can stop
+    // Phase 3: re-verify the final pair. A drifting subject (one answered
+    // by a cache that another compile warms mid-run, say) can stop
     // reproducing after cell zeroing even though every individual zero was
     // re-checked at the time: each zero changes what the subject compiles,
     // and a subject whose behavior drifts between calls may no longer
@@ -261,7 +261,7 @@ mod tests {
     }
 
     /// A subject whose behavior changes mid-minimization — the shape of a
-    /// driver job re-compiled at a degraded tier. The final re-verify must
+    /// subject answered by a cache that another compile warms mid-run. The final re-verify must
     /// back off across the fallback environments instead of panicking.
     #[test]
     fn tier_drifting_subject_does_not_panic() {
@@ -274,7 +274,7 @@ mod tests {
             if n < 30 {
                 broken_vavg_subject(e, env, x0, y0, lanes)
             } else {
-                // "Recompiled" honestly at a different tier: the mismatch
+                // Answered honestly from the warmed cache: the mismatch
                 // is gone from here on.
                 eval(e, &EvalCtx { env, x0, y0, lanes }).ok()
             }
@@ -285,8 +285,8 @@ mod tests {
         assert!(calls.get() > 30, "drift must have happened mid-run");
     }
 
-    /// A subject that stops executing mid-minimization (the degraded tier
-    /// declines the expression): the repro records ground truth on both
+    /// A subject that stops executing mid-minimization (it starts
+    /// declining the expression): the repro records ground truth on both
     /// sides instead of panicking on the final `subject` call.
     #[test]
     fn subject_that_stops_executing_falls_back_to_ground_truth() {

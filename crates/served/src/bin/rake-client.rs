@@ -10,7 +10,6 @@
 //!   --lanes N          vectorization width knob (default 128)
 //!   --timeout-ms N     per-job synthesis budget
 //!   --validate         differentially validate the compiled program
-//!   --tier-floor T     lowest degradation tier to try (full|reduced|direct)
 //!   --retries N        retry transient failures (connection errors, 429,
 //!                      503) up to N times with capped exponential backoff
 //!                      and full jitter (default 0)
@@ -51,7 +50,6 @@ fn main() -> ExitCode {
     let mut lanes: Option<u64> = None;
     let mut timeout_ms: Option<u64> = None;
     let mut validate = false;
-    let mut tier_floor: Option<String> = None;
     let mut retries: u32 = 0;
     let mut retry_max_ms: u64 = 2000;
     let mut chaos: Option<String> = None;
@@ -75,10 +73,6 @@ fn main() -> ExitCode {
                 None => return usage("--timeout-ms needs an integer"),
             },
             "--validate" => validate = true,
-            "--tier-floor" => match it.next() {
-                Some(v) => tier_floor = Some(v.clone()),
-                None => return usage("--tier-floor needs a tier name"),
-            },
             "--retries" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => retries = v,
                 None => return usage("--retries needs an integer"),
@@ -157,9 +151,6 @@ fn main() -> ExitCode {
     }
     if validate {
         req.push(("validate".to_owned(), true.into()));
-    }
-    if let Some(floor) = tier_floor {
-        req.push(("tier_floor".to_owned(), floor.into()));
     }
     if let Some(fault) = chaos {
         req.push(("chaos".to_owned(), fault.into()));
@@ -242,14 +233,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let outcome = result.get("outcome").and_then(Json::as_str).unwrap_or("?");
-    let tier = result.get("tier").and_then(Json::as_str).unwrap_or("?");
     let cache_hit = result.get("cache_hit").and_then(Json::as_bool).unwrap_or(false);
     match outcome {
         "compiled" => {
-            println!(
-                "; compiled on the `{tier}` tier{}",
-                if cache_hit { " (cache hit)" } else { "" }
-            );
+            println!("; compiled{}", if cache_hit { " (cache hit)" } else { "" });
             if let Some(cost) = result.get("cost") {
                 println!(
                     "; cost: latency {} loads {} cycles {}",
@@ -304,7 +291,7 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: rake-client --addr HOST:PORT [--lanes N] [--timeout-ms N] [--validate] \
-         [--tier-floor full|reduced|direct] [--retries N] [--retry-max-ms N] [--chaos FAULT] \
+         [--retries N] [--retry-max-ms N] [--chaos FAULT] \
          [--json] [file.sexp]\n\
          \x20      rake-client --addr HOST:PORT --metrics | --healthz\n\
          exit codes: 0 compiled, 1 usage/connection, 2 failed, 3 timed out/cancelled, \

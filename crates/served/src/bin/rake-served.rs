@@ -21,10 +21,6 @@
 //!   --journal-rotate-bytes N  journal size that triggers rotation into a
 //!                      replay snapshot (default 8 MiB; 0 = never rotate)
 //!   --timeout SEC      default per-job synthesis budget (default 30)
-//!   --verdict-ttl SEC  how long a timed-out verdict is served from memory
-//!                      instead of re-running synthesis (default 300; 0 off)
-//!   --verdict-cap N    timeout verdicts remembered at most (default 1024;
-//!                      0 = unbounded)
 //!   --read-timeout-ms N  slow-loris guard: a started request must arrive
 //!                      whole within N ms or the connection is answered
 //!                      408 (default 10000; 0 disables)
@@ -145,14 +141,6 @@ fn main() -> ExitCode {
                 Some(secs) => config.default_timeout = Some(Duration::from_secs_f64(secs)),
                 None => return usage("--timeout needs seconds"),
             },
-            "--verdict-ttl" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(secs) => config.timeout_verdict_ttl = Duration::from_secs_f64(secs),
-                None => return usage("--verdict-ttl needs seconds"),
-            },
-            "--verdict-cap" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.verdict_cache_cap = v,
-                None => return usage("--verdict-cap needs an integer"),
-            },
             "--read-timeout-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(v) => config.read_timeout = (v > 0).then(|| Duration::from_millis(v)),
                 None => return usage("--read-timeout-ms needs an integer"),
@@ -232,7 +220,7 @@ fn usage(err: &str) -> ExitCode {
         "usage: rake-served [--addr HOST:PORT] [--port-file FILE] [--permits N] [--queue N] \
          [--cache DIR] [--cache-max-entries N] [--cache-max-bytes N] \
          [--cache-log-max-bytes N] [--log FILE] [--journal-rotate-bytes N] [--timeout SEC] \
-         [--verdict-ttl SEC] [--verdict-cap N] [--read-timeout-ms N] \
+         [--read-timeout-ms N] \
          [--isolate] [--workers N] [--worker-rss-mb N] [--worker-grace-ms N] \
          [--crash-threshold N] [--quarantine-ttl-s N] [--chaos] [--trace-out DIR] \
          [--trace-slow-ms N]"

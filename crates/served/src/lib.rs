@@ -5,8 +5,9 @@
 //! The binary [`rake-served`](../rake_served/index.html) serves:
 //!
 //! * `POST /compile` — S-expression Halide exprs plus per-request knobs
-//!   (`lanes`, `timeout_ms`, `validate`, `tier_floor`) → synthesized HVX
-//!   programs with cost, producing tier, and cache statistics. Duplicate
+//!   (`lanes`, `timeout_ms`, `validate`) → synthesized HVX programs with
+//!   cost and cache statistics, or the baseline program for an expression
+//!   that did not compile. Duplicate
 //!   expressions are deduplicated within a request by the driver and
 //!   across concurrent requests by a single-flight key registry.
 //! * `GET /metrics` — Prometheus text exposition ([`metrics`]).

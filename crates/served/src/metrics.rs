@@ -3,9 +3,8 @@
 //!
 //! Two feeds land here: the HTTP layer records request/response/latency
 //! facts directly, and every per-request [`driver::Driver`] is built with
-//! an event sink ([`Metrics::sink`]) so job outcomes, tiers and
-//! fresh-vs-cached synthesis counts stream in without re-parsing the
-//! JSONL journal. Everything is atomics or a short-held mutex — the
+//! an event sink ([`Metrics::sink`]) so job outcomes and fresh-vs-cached
+//! synthesis counts stream in without re-parsing the JSONL journal. Everything is atomics or a short-held mutex — the
 //! registry is shared by every connection thread.
 
 use std::collections::BTreeMap;
@@ -93,8 +92,6 @@ pub struct CacheSnapshot {
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
-    /// Misses caused by a cached entry below the request's tier floor.
-    pub floor_misses: u64,
     /// Entries currently held.
     pub entries: usize,
     /// Serialized bytes of the in-memory entries (what the byte cap
@@ -112,10 +109,6 @@ pub struct CacheSnapshot {
     pub snapshot_bytes: u64,
     /// On-disk segment-log size in bytes.
     pub log_bytes: u64,
-    /// Timeout verdicts currently remembered.
-    pub verdict_entries: usize,
-    /// Timeout verdicts evicted by the cap.
-    pub verdict_evictions: u64,
     /// Event-journal file size in bytes.
     pub journal_bytes: u64,
     /// Journal rotations performed since startup.
@@ -149,9 +142,8 @@ pub struct Metrics {
     queue_depth: AtomicU64,
     rejected_busy: AtomicU64,
     warm_path: AtomicU64,
-    timeout_verdicts: AtomicU64,
     exprs: AtomicU64,
-    jobs: Mutex<BTreeMap<(&'static str, &'static str), u64>>,
+    jobs: Mutex<BTreeMap<&'static str, u64>>,
     synth_fresh: AtomicU64,
     cache_served: AtomicU64,
     validation_mismatches: AtomicU64,
@@ -209,12 +201,6 @@ impl Metrics {
         self.warm_path.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count expressions answered from the timeout-verdict cache instead
-    /// of re-burning a synthesis budget that already expired once.
-    pub fn timeout_verdicts_served(&self, n: usize) {
-        self.timeout_verdicts.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
     /// Count expressions submitted for compilation.
     pub fn exprs_submitted(&self, n: usize) {
         self.exprs.fetch_add(n as u64, Ordering::Relaxed);
@@ -248,8 +234,7 @@ impl Metrics {
         Arc::new(move |event: &DriverEvent| {
             match event {
                 DriverEvent::JobFinished(r) => {
-                    let key = (r.outcome.name(), r.tier.name());
-                    *metrics.jobs.lock().unwrap().entry(key).or_insert(0) += 1;
+                    *metrics.jobs.lock().unwrap().entry(r.outcome.name()).or_insert(0) += 1;
                     if r.cache_hit || r.replayed {
                         metrics.cache_served.fetch_add(1, Ordering::Relaxed);
                     } else {
@@ -345,29 +330,17 @@ impl Metrics {
         ));
 
         out.push_str(
-            "# HELP rake_served_timeout_verdicts_total Expressions answered from the \
-             timeout-verdict cache (a recent identical request already timed out).\n\
-             # TYPE rake_served_timeout_verdicts_total counter\n",
-        );
-        out.push_str(&format!(
-            "rake_served_timeout_verdicts_total {}\n",
-            self.timeout_verdicts.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
             "# HELP rake_served_exprs_total Expressions submitted for compilation.\n\
              # TYPE rake_served_exprs_total counter\n",
         );
         out.push_str(&format!("rake_served_exprs_total {}\n", self.exprs.load(Ordering::Relaxed)));
 
         out.push_str(
-            "# HELP rake_served_jobs_total Per-expression outcomes, by outcome and tier.\n\
+            "# HELP rake_served_jobs_total Per-expression outcomes.\n\
              # TYPE rake_served_jobs_total counter\n",
         );
-        for ((outcome, tier), n) in self.jobs.lock().unwrap().iter() {
-            out.push_str(&format!(
-                "rake_served_jobs_total{{outcome=\"{outcome}\",tier=\"{tier}\"}} {n}\n"
-            ));
+        for (outcome, n) in self.jobs.lock().unwrap().iter() {
+            out.push_str(&format!("rake_served_jobs_total{{outcome=\"{outcome}\"}} {n}\n"));
         }
 
         out.push_str(
@@ -430,12 +403,6 @@ impl Metrics {
         );
         out.push_str(&format!("rake_served_cache_loaded_total {}\n", cache.loaded));
         out.push_str(
-            "# HELP rake_served_cache_floor_misses_total Lookups missed because the cached \
-             entry sat below the request's tier floor.\n\
-             # TYPE rake_served_cache_floor_misses_total counter\n",
-        );
-        out.push_str(&format!("rake_served_cache_floor_misses_total {}\n", cache.floor_misses));
-        out.push_str(
             "# HELP rake_served_cache_bytes Serialized bytes of in-memory cache entries.\n\
              # TYPE rake_served_cache_bytes gauge\n",
         );
@@ -467,19 +434,6 @@ impl Metrics {
              # TYPE rake_served_cache_log_bytes gauge\n",
         );
         out.push_str(&format!("rake_served_cache_log_bytes {}\n", cache.log_bytes));
-        out.push_str(
-            "# HELP rake_served_verdict_entries Timeout verdicts currently remembered.\n\
-             # TYPE rake_served_verdict_entries gauge\n",
-        );
-        out.push_str(&format!("rake_served_verdict_entries {}\n", cache.verdict_entries));
-        out.push_str(
-            "# HELP rake_served_verdict_evictions_total Timeout verdicts evicted by the cap.\n\
-             # TYPE rake_served_verdict_evictions_total counter\n",
-        );
-        out.push_str(&format!(
-            "rake_served_verdict_evictions_total {}\n",
-            cache.verdict_evictions
-        ));
         out.push_str(
             "# HELP rake_served_journal_bytes Event-journal file size.\n\
              # TYPE rake_served_journal_bytes gauge\n",
@@ -583,7 +537,6 @@ mod tests {
             CacheSnapshot {
                 hits: 5,
                 misses: 2,
-                floor_misses: 1,
                 entries: 4,
                 mem_bytes: 2048,
                 loaded: 3,
@@ -592,8 +545,6 @@ mod tests {
                 compactions: 2,
                 snapshot_bytes: 4096,
                 log_bytes: 512,
-                verdict_entries: 6,
-                verdict_evictions: 1,
                 journal_bytes: 8192,
                 journal_rotations: 3,
                 quarantined: 2,
@@ -614,15 +565,12 @@ mod tests {
             "rake_served_exprs_total 2",
             "rake_served_cache_hits_total 5",
             "rake_served_cache_entries 4",
-            "rake_served_cache_floor_misses_total 1",
             "rake_served_cache_bytes 2048",
             "rake_served_cache_evicted_total 7",
             "rake_served_cache_appended_total 9",
             "rake_served_cache_compactions_total 2",
             "rake_served_cache_snapshot_bytes 4096",
             "rake_served_cache_log_bytes 512",
-            "rake_served_verdict_entries 6",
-            "rake_served_verdict_evictions_total 1",
             "rake_served_journal_bytes 8192",
             "rake_served_journal_rotations_total 3",
             "rake_served_quarantined_keys 2",
@@ -646,7 +594,6 @@ mod tests {
     #[test]
     fn sink_classifies_fresh_vs_cached() {
         use driver::event::{JobRecord, OutcomeKind};
-        use driver::Tier;
         use std::time::Duration;
         let m = Metrics::new();
         let sink = m.sink();
@@ -657,8 +604,6 @@ mod tests {
                 key: "k".into(),
                 outcome: OutcomeKind::Compiled,
                 detail: None,
-                tier: Tier::Full,
-                retries: 0,
                 fault_injected: false,
                 replayed: false,
                 cache_hit,
@@ -674,6 +619,6 @@ mod tests {
         assert_eq!(m.synth_fresh(), 1);
         assert_eq!(m.cache_served.load(Ordering::Relaxed), 2);
         let jobs = m.jobs.lock().unwrap();
-        assert_eq!(jobs.get(&("compiled", "full")), Some(&3));
+        assert_eq!(jobs.get("compiled"), Some(&3));
     }
 }

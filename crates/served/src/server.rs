@@ -49,7 +49,7 @@ use std::collections::HashSet;
 use std::io::{self, BufReader, ErrorKind};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use driver::cache::SynthCache;
 use driver::event::DriverEvent;
 use driver::json::{self, Json, ParseLimits};
-use driver::{CacheLimits, Driver, DriverConfig, JobOutcome, Journal, Prepared, Tier};
+use driver::{CacheLimits, Driver, DriverConfig, JobOutcome, Journal, Prepared};
 use halide_ir::Expr;
 use hvx::SlotBudget;
 use rake::{CompileError, Compiled, Rake, Target};
@@ -125,16 +125,6 @@ pub struct ServerConfig {
     /// Rotate the shared journal once it exceeds this many bytes,
     /// folding it into one replay record per key. `None` never rotates.
     pub journal_rotate_bytes: Option<u64>,
-    /// Upper bound on remembered timeout verdicts (oldest evicted past
-    /// it). Zero disables the bound.
-    pub verdict_cache_cap: usize,
-    /// How long a timed-out synthesis verdict is served from memory
-    /// before the same expression (under identical knobs) is allowed to
-    /// burn a fresh budget. Timeouts are budget-dependent, so the
-    /// synthesis cache refuses to store them — but a server replaying a
-    /// 30-second dead end for every repeat of a hard expression would
-    /// starve its permits. `Duration::ZERO` disables the verdict cache.
-    pub timeout_verdict_ttl: Duration,
     /// Per-connection idle read timeout.
     pub idle_timeout: Duration,
     /// Slow-loris guard: once a request's first byte arrives, the whole
@@ -197,8 +187,6 @@ impl Default for ServerConfig {
             cache_log_compact_bytes: CacheLimits::default().log_compact_bytes,
             log_path: None,
             journal_rotate_bytes: Some(8 * 1024 * 1024),
-            verdict_cache_cap: 1024,
-            timeout_verdict_ttl: Duration::from_secs(300),
             idle_timeout: Duration::from_secs(60),
             read_timeout: Some(Duration::from_secs(10)),
             drain_timeout: Duration::from_secs(30),
@@ -330,71 +318,6 @@ impl InFlight {
     }
 }
 
-/// TTL memory for timed-out synthesis verdicts, keyed by cache key plus
-/// a fingerprint of the request knobs (tiers, budget, validate). The
-/// [`SynthCache`] deliberately refuses timeouts — they are verdicts
-/// about a budget, not about the expression — so without this layer
-/// every repeat of a hard expression would re-burn its full budget and
-/// starve the admission gate. Entries expire after the TTL, letting the
-/// expression retry on a quieter server; past `cap` entries the oldest
-/// is evicted.
-struct VerdictCache {
-    ttl: Duration,
-    /// Entry cap; zero disables the bound.
-    cap: usize,
-    evictions: AtomicU64,
-    entries: Mutex<std::collections::HashMap<String, (Instant, Json)>>,
-}
-
-impl VerdictCache {
-    fn new(ttl: Duration, cap: usize) -> VerdictCache {
-        VerdictCache {
-            ttl,
-            cap,
-            evictions: AtomicU64::new(0),
-            entries: Mutex::new(std::collections::HashMap::new()),
-        }
-    }
-
-    /// A still-fresh remembered verdict, if any.
-    fn get(&self, key: &str) -> Option<Json> {
-        if self.ttl.is_zero() {
-            return None;
-        }
-        let entries = self.entries.lock().unwrap();
-        let (at, verdict) = entries.get(key)?;
-        (at.elapsed() < self.ttl).then(|| verdict.clone())
-    }
-
-    fn put(&self, key: String, verdict: Json) {
-        if self.ttl.is_zero() {
-            return;
-        }
-        let mut entries = self.entries.lock().unwrap();
-        entries.retain(|_, (at, _)| at.elapsed() < self.ttl);
-        if self.cap > 0 && entries.len() >= self.cap {
-            if let Some(oldest) = entries
-                .iter()
-                .min_by_key(|(_, (at, _))| *at)
-                .map(|(k, _)| k.clone())
-            {
-                entries.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        entries.insert(key, (Instant::now(), verdict));
-    }
-
-    /// Verdicts currently remembered (expired-but-unswept included).
-    fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-}
-
 /// State shared by every connection thread.
 struct Shared {
     config: ServerConfig,
@@ -405,7 +328,6 @@ struct Shared {
     metrics: Arc<Metrics>,
     gate: Arc<Gate>,
     inflight: InFlight,
-    verdicts: VerdictCache,
     /// The isolated worker pool; `Some` only under `--isolate`.
     pool: Option<Arc<WorkerPool>>,
     draining: AtomicBool,
@@ -415,7 +337,8 @@ struct Shared {
 
 /// The selector for a request's lane width, with the register width in
 /// bytes tracking the lane count between 8 and 128. The isolated workers
-/// build theirs the same way.
+/// build theirs the same way, and responses report costs at its
+/// geometry.
 pub(crate) fn base_rake(lanes: usize) -> Rake {
     let vec_bytes = 128.min(lanes.max(8));
     Rake::new(Target { lanes, vec_bytes })
@@ -428,7 +351,6 @@ impl Shared {
         CacheSnapshot {
             hits: stats.hits,
             misses: stats.misses,
-            floor_misses: stats.floor_misses,
             entries: self.cache.len(),
             mem_bytes: self.cache.total_bytes(),
             loaded: stats.loaded,
@@ -437,8 +359,6 @@ impl Shared {
             compactions: stats.compactions,
             snapshot_bytes,
             log_bytes,
-            verdict_entries: self.verdicts.len(),
-            verdict_evictions: self.verdicts.evictions(),
             journal_bytes: self.journal.as_ref().map_or(0, |j| j.bytes()),
             journal_rotations: self.journal.as_ref().map_or(0, |j| j.rotations()),
             quarantined: self.cache.quarantined_count(),
@@ -550,7 +470,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         None => None,
     };
     let gate = Arc::new(Gate::new(config.permits, config.queue_slots, config.queue_wait));
-    let verdicts = VerdictCache::new(config.timeout_verdict_ttl, config.verdict_cache_cap);
     let pool = config.isolate.then(|| {
         let workers = if config.pool_workers == 0 { config.permits } else { config.pool_workers };
         WorkerPool::start(PoolConfig {
@@ -570,7 +489,6 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         metrics: Metrics::new(),
         gate,
         inflight: InFlight::default(),
-        verdicts,
         pool,
         draining: AtomicBool::new(false),
         connections: AtomicUsize::new(0),
@@ -756,7 +674,6 @@ struct CompileRequest {
     lanes: usize,
     timeout: Option<Duration>,
     validate: bool,
-    tiers: Vec<Tier>,
     /// Chaos fault to inject worker-side (`abort` / `oom` /
     /// `sleep:<ms>`; only the sleep applies in-process); only accepted
     /// when the server runs `--chaos`.
@@ -855,23 +772,7 @@ fn parse_compile_request(shared: &Shared, body: &[u8]) -> Result<CompileRequest,
         }
     };
 
-    let tiers = match doc.get("tier_floor") {
-        None => Tier::ladder().to_vec(),
-        Some(v) => {
-            let name = v.as_str().ok_or_else(|| bad("`tier_floor` must be a string"))?;
-            let floor =
-                Tier::from_name(name).ok_or_else(|| bad(format!("unknown tier `{name}`")))?;
-            if floor == Tier::Baseline {
-                Tier::ladder().to_vec()
-            } else {
-                let ladder = Tier::ladder();
-                let stop = ladder.iter().position(|t| *t == floor).unwrap_or(ladder.len() - 1);
-                ladder[..=stop].to_vec()
-            }
-        }
-    };
-
-    Ok(CompileRequest { exprs, lanes, timeout, validate, tiers, fault })
+    Ok(CompileRequest { exprs, lanes, timeout, validate, fault })
 }
 
 /// Maximum paren nesting of an S-expression, counting inside-string
@@ -961,7 +862,6 @@ fn handle_compile_inner(
         .with_config(DriverConfig {
             workers: parsed.exprs.len().clamp(1, 4),
             job_timeout: parsed.timeout,
-            tiers: parsed.tiers.clone(),
             cache_dir: None,
             log_path: None,
             validate: parsed.validate,
@@ -980,33 +880,10 @@ fn handle_compile_inner(
     }
 
     // Each expression is canonicalized once, here: its key serves the
-    // verdict cache, the warm check and single-flight, and the prepared
-    // form goes to the driver as it is.
+    // warm check and single-flight, and the prepared form goes to the
+    // driver as it is.
     let prepared: Vec<Prepared> = parsed.exprs.into_iter().map(|e| driver.prepare(e)).collect();
-    let expr_keys: Vec<String> = prepared.iter().map(|p| p.key().to_owned()).collect();
-
-    // Remembered timeout verdicts (see [`VerdictCache`]): any expression
-    // that recently timed out under the same knobs is answered from
-    // memory instead of re-burning its budget. The knob fingerprint
-    // keeps a bigger `timeout_ms` or a different tier floor honest —
-    // those requests recompile.
-    let knobs = format!(
-        "{}|{}|{}",
-        parsed.tiers.iter().map(|t| t.name()).collect::<Vec<_>>().join(","),
-        parsed.timeout.map_or(0, |t| t.as_millis()),
-        parsed.validate,
-    );
-    let mut slots: Vec<Option<Json>> = expr_keys
-        .iter()
-        .map(|k| shared.verdicts.get(&format!("{k}|{knobs}")))
-        .collect();
-    let remembered = slots.iter().filter(|s| s.is_some()).count();
-    if remembered > 0 {
-        shared.metrics.timeout_verdicts_served(remembered);
-    }
-    let to_compile: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
-
-    let mut keys: Vec<String> = to_compile.iter().map(|&i| expr_keys[i].clone()).collect();
+    let mut keys: Vec<String> = prepared.iter().map(|p| p.key().to_owned()).collect();
     keys.sort();
     keys.dedup();
 
@@ -1015,11 +892,8 @@ fn handle_compile_inner(
     // it skips admission control entirely. Permits, queue slots, the
     // cancel slot, and the disconnect monitor all exist to bound and
     // shed *synthesis* work; spending them on cache reads would let slow
-    // cold requests queue-block the warm traffic they protect. The check
-    // honors the request's tier floor: an entry a more degraded run left
-    // behind does not make a stricter request warm — it recompiles.
-    let floor = parsed.tiers.iter().copied().max_by_key(|t| t.rank()).unwrap_or(Tier::Full);
-    let warm = keys.iter().all(|k| shared.cache.contains_meeting(k, floor));
+    // cold requests queue-block the warm traffic they protect.
+    let warm = keys.iter().all(|k| shared.cache.contains(k));
     if !warm {
         // Cold work needs live workers; while the restart-storm breaker
         // is open, fail fast instead of queueing behind a pool that will
@@ -1057,69 +931,46 @@ fn handle_compile_inner(
     shared.metrics.compile_started();
     shared.metrics.exprs_submitted(prepared.len());
 
-    let mut memo_stats = (0u64, 0u64);
-    if !to_compile.is_empty() {
-        let cancel = if warm {
-            None
-        } else {
-            let cancel = synth::cancel::acquire();
-            driver.set_cancel(Some(cancel));
-            // Single-flight: claim this request's cache keys so concurrent
-            // requests for the same expression run one synthesis, not N.
-            shared.inflight.claim(&keys);
-            Some(cancel)
-        };
+    let cancel = if warm {
+        None
+    } else {
+        let cancel = synth::cancel::acquire();
+        driver.set_cancel(Some(cancel));
+        // Single-flight: claim this request's cache keys so concurrent
+        // requests for the same expression run one synthesis, not N.
+        shared.inflight.claim(&keys);
+        Some(cancel)
+    };
 
-        // Watch the connection while we compile; a vanished client raises
-        // the cancel flag and the synthesis stops cooperatively.
-        let monitor = cancel.and_then(|cancel| DisconnectMonitor::start(stream, cancel));
+    // Watch the connection while we compile; a vanished client raises
+    // the cancel flag and the synthesis stops cooperatively.
+    let monitor = cancel.and_then(|cancel| DisconnectMonitor::start(stream, cancel));
 
-        let batch: Vec<Prepared> = prepared
-            .into_iter()
-            .zip(&slots)
-            .filter_map(|(p, slot)| slot.is_none().then_some(p))
-            .collect();
-        let report = driver.compile_prepared(batch);
+    let report = driver.compile_prepared(prepared);
 
-        // The monitor is authoritative for mid-compile disconnects: a
-        // small response written to a half-closed socket can still
-        // "succeed", so the connection loop's EPIPE check alone would
-        // undercount. The shared once-flag keeps the two sites from
-        // ever counting the same connection twice.
-        if monitor.is_some_and(DisconnectMonitor::finish)
-            && !disconnected.swap(true, Ordering::SeqCst)
-        {
-            shared.metrics.client_disconnected();
-        }
-        drop(driver);
-        if let Some(cancel) = cancel {
-            shared.inflight.release(&keys);
-            // Contract of `synth::cancel`: the flag outlives every reader;
-            // all batch workers have joined once `compile_batch` returns.
-            synth::cancel::release(cancel);
-        }
-
-        memo_stats =
-            (report.stats.lifting_queries, report.stats.sketching_queries);
-        for (&slot, r) in to_compile.iter().zip(report.results.iter()) {
-            let rendered = render_result(r, parsed.lanes);
-            if matches!(r.outcome, JobOutcome::TimedOut) {
-                let mut remembered = rendered.clone();
-                if let Json::Obj(fields) = &mut remembered {
-                    fields.push(("verdict_cached".to_owned(), true.into()));
-                }
-                shared.verdicts.put(format!("{}|{knobs}", expr_keys[slot]), remembered);
-            }
-            slots[slot] = Some(rendered);
-        }
+    // The monitor is authoritative for mid-compile disconnects: a
+    // small response written to a half-closed socket can still
+    // "succeed", so the connection loop's EPIPE check alone would
+    // undercount. The shared once-flag keeps the two sites from
+    // ever counting the same connection twice.
+    if monitor.is_some_and(DisconnectMonitor::finish) && !disconnected.swap(true, Ordering::SeqCst)
+    {
+        shared.metrics.client_disconnected();
     }
+    drop(driver);
+    if let Some(cancel) = cancel {
+        shared.inflight.release(&keys);
+        // Contract of `synth::cancel`: the flag outlives every reader;
+        // all batch workers have joined once `compile_batch` returns.
+        synth::cancel::release(cancel);
+    }
+
+    let results: Vec<Json> = report.results.iter().map(|r| render_result(r, &base)).collect();
 
     let latency = started.elapsed();
     shared.metrics.compile_finished(latency);
     drop(permit);
 
-    let results: Vec<Json> =
-        slots.into_iter().map(|s| s.expect("every slot is filled")).collect();
     // The counters the body prints, and no more: the full snapshot behind
     // `/metrics` also stats two files and scans every entry under the lock
     // that all connections share.
@@ -1141,8 +992,8 @@ fn handle_compile_inner(
     body.push((
         "memo".to_owned(),
         Json::obj([
-            ("lifting_queries", memo_stats.0.into()),
-            ("sketching_queries", memo_stats.1.into()),
+            ("lifting_queries", report.stats.lifting_queries.into()),
+            ("sketching_queries", report.stats.sketching_queries.into()),
         ]),
     ));
     Response::json(200, &Json::Obj(body))
@@ -1164,12 +1015,7 @@ fn isolated_compile_fn(
     shared: &Arc<Shared>,
     pool: &Arc<WorkerPool>,
     parsed: &CompileRequest,
-) -> impl Fn(
-    &Expr,
-    Option<Instant>,
-    Tier,
-    Option<synth::CancelFlag>,
-) -> Result<Compiled, CompileError>
+) -> impl Fn(&Expr, Option<Instant>, Option<synth::CancelFlag>) -> Result<Compiled, CompileError>
        + Send
        + Sync
        + 'static {
@@ -1182,11 +1028,10 @@ fn isolated_compile_fn(
     let fault = parsed.fault.clone();
     let crash_threshold = shared.config.crash_threshold.max(1);
     let quarantine_ttl = shared.config.quarantine_ttl;
-    move |e, deadline, tier, cancel| {
+    move |e, deadline, cancel| {
         let key = driver::cache_key(&key_rake, e);
-        // A key quarantined seconds ago — by this very batch's previous
-        // tier attempt, or by a concurrent request — must not be
-        // redispatched down the ladder.
+        // A key a concurrent request quarantined seconds ago must not be
+        // redispatched.
         if let Some(reason) = cache.quarantine_reason(&key) {
             std::panic::resume_unwind(Box::new(format!("poison pill: {reason}")));
         }
@@ -1194,7 +1039,6 @@ fn isolated_compile_fn(
             key: key.clone(),
             expr: halide_ir::sexpr::to_sexpr(e),
             lanes,
-            tier,
             deadline,
             fault: fault.clone(),
         };
@@ -1224,7 +1068,6 @@ fn isolated_compile_fn(
                 if let Some(journal) = &journal {
                     journal.append(&DriverEvent::WorkerCrashed {
                         key: Some(key.clone()),
-                        tier: Some(tier),
                         cause: report.cause.to_owned(),
                         signal: report.signal,
                         crashes_for_key: report.crashes_for_key,
@@ -1267,17 +1110,12 @@ pub(crate) fn sleep_fault_ms(fault: &str) -> Option<u64> {
 fn sleeping_compile_fn(
     rake: &Rake,
     ms: u64,
-) -> impl Fn(
-    &Expr,
-    Option<Instant>,
-    Tier,
-    Option<synth::CancelFlag>,
-) -> Result<Compiled, CompileError>
+) -> impl Fn(&Expr, Option<Instant>, Option<synth::CancelFlag>) -> Result<Compiled, CompileError>
        + Send
        + Sync
        + 'static {
     let compile = driver::default_compile_fn(rake);
-    move |e, deadline, tier, cancel| {
+    move |e, deadline, cancel| {
         let until = Instant::now() + Duration::from_millis(ms);
         while let Some(left) = until.checked_duration_since(Instant::now()) {
             if synth::cancel::cancelled(cancel) {
@@ -1285,18 +1123,17 @@ fn sleeping_compile_fn(
             }
             std::thread::sleep(left.min(Duration::from_millis(10)));
         }
-        compile(e, deadline, tier, cancel)
+        compile(e, deadline, cancel)
     }
 }
 
-/// Render one per-expression job result as the `/compile` response JSON.
-fn render_result(r: &driver::JobResult, lanes: usize) -> Json {
-    let vec_bytes = 128.min(lanes.max(8));
+/// Render one per-expression job result as the `/compile` response JSON,
+/// with costs at the geometry of the selector that compiled it.
+fn render_result(r: &driver::JobResult, rake: &Rake) -> Json {
+    let Target { lanes, vec_bytes } = rake.target();
     let mut obj = vec![
         ("outcome".to_owned(), Json::Str(outcome_name(&r.outcome).to_owned())),
-        ("tier".to_owned(), r.tier.name().into()),
         ("cache_hit".to_owned(), r.cache_hit.into()),
-        ("retries".to_owned(), (r.retries as u64).into()),
         ("key".to_owned(), r.key.as_str().into()),
     ];
     match &r.outcome {
@@ -1490,39 +1327,6 @@ mod tests {
         assert_eq!(sexpr_depth(&"(".repeat(1000)), 1000);
     }
 
-    #[test]
-    fn verdict_cache_remembers_within_ttl_and_respects_zero() {
-        let cache = VerdictCache::new(Duration::from_secs(60), 1024);
-        assert!(cache.get("k|knobs").is_none());
-        cache.put("k|knobs".to_owned(), Json::Str("timed_out".to_owned()));
-        assert_eq!(cache.get("k|knobs"), Some(Json::Str("timed_out".to_owned())));
-        assert!(cache.get("k|other-knobs").is_none(), "knob fingerprint is part of the key");
-        assert_eq!(cache.len(), 1);
-
-        let disabled = VerdictCache::new(Duration::ZERO, 1024);
-        disabled.put("k".to_owned(), Json::Str("x".to_owned()));
-        assert!(disabled.get("k").is_none(), "TTL zero disables the cache");
-    }
-
-    #[test]
-    fn verdict_cache_cap_evicts_oldest_first() {
-        let cache = VerdictCache::new(Duration::from_secs(60), 2);
-        cache.put("a".to_owned(), Json::Str("1".to_owned()));
-        cache.put("b".to_owned(), Json::Str("2".to_owned()));
-        cache.put("c".to_owned(), Json::Str("3".to_owned()));
-        assert_eq!(cache.len(), 2, "cap holds");
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.get("a").is_none(), "oldest entry evicted");
-        assert!(cache.get("b").is_some() && cache.get("c").is_some());
-
-        let unbounded = VerdictCache::new(Duration::from_secs(60), 0);
-        for i in 0..8 {
-            unbounded.put(format!("k{i}"), Json::Str("x".to_owned()));
-        }
-        assert_eq!(unbounded.len(), 8, "cap zero disables the bound");
-        assert_eq!(unbounded.evictions(), 0);
-    }
-
     /// Both ends of a live loopback connection: (client, server side).
     fn loopback_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1575,35 +1379,5 @@ mod tests {
         assert!(cancel.load(Ordering::SeqCst), "a vanished peer must raise the cancel flag");
         assert!(monitor.finish(), "a vanished peer is a disconnect");
         synth::cancel::release(cancel);
-    }
-
-    #[test]
-    fn tier_floor_truncates_ladder() {
-        let shared_cfg = ServerConfig::default();
-        let shared = Shared {
-            config: shared_cfg,
-            cache: Arc::new(SynthCache::in_memory()),
-            journal: None,
-            metrics: Metrics::new(),
-            gate: Arc::new(Gate::new(1, 1, Duration::from_secs(1))),
-            inflight: InFlight::default(),
-            verdicts: VerdictCache::new(Duration::from_secs(300), 1024),
-            pool: None,
-            draining: AtomicBool::new(false),
-            connections: AtomicUsize::new(0),
-            started: Instant::now(),
-        };
-        let body = |floor: &str| {
-            format!(
-                "{{\"expr\":\"(add (load a u8 0 0) (load b u8 0 0))\",\"tier_floor\":\"{floor}\"}}"
-            )
-        };
-        let full = parse_compile_request(&shared, body("full").as_bytes()).unwrap();
-        assert_eq!(full.tiers, vec![Tier::Full]);
-        let reduced = parse_compile_request(&shared, body("reduced").as_bytes()).unwrap();
-        assert_eq!(reduced.tiers, vec![Tier::Full, Tier::Reduced]);
-        let all = parse_compile_request(&shared, body("direct").as_bytes()).unwrap();
-        assert_eq!(all.tiers, Tier::ladder().to_vec());
-        assert!(parse_compile_request(&shared, body("nonsense").as_bytes()).is_err());
     }
 }

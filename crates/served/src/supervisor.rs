@@ -41,7 +41,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use driver::json::{self, Json, ParseLimits};
-use driver::Tier;
 
 use crate::worker::{read_frame, write_frame, MAX_FRAME_BYTES};
 
@@ -121,8 +120,6 @@ pub struct WorkerJob {
     pub expr: String,
     /// Lane count of the target geometry.
     pub lanes: usize,
-    /// Ladder tier to compile at.
-    pub tier: Tier,
     /// Cooperative in-worker budget from dispatch time.
     pub deadline: Option<Instant>,
     /// Chaos fault to inject in the worker (`abort` / `oom` /
@@ -405,7 +402,6 @@ impl WorkerPool {
             ("op".to_owned(), "compile".into()),
             ("expr".to_owned(), job.expr.as_str().into()),
             ("lanes".to_owned(), job.lanes.into()),
-            ("tier".to_owned(), job.tier.name().into()),
             (
                 "deadline_ms".to_owned(),
                 job.deadline
@@ -1006,7 +1002,6 @@ mod tests {
             key: "k".to_owned(),
             expr: "(x)".to_owned(),
             lanes: 8,
-            tier: Tier::Full,
             deadline: Some(Instant::now() + Duration::from_millis(200)),
             fault: None,
         };

@@ -19,7 +19,7 @@
 //! crash forensics (last lines only).
 //!
 //! Job (`op:"compile"`): `id`, `expr` (Halide S-expression), `lanes`,
-//! `tier` (ladder name), optional `deadline_ms` (budget from now),
+//! optional `deadline_ms` (budget from now),
 //! optional `fault` (`"abort"`, `"oom"`, `"sleep:<ms>"` — the chaos
 //! plane, honored before/around the real compile). `op:"ping"` is the
 //! supervisor's heartbeat; the reply is `status:"pong"`.
@@ -38,7 +38,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use driver::json::{self, Json, ParseLimits};
-use driver::Tier;
 use synth::LoweringOptions;
 
 /// Upper bound on one frame's payload. A compile job is an S-expression
@@ -130,7 +129,6 @@ struct Job {
     op: String,
     expr: String,
     lanes: usize,
-    tier: Tier,
     deadline: Option<Duration>,
     fault: Option<String>,
     /// Parent span context: (trace id, parent span id, parent's
@@ -157,11 +155,6 @@ fn parse_job(text: &str) -> Result<Job, ()> {
         op,
         expr: doc.get("expr").and_then(Json::as_str).unwrap_or("").to_owned(),
         lanes: doc.get("lanes").and_then(Json::as_i64).unwrap_or(128).clamp(8, 1024) as usize,
-        tier: doc
-            .get("tier")
-            .and_then(Json::as_str)
-            .and_then(Tier::from_name)
-            .unwrap_or(Tier::Full),
         deadline: doc
             .get("deadline_ms")
             .and_then(Json::as_i64)
@@ -196,7 +189,6 @@ fn handle_job(job: &Job) -> Json {
         let mut sp = trace::span("worker.compile", "worker");
         if sp.is_active() {
             sp.arg("lanes", job.lanes);
-            sp.arg("tier", job.tier.name());
         }
         let reply = compile_reply(job);
         if sp.is_active() {
@@ -284,7 +276,7 @@ fn compile_reply(job: &Job) -> Json {
         }
     };
 
-    let rake = job.tier.apply(&crate::server::base_rake(job.lanes));
+    let rake = crate::server::base_rake(job.lanes);
     let deadline = job.deadline.map(|d| Instant::now() + d);
     let opts = LoweringOptions { deadline, cancel: None, ..rake.options() };
     let selector = rake.with_options(opts);
@@ -374,7 +366,7 @@ mod tests {
         assert_eq!(reply.get("id").and_then(Json::as_i64), Some(3));
 
         let job = parse_job(
-            r#"{"id":4,"expr":"(add (load a u8 0 0) (load b u8 0 0))","lanes":8,"tier":"direct"}"#,
+            r#"{"id":4,"expr":"(add (load a u8 0 0) (load b u8 0 0))","lanes":8}"#,
         )
         .unwrap();
         let reply = handle_job(&job);

@@ -153,9 +153,8 @@ fn compiles_run_inside_workers_and_crashes_are_contained() {
 
 #[test]
 fn kill_dash_nine_of_a_busy_worker_fails_only_that_job() {
-    // Threshold 1: the first SIGKILL quarantines the key, so the
-    // driver's retry of the crashed job trips the poison pill instead
-    // of re-running the 30 s chaos sleep.
+    // Threshold 1: the SIGKILL quarantines the key at once, so nothing
+    // can re-run the 30 s chaos sleep.
     let handle = start_isolated(|c| c.crash_threshold = 1);
 
     // Park a job in a worker (chaos sleep), then SIGKILL every worker

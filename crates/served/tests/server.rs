@@ -133,10 +133,6 @@ fn malformed_and_oversized_requests_are_4xx() {
     let (status, _) =
         post_compile(&mut s, &compile_body(&[TRIVIAL], &[("lanes", 4usize.into())]));
     assert_eq!(status, 400);
-    let mut s = connect(&handle);
-    let (status, _) =
-        post_compile(&mut s, &compile_body(&[TRIVIAL], &[("tier_floor", "warp".into())]));
-    assert_eq!(status, 400);
     // Oversized body → 413 before any parsing.
     let huge = format!("{{\"expr\":\"{}\"}}", "x".repeat(8 * 1024));
     let mut s = connect(&handle);
@@ -213,10 +209,7 @@ fn concurrent_same_expr_is_one_synthesis() {
     let (_, body) = roundtrip(&mut stream, "GET", "/metrics", None).unwrap();
     let text = String::from_utf8(body).unwrap();
     assert!(text.contains("rake_served_synth_fresh_total 1"), "{text}");
-    assert!(
-        text.contains("rake_served_jobs_total{outcome=\"compiled\",tier=\"full\"} 4"),
-        "{text}"
-    );
+    assert!(text.contains("rake_served_jobs_total{outcome=\"compiled\"} 4"), "{text}");
     handle.shutdown();
 }
 
@@ -366,65 +359,6 @@ fn without_a_read_deadline_a_request_may_pause_midway() {
 }
 
 #[test]
-fn tier_floor_request_recompiles_degraded_cache_entries() {
-    let handle = start(|_| {});
-
-    // Plant a Direct-tier artifact in the server's shared cache, as a
-    // degraded run (a loaded server shedding to cheaper tiers) would: a
-    // local driver with the server's geometry and a Direct-only ladder
-    // stores under exactly the key the server computes.
-    let target = rake::Target { lanes: 128, vec_bytes: 128 };
-    let seeder = driver::Driver::new(rake::Rake::new(target))
-        .with_config(driver::DriverConfig {
-            workers: 1,
-            tiers: vec![driver::Tier::Direct],
-            ..driver::DriverConfig::default()
-        })
-        .with_shared_cache(handle.cache());
-    let expr = halide_ir::sexpr::parse(TRIVIAL).unwrap();
-    let report = seeder.compile_batch(std::slice::from_ref(&expr));
-    assert_eq!(report.compiled(), 1);
-    assert_eq!(report.results[0].tier, driver::Tier::Direct);
-
-    // A floor-direct request is satisfied by the degraded entry: warm hit.
-    let mut stream = connect(&handle);
-    let (status, doc) =
-        post_compile(&mut stream, &compile_body(&[TRIVIAL], &[("tier_floor", "direct".into())]));
-    assert_eq!(status, 200);
-    let result = &doc.get("results").unwrap().as_arr().unwrap()[0];
-    assert_eq!(result.get("cache_hit").and_then(Json::as_bool), Some(true));
-    assert_eq!(result.get("tier").and_then(Json::as_str), Some("direct"));
-
-    // A floor-full request outranks it: fresh Full synthesis, and the
-    // upgraded artifact overwrites the degraded entry.
-    let (status, doc) =
-        post_compile(&mut stream, &compile_body(&[TRIVIAL], &[("tier_floor", "full".into())]));
-    assert_eq!(status, 200);
-    let result = &doc.get("results").unwrap().as_arr().unwrap()[0];
-    assert_eq!(
-        result.get("cache_hit").and_then(Json::as_bool),
-        Some(false),
-        "a below-floor entry must not serve a stricter request: {doc}"
-    );
-    assert_eq!(result.get("tier").and_then(Json::as_str), Some("full"));
-    assert_eq!(handle.metrics().synth_fresh(), 1);
-
-    // The same strict request is now warm.
-    let (status, doc) =
-        post_compile(&mut stream, &compile_body(&[TRIVIAL], &[("tier_floor", "full".into())]));
-    assert_eq!(status, 200);
-    let result = &doc.get("results").unwrap().as_arr().unwrap()[0];
-    assert_eq!(result.get("cache_hit").and_then(Json::as_bool), Some(true));
-    assert_eq!(result.get("tier").and_then(Json::as_str), Some("full"));
-    assert_eq!(handle.metrics().synth_fresh(), 1, "the upgrade must stick");
-
-    let (_, body) = roundtrip(&mut stream, "GET", "/metrics", None).unwrap();
-    let text = String::from_utf8(body).unwrap();
-    assert!(text.contains("rake_served_cache_floor_misses_total 1"), "{text}");
-    handle.shutdown();
-}
-
-#[test]
 fn bounded_cache_evicts_and_reports_in_metrics() {
     let handle = start(|c| {
         c.cache_max_entries = Some(2);
@@ -451,7 +385,6 @@ fn bounded_cache_evicts_and_reports_in_metrics() {
     assert!(gauge("rake_served_cache_entries ") <= 2.0, "{text}");
     assert!(gauge("rake_served_cache_evicted_total ") >= 1.0, "{text}");
     assert!(gauge("rake_served_cache_bytes ") > 0.0, "{text}");
-    assert!(gauge("rake_served_verdict_entries ") >= 0.0, "{text}");
     handle.shutdown();
 }
 

@@ -39,10 +39,7 @@ pub mod symexec;
 pub mod verify;
 
 pub use cancel::CancelFlag;
-pub use lift::{
-    lift_expr, lift_expr_budgeted, lift_expr_cancellable, lift_expr_with_deadline, LiftRule,
-    LiftStep, LiftTrace,
-};
+pub use lift::{lift_expr, lift_expr_cancellable, LiftRule, LiftStep, LiftTrace};
 pub use lower::{lower_expr, Layout, Lowered, LoweringOptions};
 pub use stats::SynthStats;
 pub use verify::{MemoHandle, MemoSnapshot, Verifier};

@@ -62,9 +62,9 @@ struct Lifter<'a> {
     trace: LiftTrace,
     deadline: Option<Instant>,
     cancel: Option<crate::cancel::CancelFlag>,
-    /// Cap on the lifting recursion depth (a reduced-budget knob):
-    /// sub-expressions nested deeper than this fail to lift instead of
-    /// spending the budget on a deep candidate search.
+    /// Cap on the lifting recursion depth: sub-expressions nested deeper
+    /// than this fail to lift instead of spending the budget on a deep
+    /// candidate search.
     max_depth: Option<usize>,
     depth: usize,
 }
@@ -80,40 +80,16 @@ pub fn lift_expr(
     verifier: &Verifier,
     stats: &mut SynthStats,
 ) -> Option<(UberExpr, LiftTrace)> {
-    lift_expr_with_deadline(e, verifier, None, stats)
+    lift_expr_cancellable(e, verifier, None, None, None, stats)
 }
 
-/// [`lift_expr`] with a cooperative wall-clock deadline: once the instant
-/// passes, no further lifting queries are issued, the run returns `None`,
-/// and [`SynthStats::deadline_exceeded`] is set (so the caller knows the
-/// result is "ran out of time", not "proved unliftable").
-pub fn lift_expr_with_deadline(
-    e: &Expr,
-    verifier: &Verifier,
-    deadline: Option<Instant>,
-    stats: &mut SynthStats,
-) -> Option<(UberExpr, LiftTrace)> {
-    lift_expr_budgeted(e, verifier, deadline, None, stats)
-}
-
-/// [`lift_expr_with_deadline`] with an additional recursion-depth cap —
-/// the degraded-tier entry point: `max_depth: Some(n)` makes expressions
-/// nesting deeper than `n` fail fast (as non-qualifying) instead of
-/// burning wall-clock on a deep candidate search.
-pub fn lift_expr_budgeted(
-    e: &Expr,
-    verifier: &Verifier,
-    deadline: Option<Instant>,
-    max_depth: Option<usize>,
-    stats: &mut SynthStats,
-) -> Option<(UberExpr, LiftTrace)> {
-    lift_expr_cancellable(e, verifier, deadline, None, max_depth, stats)
-}
-
-/// [`lift_expr_budgeted`] with a cooperative cancellation flag (see
-/// [`crate::cancel`]): raising the flag stops the run at the next
-/// candidate-screening check point — the same sites the deadline is
-/// checked — with [`SynthStats::deadline_exceeded`] set.
+/// [`lift_expr`] under a cooperative wall-clock deadline, a cancellation
+/// flag (see [`crate::cancel`]) and a recursion-depth cap. Once the
+/// deadline passes or the flag is raised, the run stops at the next
+/// candidate-screening check point and returns `None` with
+/// [`SynthStats::deadline_exceeded`] set, so the caller knows the result
+/// is "ran out of time", not "proved unliftable". `max_depth: Some(n)`
+/// makes expressions nesting deeper than `n` fail as non-qualifying.
 pub fn lift_expr_cancellable(
     e: &Expr,
     verifier: &Verifier,
@@ -744,10 +720,10 @@ mod tests {
         let e = hb::add(hb::add(t(-1), hb::mul(t(0), hb::bcast(2, ElemType::U16))), t(1));
         let verifier = Verifier::fast();
         let mut stats = SynthStats::default();
-        assert!(lift_expr_budgeted(&e, &verifier, None, Some(2), &mut stats).is_none());
+        assert!(lift_expr_cancellable(&e, &verifier, None, None, Some(2), &mut stats).is_none());
         assert!(!stats.deadline_exceeded, "a depth reject is not a timeout");
         let mut stats = SynthStats::default();
-        assert!(lift_expr_budgeted(&e, &verifier, None, Some(16), &mut stats).is_some());
+        assert!(lift_expr_cancellable(&e, &verifier, None, None, Some(16), &mut stats).is_some());
     }
 
     /// Found by `oracle_fuzz`: stacked right shifts must not deepen a

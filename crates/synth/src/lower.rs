@@ -67,16 +67,10 @@ pub struct LoweringOptions {
     /// Cancellation reports as [`SynthStats::deadline_exceeded`] — like a
     /// deadline, it proves nothing about the tile.
     pub cancel: Option<crate::cancel::CancelFlag>,
-    /// Cap on the lifting recursion depth (a *reduced-budget* knob for
-    /// degraded retries): expressions nesting deeper than this fail to
-    /// lift instead of burning the budget on a deep search. `None`
-    /// imposes no cap.
+    /// Cap on the lifting recursion depth: expressions nesting deeper
+    /// than this fail to lift instead of burning the budget on a deep
+    /// search. `None` imposes no cap.
     pub max_lift_depth: Option<usize>,
-    /// Concretize data-movement holes with the closed-form recipes only,
-    /// skipping the enumerative swizzle search and its cost accounting
-    /// (another reduced-budget knob: the recipe always answers, whatever
-    /// it costs).
-    pub naive_swizzles: bool,
 }
 
 impl Default for LoweringOptions {
@@ -90,7 +84,6 @@ impl Default for LoweringOptions {
             deadline: None,
             cancel: None,
             max_lift_depth: None,
-            naive_swizzles: false,
         }
     }
 }
@@ -219,10 +212,7 @@ impl Lowerer<'_> {
 
     fn load(&mut self, l: &halide_ir::Load) -> HvxExpr {
         let lanes = self.opts.lanes;
-        if self.opts.aligned_loads
-            && !self.opts.naive_swizzles
-            && l.dx.rem_euclid(lanes as i32) != 0
-        {
+        if self.opts.aligned_loads && l.dx.rem_euclid(lanes as i32) != 0 {
             // Synthesize the unaligned window from aligned loads with the
             // enumerative swizzle searcher (Figure 8's query).
             let spec: crate::envs::BufferSpec =
