@@ -29,9 +29,9 @@
 
 use std::collections::HashMap;
 
-use halide_ir::{BinOp, Binary, BroadcastLoad, Cast, Expr, Load, Shift, ShiftDir};
-use hvx::{HvxExpr, Op, ScalarOperand};
-use uber_ir::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
+use halide_ir::{BinOp, Binary, BroadcastLoad, Cast, Expr, Load, ScalarOperand, Shift, ShiftDir};
+use hvx::{HvxExpr, Op};
+use uber_ir::{UberExpr, VsMpyAdd, VvMpyAdd};
 
 /// A canonicalized expression plus the bijection back to original names.
 #[derive(Debug, Clone)]
@@ -169,15 +169,9 @@ pub fn rename_uber(u: &UberExpr, map: &HashMap<String, String>) -> UberExpr {
         UberExpr::Data(l) => {
             UberExpr::Data(Load { buffer: map_name(&l.buffer, map), dx: l.dx, dy: l.dy, ty: l.ty })
         }
-        UberExpr::Bcast { value, ty } => UberExpr::Bcast {
-            value: match value {
-                ScalarSource::Imm(v) => ScalarSource::Imm(*v),
-                ScalarSource::Scalar { buffer, x, dy } => {
-                    ScalarSource::Scalar { buffer: map_name(buffer, map), x: *x, dy: *dy }
-                }
-            },
-            ty: *ty,
-        },
+        UberExpr::Bcast { value, ty } => {
+            UberExpr::Bcast { value: rename_scalar(value, map), ty: *ty }
+        }
         UberExpr::VsMpyAdd(v) => UberExpr::VsMpyAdd(VsMpyAdd {
             inputs: v.inputs.iter().map(|i| rename_uber(i, map)).collect(),
             kernel: v.kernel.clone(),

@@ -93,6 +93,24 @@ pub struct BroadcastLoad {
     pub ty: ElemType,
 }
 
+/// The scalar of a lowered broadcast or vector-scalar instruction: an
+/// immediate, or a runtime scalar read from a buffer (absolute column,
+/// tile-relative row). The uber-instruction and HVX IRs share this type.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum ScalarOperand {
+    /// Compile-time immediate.
+    Imm(i64),
+    /// Runtime scalar `buffer(x, y0 + dy)`.
+    Load {
+        /// Buffer name.
+        buffer: String,
+        /// Absolute column.
+        x: i32,
+        /// Row offset relative to the tile's `y`.
+        dy: i32,
+    },
+}
+
 /// A lane-wise cast.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cast {

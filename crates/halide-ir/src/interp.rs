@@ -5,7 +5,7 @@ use std::fmt;
 use lanes::{ElemType, Vector};
 
 use crate::buffer::Env;
-use crate::expr::{BinOp, Expr, ShiftDir};
+use crate::expr::{BinOp, Expr, ScalarOperand, ShiftDir};
 
 /// Where and how wide to evaluate an expression: the loop origin `(x0, y0)`
 /// and the vectorization width in lanes.
@@ -50,6 +50,25 @@ impl fmt::Display for EvalError {
 }
 
 impl std::error::Error for EvalError {}
+
+impl ScalarOperand {
+    /// The operand's value in `env` on loop row `y0`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::UnknownBuffer`] if a runtime scalar's buffer
+    /// is missing.
+    pub fn value(&self, env: &Env, y0: i64) -> Result<i64, EvalError> {
+        match self {
+            ScalarOperand::Imm(v) => Ok(*v),
+            ScalarOperand::Load { buffer, x, dy } => {
+                let buf =
+                    env.get(buffer).ok_or_else(|| EvalError::UnknownBuffer(buffer.clone()))?;
+                Ok(buf.get(i64::from(*x), y0 + i64::from(*dy)))
+            }
+        }
+    }
+}
 
 /// Evaluate `expr` at `ctx`, producing one typed vector.
 ///

@@ -46,5 +46,8 @@ mod print;
 pub mod sexpr;
 
 pub use buffer::{Buffer2D, Env};
-pub use expr::{BinOp, Binary, Broadcast, BroadcastLoad, Cast, Expr, Load, Shift, ShiftDir, TypeError};
+pub use expr::{
+    BinOp, Binary, Broadcast, BroadcastLoad, Cast, Expr, Load, ScalarOperand, Shift, ShiftDir,
+    TypeError,
+};
 pub use interp::{eval, eval_with, EvalCtx, EvalError};

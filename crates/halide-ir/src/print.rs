@@ -2,7 +2,16 @@
 
 use std::fmt;
 
-use crate::expr::{BinOp, Expr, ShiftDir};
+use crate::expr::{BinOp, Expr, ScalarOperand, ShiftDir};
+
+impl fmt::Display for ScalarOperand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScalarOperand::Imm(v) => write!(f, "{v}"),
+            ScalarOperand::Load { buffer, x, dy } => write!(f, "{buffer}[{x}, y+{dy}]"),
+        }
+    }
+}
 
 fn precedence(e: &Expr) -> u8 {
     match e {

@@ -6,6 +6,12 @@
 //! canonical S-expression form with a printer and a parser that round-trip
 //! exactly.
 //!
+//! One reader serves all three IRs: [`Cursor`] reads the parentheses and
+//! atoms, and the integers, flags, element types and scalar operands the
+//! grammars share, and reports every failure as one [`ParseError`] located
+//! at the start of the offending token. `uber_ir::sexpr` and `hvx::sexpr`
+//! are grammar tables and printers on top of it.
+//!
 //! # Grammar
 //!
 //! ```text
@@ -33,11 +39,13 @@
 //! # Ok::<(), halide_ir::sexpr::ParseError>(())
 //! ```
 
+use std::any::type_name;
 use std::fmt;
+use std::str::FromStr;
 
 use lanes::ElemType;
 
-use crate::expr::{BinOp, BroadcastLoad, Cast, Expr, Load, ShiftDir};
+use crate::expr::{BinOp, BroadcastLoad, Cast, Expr, Load, ScalarOperand, ShiftDir, TypeError};
 
 /// Serialize an expression to its canonical S-expression.
 pub fn to_sexpr(e: &Expr) -> String {
@@ -91,7 +99,26 @@ fn write_sexpr(e: &Expr, out: &mut String) {
     }
 }
 
-/// A parse failure, with the byte offset where it occurred.
+/// The text of a flag: `#t` or `#f`.
+pub fn flag(b: bool) -> &'static str {
+    if b {
+        "#t"
+    } else {
+        "#f"
+    }
+}
+
+/// Append a scalar operand's S-expression: `<int>` or
+/// `(scal <buffer> <x> <dy>)`.
+pub fn write_scalar(s: &ScalarOperand, out: &mut String) {
+    use std::fmt::Write;
+    let _ = match s {
+        ScalarOperand::Imm(v) => write!(out, "{v}"),
+        ScalarOperand::Load { buffer, x, dy } => write!(out, "(scal {buffer} {x} {dy})"),
+    };
+}
+
+/// A parse failure, located at the start of the offending token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset into the input.
@@ -108,166 +135,223 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Open,
-    Close,
-    Atom(String),
-}
-
-fn tokenize(input: &str) -> Result<Vec<(usize, Token)>, ParseError> {
-    let mut tokens = Vec::new();
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'(' => {
-                tokens.push((i, Token::Open));
-                i += 1;
-            }
-            b')' => {
-                tokens.push((i, Token::Close));
-                i += 1;
-            }
-            c if c.is_ascii_whitespace() => i += 1,
-            _ => {
-                let start = i;
-                while i < bytes.len()
-                    && !bytes[i].is_ascii_whitespace()
-                    && bytes[i] != b'('
-                    && bytes[i] != b')'
-                {
-                    i += 1;
-                }
-                tokens.push((start, Token::Atom(input[start..i].to_owned())));
-            }
-        }
-    }
-    Ok(tokens)
-}
-
-struct Parser {
-    tokens: Vec<(usize, Token)>,
+/// A cursor over S-expression text, borrowing it: parentheses, atoms, and
+/// the typed atoms the three IRs share. An atom is a run of bytes up to
+/// whitespace or a parenthesis.
+pub struct Cursor<'s> {
+    input: &'s str,
+    /// The next unread byte.
     pos: usize,
-    len: usize,
+    /// Where the token read or peeked last starts.
+    token: usize,
 }
 
-impl Parser {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        let offset = self.tokens.get(self.pos).map(|(o, _)| *o).unwrap_or(self.len);
-        Err(ParseError { offset, message: message.into() })
+impl<'s> Cursor<'s> {
+    /// A cursor at the start of `input`.
+    pub fn new(input: &'s str) -> Self {
+        Cursor { input, pos: 0, token: 0 }
     }
 
-    fn next(&mut self) -> Result<&(usize, Token), ParseError> {
-        let pos = self.pos;
-        if pos >= self.tokens.len() {
-            return Err(ParseError { offset: self.len, message: "unexpected end of input".into() });
+    /// Where the token read last starts.
+    pub(crate) fn offset(&self) -> usize {
+        self.token
+    }
+
+    /// An error located at the start of the token read last.
+    pub fn error(&self, message: impl Into<String>) -> ParseError {
+        ParseError { offset: self.token, message: message.into() }
+    }
+
+    /// Skip whitespace and return the next token's first byte.
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.input.as_bytes();
+        while bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
+            self.pos += 1;
         }
-        self.pos += 1;
-        Ok(&self.tokens[pos])
+        self.token = self.pos;
+        bytes.get(self.pos).copied()
     }
 
-    fn expect_open(&mut self) -> Result<(), ParseError> {
-        match self.next()? {
-            (_, Token::Open) => Ok(()),
-            (o, t) => Err(ParseError { offset: *o, message: format!("expected `(`, got {t:?}") }),
+    fn punct(&mut self, c: u8) -> Result<(), ParseError> {
+        match self.peek() {
+            Some(b) if b == c => {
+                self.pos += 1;
+                Ok(())
+            }
+            Some(_) => Err(self.error(format!("expected `{}`", c as char))),
+            None => Err(self.error("unexpected end of input")),
         }
     }
 
-    fn expect_close(&mut self) -> Result<(), ParseError> {
-        match self.next()? {
-            (_, Token::Close) => Ok(()),
-            (o, t) => Err(ParseError { offset: *o, message: format!("expected `)`, got {t:?}") }),
+    /// Read `(`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] if the next token is anything else.
+    pub fn open(&mut self) -> Result<(), ParseError> {
+        self.punct(b'(')
+    }
+
+    /// Read `)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] if the next token is anything else.
+    pub fn close(&mut self) -> Result<(), ParseError> {
+        self.punct(b')')
+    }
+
+    /// Whether the next token is `(`.
+    pub fn at_open(&mut self) -> bool {
+        self.peek() == Some(b'(')
+    }
+
+    /// Read an atom.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] at a parenthesis or the end of the input.
+    pub fn atom(&mut self) -> Result<&'s str, ParseError> {
+        match self.peek() {
+            None => return Err(self.error("unexpected end of input")),
+            Some(b'(' | b')') => return Err(self.error("expected atom")),
+            Some(_) => {}
+        }
+        let bytes = self.input.as_bytes();
+        while bytes.get(self.pos).is_some_and(|b| !b.is_ascii_whitespace() && !b"()".contains(b)) {
+            self.pos += 1;
+        }
+        Ok(&self.input[self.token..self.pos])
+    }
+
+    /// Read an integer atom as a `T`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] unless the atom is an integer in `T`'s range:
+    /// an out-of-range offset or shift is rejected, never wrapped.
+    pub fn int<T: FromStr>(&mut self) -> Result<T, ParseError> {
+        let a = self.atom()?;
+        a.parse().map_err(|_| self.error(format!("expected {}, got `{a}`", type_name::<T>())))
+    }
+
+    /// Read a flag, `#t` or `#f`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] on any other atom.
+    pub fn flag(&mut self) -> Result<bool, ParseError> {
+        match self.atom()? {
+            "#t" => Ok(true),
+            "#f" => Ok(false),
+            other => Err(self.error(format!("expected #t or #f, got `{other}`"))),
         }
     }
 
-    fn atom(&mut self) -> Result<(usize, String), ParseError> {
-        match self.next()? {
-            (o, Token::Atom(a)) => Ok((*o, a.clone())),
-            (o, t) => Err(ParseError { offset: *o, message: format!("expected atom, got {t:?}") }),
-        }
-    }
-
-    fn ty(&mut self) -> Result<ElemType, ParseError> {
-        let (o, a) = self.atom()?;
+    /// Read an element type.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] on an unknown type name.
+    pub fn ty(&mut self) -> Result<ElemType, ParseError> {
+        let a = self.atom()?;
         ElemType::ALL
             .into_iter()
             .find(|t| t.name() == a)
-            .ok_or(ParseError { offset: o, message: format!("unknown element type `{a}`") })
+            .ok_or_else(|| self.error(format!("unknown element type `{a}`")))
     }
 
-    fn int(&mut self) -> Result<i64, ParseError> {
-        let (o, a) = self.atom()?;
-        a.parse::<i64>()
-            .map_err(|_| ParseError { offset: o, message: format!("expected integer, got `{a}`") })
-    }
-
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.expect_open()?;
-        let (head_off, head) = self.atom()?;
-        let e = match head.as_str() {
-            "load" => {
-                let (_, buffer) = self.atom()?;
-                let ty = self.ty()?;
-                let dx = self.int()? as i32;
-                let dy = self.int()? as i32;
-                Expr::Load(Load { buffer, dx, dy, ty })
-            }
-            "bcast" => {
-                let value = self.int()?;
-                let ty = self.ty()?;
-                Expr::broadcast(value, ty).map_err(|e| ParseError {
-                    offset: head_off,
-                    message: e.to_string(),
-                })?
-            }
-            "bcast-load" => {
-                let (_, buffer) = self.atom()?;
-                let x = self.int()? as i32;
-                let dy = self.int()? as i32;
-                let ty = self.ty()?;
-                Expr::BroadcastLoad(BroadcastLoad { buffer, x, dy, ty })
-            }
-            "cast" | "sat-cast" => {
-                let to = self.ty()?;
-                let arg = self.expr()?;
-                Expr::Cast(Cast { to, saturating: head == "sat-cast", arg: Box::new(arg) })
-            }
-            "add" | "sub" | "mul" | "min" | "max" | "absd" => {
-                let op = match head.as_str() {
-                    "add" => BinOp::Add,
-                    "sub" => BinOp::Sub,
-                    "mul" => BinOp::Mul,
-                    "min" => BinOp::Min,
-                    "max" => BinOp::Max,
-                    _ => BinOp::Absd,
-                };
-                let lhs = self.expr()?;
-                let rhs = self.expr()?;
-                Expr::binary(op, lhs, rhs).map_err(|e| ParseError {
-                    offset: head_off,
-                    message: e.to_string(),
-                })?
-            }
-            "shl" | "shr" => {
-                let arg = self.expr()?;
-                let amount = self.int()? as u32;
-                let dir = if head == "shl" { ShiftDir::Left } else { ShiftDir::Right };
-                Expr::shift(dir, arg, amount).map_err(|e| ParseError {
-                    offset: head_off,
-                    message: e.to_string(),
-                })?
-            }
-            other => {
-                return Err(ParseError {
-                    offset: head_off,
-                    message: format!("unknown operator `{other}`"),
-                })
-            }
+    /// Read a scalar operand: `<int>` or `(scal <buffer> <x> <dy>)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] on any other form.
+    pub fn scalar(&mut self) -> Result<ScalarOperand, ParseError> {
+        if !self.at_open() {
+            return Ok(ScalarOperand::Imm(self.int()?));
+        }
+        self.open()?;
+        let tag = self.atom()?;
+        if tag != "scal" {
+            return Err(self.error(format!("expected `scal`, got `{tag}`")));
+        }
+        let s = ScalarOperand::Load {
+            buffer: self.atom()?.to_owned(),
+            x: self.int()?,
+            dy: self.int()?,
         };
-        self.expect_close()?;
-        Ok(e)
+        self.close()?;
+        Ok(s)
     }
+
+    /// Require the end of the input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] at the first trailing token.
+    pub fn end(&mut self) -> Result<(), ParseError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.error("trailing input after expression")),
+        }
+    }
+}
+
+/// The deepest paren nesting [`parse`] accepts. Halide text comes from
+/// outside the program (`rakec`, `rake-served`) and the reader recurses
+/// once per level, so this bounds its stack.
+pub const MAX_DEPTH: usize = 256;
+
+fn expr(c: &mut Cursor<'_>, depth: usize) -> Result<Expr, ParseError> {
+    c.open()?;
+    if depth > MAX_DEPTH {
+        return Err(c.error(format!("expression nests deeper than {MAX_DEPTH} levels")));
+    }
+    let head = c.atom()?;
+    let at = c.offset();
+    let typed = |e: Result<Expr, TypeError>| {
+        e.map_err(|e| ParseError { offset: at, message: e.to_string() })
+    };
+    // Struct fields and call arguments are evaluated in the order written,
+    // which is the grammar's order.
+    let e = match head {
+        "load" => Expr::Load(Load {
+            buffer: c.atom()?.to_owned(),
+            ty: c.ty()?,
+            dx: c.int()?,
+            dy: c.int()?,
+        }),
+        "bcast" => typed(Expr::broadcast(c.int()?, c.ty()?))?,
+        "bcast-load" => Expr::BroadcastLoad(BroadcastLoad {
+            buffer: c.atom()?.to_owned(),
+            x: c.int()?,
+            dy: c.int()?,
+            ty: c.ty()?,
+        }),
+        "cast" | "sat-cast" => Expr::Cast(Cast {
+            to: c.ty()?,
+            saturating: head == "sat-cast",
+            arg: Box::new(expr(c, depth + 1)?),
+        }),
+        "add" | "sub" | "mul" | "min" | "max" | "absd" => {
+            let op = match head {
+                "add" => BinOp::Add,
+                "sub" => BinOp::Sub,
+                "mul" => BinOp::Mul,
+                "min" => BinOp::Min,
+                "max" => BinOp::Max,
+                _ => BinOp::Absd,
+            };
+            typed(Expr::binary(op, expr(c, depth + 1)?, expr(c, depth + 1)?))?
+        }
+        "shl" | "shr" => {
+            let dir = if head == "shl" { ShiftDir::Left } else { ShiftDir::Right };
+            typed(Expr::shift(dir, expr(c, depth + 1)?, c.int()?))?
+        }
+        other => return Err(c.error(format!("unknown operator `{other}`"))),
+    };
+    c.close()?;
+    Ok(e)
 }
 
 /// Parse a canonical S-expression into an IR expression.
@@ -275,14 +359,12 @@ impl Parser {
 /// # Errors
 ///
 /// Returns [`ParseError`] with a byte offset on malformed input, unknown
-/// operators/types, or type-rule violations.
+/// operators/types, out-of-range integers, nesting deeper than
+/// [`MAX_DEPTH`], or type-rule violations.
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0, len: input.len() };
-    let e = p.expr()?;
-    if p.pos != p.tokens.len() {
-        return p.err("trailing input after expression");
-    }
+    let mut c = Cursor::new(input);
+    let e = expr(&mut c, 1)?;
+    c.end()?;
     Ok(e)
 }
 
@@ -363,6 +445,38 @@ mod tests {
 
         let err = parse("(load a u8 0 0) garbage").unwrap_err();
         assert!(err.message.contains("trailing input"));
+        assert_eq!(err.offset, 16);
+    }
+
+    #[test]
+    fn out_of_range_integers_are_located_errors() {
+        for (text, offset) in [
+            ("(add (load a u8 4294967296 0) (load b u8 0 0))", 16),
+            ("(load a u8 0 -2147483649)", 13),
+            ("(shl (load a u16 0 0) 4294967297)", 22),
+            ("(shl (load a u16 0 0) -1)", 22),
+            ("(bcast-load w 4294967296 0 u8)", 14),
+            ("(bcast 9223372036854775808 u16)", 7),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text}: {err}");
+            assert!(err.message.starts_with("expected "), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |depth: usize| {
+            let casts = depth - 1;
+            format!("{}(load a u8 0 0){}", "(cast u8 ".repeat(casts), ")".repeat(casts))
+        };
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err}");
+        assert_eq!(err.offset, "(cast u8 ".len() * MAX_DEPTH);
+        // Far deeper input stops at the same place instead of exhausting
+        // the stack.
+        assert_eq!(parse(&nest(200_000)).unwrap_err(), err);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 
 use std::fmt;
 
-use halide_ir::{BinOp, Expr, ShiftDir};
-use hvx::{HvxExpr, Op, ScalarOperand};
+use halide_ir::{BinOp, Expr, ScalarOperand, ShiftDir};
+use hvx::{HvxExpr, Op};
 use lanes::ElemType;
 
 /// Geometry of the target machine (mirrors `rake::Target`).

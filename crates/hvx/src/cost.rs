@@ -147,7 +147,7 @@ mod tests {
 
         // ...while alu+shift+mpy of the same length costs max = 1 each.
         let spread = HvxExpr::op(
-            Op::Vmpyi { elem: ElemType::U8, scalar: crate::ops::ScalarOperand::Imm(3) },
+            Op::Vmpyi { elem: ElemType::U8, scalar: halide_ir::ScalarOperand::Imm(3) },
             vec![HvxExpr::op(
                 Op::Vlsr { elem: ElemType::U8, shift: 1 },
                 vec![HvxExpr::op(

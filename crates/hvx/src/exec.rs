@@ -2,10 +2,10 @@
 
 use std::fmt;
 
-use halide_ir::{Env, EvalError};
+use halide_ir::{Env, EvalError, ScalarOperand};
 use lanes::{ElemType, Vector};
 
-use crate::ops::{Op, ScalarOperand};
+use crate::ops::Op;
 use crate::reg::{Value, VecReg};
 
 /// Evaluation context for HVX expressions: the tile origin and widths.
@@ -84,20 +84,6 @@ fn bad_operand(op: &Op, detail: impl Into<String>) -> ExecError {
     ExecError::BadOperand { op: op.to_string(), detail: detail.into() }
 }
 
-/// Resolve a scalar operand (immediate or runtime scalar load).
-pub fn scalar_value(s: &ScalarOperand, ctx: &ExecCtx<'_>) -> Result<i64, ExecError> {
-    match s {
-        ScalarOperand::Imm(v) => Ok(*v),
-        ScalarOperand::Load { buffer, x, dy } => {
-            let buf = ctx
-                .env
-                .get(buffer)
-                .ok_or_else(|| EvalError::UnknownBuffer(buffer.clone()))?;
-            Ok(buf.get(i64::from(*x), ctx.y0 + i64::from(*dy)))
-        }
-    }
-}
-
 /// Resolve and validate a multiply scalar. Scalar registers exist in
 /// signed and unsigned element-wide variants (`Rt.b` / `Rt.ub`, ...), so a
 /// value is valid when it fits *either* range; runtime scalars must come
@@ -116,7 +102,7 @@ fn mul_scalar(op: &Op, elem: ElemType, s: &ScalarOperand, ctx: &ExecCtx<'_>) -> 
             ));
         }
     }
-    let v = scalar_value(s, ctx)?;
+    let v = s.value(ctx.env, ctx.y0)?;
     if v < elem.as_signed().min_value() || v > elem.max_value() {
         return Err(bad_operand(op, format!("scalar {v} out of range for {elem} lanes")));
     }
@@ -322,7 +308,7 @@ pub fn eval_op(op: &Op, args: &[Value], ctx: &ExecCtx<'_>) -> Result<Value, Exec
             Ok(value_from_bytes(v.to_le_bytes(), ctx.vec_bytes))
         }
         Op::Vsplat { value, elem } => {
-            let s = scalar_value(value, ctx)?;
+            let s = value.value(ctx.env, ctx.y0)?;
             let v = Vector::splat(*elem, s, ctx.lanes);
             Ok(value_from_bytes(v.to_le_bytes(), ctx.vec_bytes))
         }

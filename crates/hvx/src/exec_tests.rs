@@ -1,11 +1,11 @@
 //! Unit tests for instruction semantics not covered by the property tests:
 //! reductions, accumulating forms, bitwise and rotate ops, and error paths.
 
-use halide_ir::{Buffer2D, Env};
+use halide_ir::{Buffer2D, Env, ScalarOperand};
 use lanes::{ElemType, Vector};
 
 use crate::exec::{eval_op, ExecCtx, ExecError};
-use crate::ops::{Op, ScalarOperand};
+use crate::ops::Op;
 use crate::reg::{Value, VecReg};
 
 fn ctx(env: &Env, lanes: usize) -> ExecCtx<'_> {

@@ -3,11 +3,11 @@
 use std::collections::hash_map::Entry;
 use std::fmt;
 
-use halide_ir::Env;
+use halide_ir::{Env, ScalarOperand};
 use lanes::{ElemType, FxHashMap};
 
 use crate::exec::{eval_op, ExecCtx, ExecError};
-use crate::ops::{Op, ScalarOperand};
+use crate::ops::Op;
 use crate::program::{Instr, Program};
 use crate::reg::Value;
 

@@ -31,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use rake_hvx::{Op, HvxExpr, ScalarOperand};
+//! use rake_hvx::{Op, HvxExpr};
 //! use halide_ir::{Buffer2D, Env};
 //! use lanes::ElemType;
 //!
@@ -68,8 +68,8 @@ mod proptests;
 mod reg;
 
 pub use cost::{CostModel, ResourceCounts};
-pub use exec::{eval_op, scalar_value, ExecCtx, ExecError};
+pub use exec::{eval_op, ExecCtx, ExecError};
 pub use expr::HvxExpr;
-pub use ops::{Op, Resource, ScalarOperand};
+pub use ops::{Op, Resource};
 pub use program::{Instr, Program, Schedule, SlotBudget};
 pub use reg::{Value, VecReg};

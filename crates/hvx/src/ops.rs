@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use halide_ir::ScalarOperand;
 use lanes::ElemType;
 
 /// The hardware resource class an instruction executes on. The paper's
@@ -26,33 +27,6 @@ impl Resource {
     /// All resource classes.
     pub const ALL: [Resource; 5] =
         [Resource::Load, Resource::Mpy, Resource::Shift, Resource::Permute, Resource::Alu];
-}
-
-/// A scalar operand of a vector-scalar instruction: either an immediate or
-/// a runtime scalar loaded from a buffer (absolute `x` column, `dy`-relative
-/// row), the form reduction loops produce after unrolling.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ScalarOperand {
-    /// Compile-time immediate.
-    Imm(i64),
-    /// Scalar load `buffer(x, y0 + dy)` broadcast at runtime.
-    Load {
-        /// Buffer name.
-        buffer: String,
-        /// Absolute column.
-        x: i32,
-        /// Row offset relative to the tile's `y`.
-        dy: i32,
-    },
-}
-
-impl fmt::Display for ScalarOperand {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScalarOperand::Imm(v) => write!(f, "{v}"),
-            ScalarOperand::Load { buffer, x, dy } => write!(f, "{buffer}[{x}, y+{dy}]"),
-        }
-    }
 }
 
 /// An HVX-style operation. Element types name the *interpretation* of the

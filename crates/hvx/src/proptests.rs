@@ -1,12 +1,12 @@
 //! Property tests over the instruction semantics: the algebraic
 //! identities the synthesis engine's correctness leans on.
 
-use halide_ir::{Buffer2D, Env};
+use halide_ir::{Buffer2D, Env, ScalarOperand};
 use lanes::rng::Rng;
 use lanes::{ElemType, Vector};
 
 use crate::exec::{eval_op, ExecCtx};
-use crate::ops::{Op, ScalarOperand};
+use crate::ops::Op;
 use crate::reg::{Value, VecReg};
 
 fn env_with(name: &str, ty: ElemType, data: &[i64]) -> Env {

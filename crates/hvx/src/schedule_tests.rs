@@ -28,7 +28,7 @@ fn random_program(seed: u64, size: usize) -> crate::program::Program {
             2 => HvxExpr::op(Op::Vabsdiff { elem: ElemType::U8 }, vec![a, b]),
             3 => HvxExpr::op(Op::Vlsr { elem: ElemType::U8, shift: 1 }, vec![a]),
             _ => HvxExpr::op(
-                Op::Vmpyi { elem: ElemType::U8, scalar: crate::ops::ScalarOperand::Imm(3) },
+                Op::Vmpyi { elem: ElemType::U8, scalar: halide_ir::ScalarOperand::Imm(3) },
                 vec![a],
             ),
         };

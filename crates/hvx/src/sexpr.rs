@@ -4,6 +4,8 @@
 //! HVX side needs the same canonical machine-readable bridge the Uber-IR
 //! already has (`uber_ir::sexpr`): a form distinct from the pretty
 //! [`std::fmt::Display`] listing, with an exact round-tripping parser.
+//! The parser is this grammar table over the reader all three IRs share
+//! (`halide_ir::sexpr::Cursor`).
 //!
 //! # Grammar
 //!
@@ -17,34 +19,16 @@
 //! Each head is followed by the variant's parameters (element types,
 //! flags, weights) and then exactly `op.arity()` child expressions.
 
-use std::fmt;
-
-use lanes::ElemType;
+use halide_ir::sexpr::{flag, write_scalar, Cursor, ParseError};
 
 use crate::expr::HvxExpr;
-use crate::ops::{Op, ScalarOperand};
+use crate::ops::Op;
 
 /// Serialize to the canonical S-expression.
 pub fn to_sexpr(e: &HvxExpr) -> String {
     let mut s = String::new();
     write_expr(e, &mut s);
     s
-}
-
-fn flag(b: bool) -> &'static str {
-    if b {
-        "#t"
-    } else {
-        "#f"
-    }
-}
-
-fn write_scalar(s: &ScalarOperand, out: &mut String) {
-    use std::fmt::Write;
-    let _ = match s {
-        ScalarOperand::Imm(v) => write!(out, "{v}"),
-        ScalarOperand::Load { buffer, x, dy } => write!(out, "(scal {buffer} {x} {dy})"),
-    };
 }
 
 fn write_head(op: &Op, out: &mut String) {
@@ -178,201 +162,80 @@ fn write_expr(e: &HvxExpr, out: &mut String) {
     out.push(')');
 }
 
-/// A parse failure with byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset into the input.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
+fn op(c: &mut Cursor<'_>, head: &str) -> Result<Op, ParseError> {
+    // Struct fields are evaluated in the order written: the grammar's order.
+    Ok(match head {
+        "vmem" => {
+            Op::Vmem { buffer: c.atom()?.to_owned(), elem: c.ty()?, dx: c.int()?, dy: c.int()? }
+        }
+        "vsplat" => Op::Vsplat { value: c.scalar()?, elem: c.ty()? },
+        "vadd" => Op::Vadd { elem: c.ty()?, sat: c.flag()? },
+        "vsub" => Op::Vsub { elem: c.ty()?, sat: c.flag()? },
+        "vavg" => Op::Vavg { elem: c.ty()?, round: c.flag()? },
+        "vnavg" => Op::Vnavg { elem: c.ty()? },
+        "vabsdiff" => Op::Vabsdiff { elem: c.ty()? },
+        "vmax" => Op::Vmax { elem: c.ty()? },
+        "vmin" => Op::Vmin { elem: c.ty()? },
+        "vand" => Op::Vand,
+        "vor" => Op::Vor,
+        "vxor" => Op::Vxor,
+        "vnot" => Op::Vnot,
+        "vasl" => Op::Vasl { elem: c.ty()?, shift: c.int()? },
+        "vasr" => Op::Vasr { elem: c.ty()?, shift: c.int()? },
+        "vlsr" => Op::Vlsr { elem: c.ty()?, shift: c.int()? },
+        "vasr-narrow" => Op::VasrNarrow {
+            elem: c.ty()?,
+            shift: c.int()?,
+            round: c.flag()?,
+            sat: c.flag()?,
+            out: c.ty()?,
+        },
+        "vmpy" => Op::Vmpy { elem: c.ty()? },
+        "vmpy-scalar" => Op::VmpyScalar { elem: c.ty()?, scalar: c.scalar()? },
+        "vmpy-acc" => Op::VmpyAcc { elem: c.ty()?, scalar: c.scalar()? },
+        "vmpyi" => Op::Vmpyi { elem: c.ty()?, scalar: c.scalar()? },
+        "vmpyi-acc" => Op::VmpyiAcc { elem: c.ty()?, scalar: c.scalar()? },
+        "vmpyie" => Op::Vmpyie,
+        "vmpyio" => Op::Vmpyio,
+        "vmpa" => Op::Vmpa { elem: c.ty()?, w0: c.int()?, w1: c.int()? },
+        "vmpa-acc" => Op::VmpaAcc { elem: c.ty()?, w0: c.int()?, w1: c.int()? },
+        "vtmpy" => Op::Vtmpy { elem: c.ty()?, w0: c.int()?, w1: c.int()? },
+        "vtmpy-acc" => Op::VtmpyAcc { elem: c.ty()?, w0: c.int()?, w1: c.int()? },
+        "vdmpy" => Op::Vdmpy { elem: c.ty()?, w0: c.int()?, w1: c.int()? },
+        "vdmpy-acc" => Op::VdmpyAcc { elem: c.ty()?, w0: c.int()?, w1: c.int()? },
+        "vrmpy" => Op::Vrmpy { elem: c.ty()?, w: [c.int()?, c.int()?, c.int()?, c.int()?] },
+        "vrmpy-acc" => Op::VrmpyAcc { elem: c.ty()?, w: [c.int()?, c.int()?, c.int()?, c.int()?] },
+        "vpack" => Op::Vpack { elem: c.ty()?, sat: c.flag()?, out: c.ty()? },
+        "vcombine" => Op::Vcombine,
+        "lo" => Op::Lo,
+        "hi" => Op::Hi,
+        "vshuff-pair" => Op::VshuffPair { elem: c.ty()? },
+        "vdeal-pair" => Op::VdealPair { elem: c.ty()? },
+        "valign" => Op::Valign { bytes: c.int()? },
+        "vror" => Op::Vror { bytes: c.int()? },
+        "vzxt" => Op::Vzxt { elem: c.ty()? },
+        "vsxt" => Op::Vsxt { elem: c.ty()? },
+        other => return Err(c.error(format!("unknown hvx op `{other}`"))),
+    })
 }
 
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at byte {}: {}", self.offset, self.message)
+fn expr(c: &mut Cursor<'_>) -> Result<HvxExpr, ParseError> {
+    c.open()?;
+    let head = c.atom()?;
+    let op = op(c, head)?;
+    let mut args = Vec::new();
+    while c.at_open() {
+        args.push(expr(c)?);
     }
-}
-
-impl std::error::Error for ParseError {}
-
-struct P<'s> {
-    input: &'s str,
-    pos: usize,
-}
-
-impl<'s> P<'s> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError { offset: self.pos, message: message.into() })
+    c.close()?;
+    if args.len() != op.arity() {
+        return Err(c.error(format!(
+            "`{head}` takes {} argument(s), got {}",
+            op.arity(),
+            args.len()
+        )));
     }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.input.len()
-            && self.input.as_bytes()[self.pos].is_ascii_whitespace()
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), ParseError> {
-        self.skip_ws();
-        if self.input.as_bytes().get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected `{}`", c as char))
-        }
-    }
-
-    fn peek_open(&mut self) -> bool {
-        self.skip_ws();
-        self.input.as_bytes().get(self.pos) == Some(&b'(')
-    }
-
-    fn atom(&mut self) -> Result<&'s str, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.input.len() {
-            let b = self.input.as_bytes()[self.pos];
-            if b.is_ascii_whitespace() || b == b'(' || b == b')' {
-                break;
-            }
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return self.err("expected atom");
-        }
-        Ok(&self.input[start..self.pos])
-    }
-
-    fn int(&mut self) -> Result<i64, ParseError> {
-        let a = self.atom()?;
-        a.parse().map_err(|_| ParseError {
-            offset: self.pos,
-            message: format!("expected integer, got `{a}`"),
-        })
-    }
-
-    fn flag(&mut self) -> Result<bool, ParseError> {
-        match self.atom()? {
-            "#t" => Ok(true),
-            "#f" => Ok(false),
-            other => self.err(format!("expected #t or #f, got `{other}`")),
-        }
-    }
-
-    fn ty(&mut self) -> Result<ElemType, ParseError> {
-        let a = self.atom()?;
-        ElemType::ALL.into_iter().find(|t| t.name() == a).ok_or(ParseError {
-            offset: self.pos,
-            message: format!("unknown element type `{a}`"),
-        })
-    }
-
-    fn scalar(&mut self) -> Result<ScalarOperand, ParseError> {
-        if self.peek_open() {
-            self.eat(b'(')?;
-            let tag = self.atom()?;
-            if tag != "scal" {
-                return self.err(format!("expected `scal`, got `{tag}`"));
-            }
-            let buffer = self.atom()?.to_owned();
-            let x = self.int()? as i32;
-            let dy = self.int()? as i32;
-            self.eat(b')')?;
-            Ok(ScalarOperand::Load { buffer, x, dy })
-        } else {
-            Ok(ScalarOperand::Imm(self.int()?))
-        }
-    }
-
-    fn weights4(&mut self) -> Result<[i64; 4], ParseError> {
-        Ok([self.int()?, self.int()?, self.int()?, self.int()?])
-    }
-
-    fn op(&mut self, head: &str) -> Result<Op, ParseError> {
-        Ok(match head {
-            "vmem" => {
-                let buffer = self.atom()?.to_owned();
-                let elem = self.ty()?;
-                let dx = self.int()? as i32;
-                let dy = self.int()? as i32;
-                Op::Vmem { buffer, dx, dy, elem }
-            }
-            "vsplat" => {
-                let value = self.scalar()?;
-                let elem = self.ty()?;
-                Op::Vsplat { value, elem }
-            }
-            "vadd" => Op::Vadd { elem: self.ty()?, sat: self.flag()? },
-            "vsub" => Op::Vsub { elem: self.ty()?, sat: self.flag()? },
-            "vavg" => Op::Vavg { elem: self.ty()?, round: self.flag()? },
-            "vnavg" => Op::Vnavg { elem: self.ty()? },
-            "vabsdiff" => Op::Vabsdiff { elem: self.ty()? },
-            "vmax" => Op::Vmax { elem: self.ty()? },
-            "vmin" => Op::Vmin { elem: self.ty()? },
-            "vand" => Op::Vand,
-            "vor" => Op::Vor,
-            "vxor" => Op::Vxor,
-            "vnot" => Op::Vnot,
-            "vasl" => Op::Vasl { elem: self.ty()?, shift: self.int()? as u32 },
-            "vasr" => Op::Vasr { elem: self.ty()?, shift: self.int()? as u32 },
-            "vlsr" => Op::Vlsr { elem: self.ty()?, shift: self.int()? as u32 },
-            "vasr-narrow" => Op::VasrNarrow {
-                elem: self.ty()?,
-                shift: self.int()? as u32,
-                round: self.flag()?,
-                sat: self.flag()?,
-                out: self.ty()?,
-            },
-            "vmpy" => Op::Vmpy { elem: self.ty()? },
-            "vmpy-scalar" => Op::VmpyScalar { elem: self.ty()?, scalar: self.scalar()? },
-            "vmpy-acc" => Op::VmpyAcc { elem: self.ty()?, scalar: self.scalar()? },
-            "vmpyi" => Op::Vmpyi { elem: self.ty()?, scalar: self.scalar()? },
-            "vmpyi-acc" => Op::VmpyiAcc { elem: self.ty()?, scalar: self.scalar()? },
-            "vmpyie" => Op::Vmpyie,
-            "vmpyio" => Op::Vmpyio,
-            "vmpa" => Op::Vmpa { elem: self.ty()?, w0: self.int()?, w1: self.int()? },
-            "vmpa-acc" => Op::VmpaAcc { elem: self.ty()?, w0: self.int()?, w1: self.int()? },
-            "vtmpy" => Op::Vtmpy { elem: self.ty()?, w0: self.int()?, w1: self.int()? },
-            "vtmpy-acc" => Op::VtmpyAcc { elem: self.ty()?, w0: self.int()?, w1: self.int()? },
-            "vdmpy" => Op::Vdmpy { elem: self.ty()?, w0: self.int()?, w1: self.int()? },
-            "vdmpy-acc" => Op::VdmpyAcc { elem: self.ty()?, w0: self.int()?, w1: self.int()? },
-            "vrmpy" => Op::Vrmpy { elem: self.ty()?, w: self.weights4()? },
-            "vrmpy-acc" => Op::VrmpyAcc { elem: self.ty()?, w: self.weights4()? },
-            "vpack" => {
-                Op::Vpack { elem: self.ty()?, sat: self.flag()?, out: self.ty()? }
-            }
-            "vcombine" => Op::Vcombine,
-            "lo" => Op::Lo,
-            "hi" => Op::Hi,
-            "vshuff-pair" => Op::VshuffPair { elem: self.ty()? },
-            "vdeal-pair" => Op::VdealPair { elem: self.ty()? },
-            "valign" => Op::Valign { bytes: self.int()? as u32 },
-            "vror" => Op::Vror { bytes: self.int()? as u32 },
-            "vzxt" => Op::Vzxt { elem: self.ty()? },
-            "vsxt" => Op::Vsxt { elem: self.ty()? },
-            other => return self.err(format!("unknown hvx op `{other}`")),
-        })
-    }
-
-    fn expr(&mut self) -> Result<HvxExpr, ParseError> {
-        self.eat(b'(')?;
-        let head = self.atom()?.to_owned();
-        let op = self.op(&head)?;
-        let mut args = Vec::new();
-        while self.peek_open() {
-            args.push(self.expr()?);
-        }
-        self.eat(b')')?;
-        if args.len() != op.arity() {
-            return self.err(format!(
-                "`{head}` takes {} argument(s), got {}",
-                op.arity(),
-                args.len()
-            ));
-        }
-        Ok(HvxExpr::op(op, args))
-    }
+    Ok(HvxExpr::op(op, args))
 }
 
 /// Parse a canonical HVX S-expression.
@@ -381,18 +244,16 @@ impl<'s> P<'s> {
 ///
 /// Returns [`ParseError`] on malformed input.
 pub fn parse(input: &str) -> Result<HvxExpr, ParseError> {
-    let mut p = P { input, pos: 0 };
-    let e = p.expr()?;
-    p.skip_ws();
-    if p.pos != input.len() {
-        return p.err("trailing input after expression");
-    }
+    let mut c = Cursor::new(input);
+    let e = expr(&mut c)?;
+    c.end()?;
     Ok(e)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halide_ir::ScalarOperand;
     use lanes::ElemType::{U16, U8};
 
     fn roundtrip(e: &HvxExpr) {
@@ -464,5 +325,22 @@ mod tests {
         assert!(parse("(vfrob u8)").is_err()); // unknown op
         assert!(parse("(vmem in u8 0 0) junk").is_err()); // trailing input
         assert!(parse("(vadd u99 #f (vmem a u8 0 0) (vmem b u8 0 0))").is_err());
+    }
+
+    #[test]
+    fn out_of_range_integers_are_located_errors() {
+        let a = "(vmem a u8 0 0)";
+        for (text, offset) in [
+            ("(vmem a u8 4294967296 0)".to_owned(), 11),
+            (format!("(vasl u16 4294967297 {a})"), 10),
+            (format!("(valign 4294967299 {a} {a})"), 8),
+            (format!("(vror -1 {a})"), 6),
+            (format!("(vmpyi u8 (scal w 0 2147483648) {a})"), 20),
+            (format!("(vmpa u8 1 9223372036854775808 {a} {a})"), 11),
+        ] {
+            let err = parse(&text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text}: {err}");
+            assert!(err.message.starts_with("expected "), "{text}: {err}");
+        }
     }
 }

@@ -70,10 +70,6 @@ use crate::supervisor::{DispatchOutcome, PoolConfig, WorkerJob, WorkerPool};
 /// Hard cap on expressions per `/compile` request.
 pub const MAX_EXPRS_PER_REQUEST: usize = 64;
 
-/// Hard cap on S-expression paren nesting (the S-expression parser is
-/// recursive; this is its stack guard, mirroring the JSON depth limit).
-pub const MAX_SEXPR_DEPTH: usize = 256;
-
 /// How often the disconnect monitor peeks a cold request's connection: a
 /// client that vanishes mid-compile has its synthesis cancelled within one
 /// interval.
@@ -720,11 +716,6 @@ fn parse_compile_request(shared: &Shared, body: &[u8]) -> Result<CompileRequest,
 
     let mut exprs = Vec::with_capacity(raw.len());
     for (i, s) in raw.iter().enumerate() {
-        if sexpr_depth(s) > MAX_SEXPR_DEPTH {
-            return Err(bad(format!(
-                "expression {i} nests deeper than {MAX_SEXPR_DEPTH} levels"
-            )));
-        }
         let expr = halide_ir::sexpr::parse(s.trim())
             .map_err(|e| bad(format!("expression {i}: {e}")))?;
         exprs.push(expr);
@@ -773,24 +764,6 @@ fn parse_compile_request(shared: &Shared, body: &[u8]) -> Result<CompileRequest,
     };
 
     Ok(CompileRequest { exprs, lanes, timeout, validate, fault })
-}
-
-/// Maximum paren nesting of an S-expression, counting inside-string
-/// nothing (the Halide S-expression grammar has no string literals).
-fn sexpr_depth(s: &str) -> usize {
-    let mut depth = 0usize;
-    let mut max = 0usize;
-    for b in s.bytes() {
-        match b {
-            b'(' => {
-                depth += 1;
-                max = max.max(depth);
-            }
-            b')' => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-    }
-    max
 }
 
 fn handle_compile(
@@ -1318,13 +1291,6 @@ mod tests {
         assert!(!t.is_finished(), "second claim must block while the first holds the key");
         inflight.release(&keys);
         t.join().unwrap();
-    }
-
-    #[test]
-    fn sexpr_depth_counts_nesting() {
-        assert_eq!(sexpr_depth("(a (b (c)))"), 3);
-        assert_eq!(sexpr_depth("flat"), 0);
-        assert_eq!(sexpr_depth(&"(".repeat(1000)), 1000);
     }
 
     /// Both ends of a live loopback connection: (client, server side).

@@ -122,12 +122,22 @@ fn malformed_and_oversized_requests_are_4xx() {
     assert_eq!(status, 400);
     let err = doc.get("error").and_then(Json::as_str).unwrap_or("");
     assert!(err.contains("expression 0"), "{err}");
-    // Pathological S-expression nesting is rejected before parsing
-    // (deep enough to trip MAX_SEXPR_DEPTH, small enough for the body cap).
-    let deep = format!("{}x{}", "(".repeat(1000), ")".repeat(1000));
+    // Integer atoms outside their field's type are rejected, not wrapped.
     let mut s = connect(&handle);
-    let (status, _) = post_compile(&mut s, &compile_body(&[&deep], &[]));
+    let wrapped = "(add (load a u8 4294967296 0) (load b u8 0 0))";
+    let (status, doc) = post_compile(&mut s, &compile_body(&[wrapped], &[]));
     assert_eq!(status, 400);
+    let err = doc.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(err.contains("byte 16"), "{err}");
+    // Pathological S-expression nesting: unbalanced, and well-formed one
+    // level past halide_ir::sexpr::MAX_DEPTH (small enough for the body cap).
+    let unbalanced = format!("{}x{}", "(".repeat(1000), ")".repeat(1000));
+    let too_deep = format!("{}(load a u8 0 0){}", "(cast u8 ".repeat(256), ")".repeat(256));
+    for deep in [unbalanced, too_deep] {
+        let mut s = connect(&handle);
+        let (status, _) = post_compile(&mut s, &compile_body(&[&deep], &[]));
+        assert_eq!(status, 400);
+    }
     // Bad knobs.
     let mut s = connect(&handle);
     let (status, _) =

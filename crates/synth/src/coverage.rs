@@ -46,7 +46,7 @@ pub const RULES: &[&str] = &[
 
 /// Every instruction mnemonic [`hvx::Op::mnemonic`] can render — the
 /// measuring stick for opcode coverage. Kept in sync by the
-/// `opcode_catalog_matches_the_isa` test below.
+/// `opcode_catalog_matches_the_isa` test in `tests/cross_stack.rs`.
 pub const OPCODES: &[&str] = &[
     "vmem",
     "vsplat",

@@ -6,10 +6,10 @@
 //! differs" — the query shape Rake issues to Z3, here discharged by the
 //! bundled bit-blasting solver.
 
-use halide_ir::{BinOp, Expr, ShiftDir};
+use halide_ir::{BinOp, Expr, ScalarOperand, ShiftDir};
 use lanes::ElemType;
 use smt::{Context, TermId};
-use uber_ir::{ScalarSource, UberExpr};
+use uber_ir::UberExpr;
 
 /// Name of the variable standing for cell `(buffer, x, dy)` where `x` is
 /// lane-relative (`dx + lane`).
@@ -125,10 +125,12 @@ pub fn encode_halide_lane(ctx: &mut Context, e: &Expr, lane: usize) -> TermId {
     }
 }
 
-fn scalar_term(ctx: &mut Context, s: &ScalarSource, ty: ElemType) -> TermId {
+/// A scalar operand as a term of the lane type's width: an immediate is a
+/// constant, a runtime scalar the variable [`scalar_var`] names.
+pub(crate) fn scalar_term(ctx: &mut Context, s: &ScalarOperand, ty: ElemType) -> TermId {
     match s {
-        ScalarSource::Imm(v) => ctx.constant_signed(*v, ty.bits()),
-        ScalarSource::Scalar { buffer, x, dy } => {
+        ScalarOperand::Imm(v) => ctx.constant_signed(*v, ty.bits()),
+        ScalarOperand::Load { buffer, x, dy } => {
             let name = scalar_var(buffer, *x, *dy);
             ctx.var(&name, ty.bits())
         }

@@ -11,9 +11,9 @@
 
 use std::time::Instant;
 
-use halide_ir::{BinOp, Expr, ShiftDir};
+use halide_ir::{BinOp, Expr, ScalarOperand, ShiftDir};
 use lanes::ElemType;
-use uber_ir::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
+use uber_ir::{UberExpr, VsMpyAdd, VvMpyAdd};
 
 use crate::stats::SynthStats;
 use crate::verify::Verifier;
@@ -130,13 +130,13 @@ impl Lifter<'_> {
                 Some(u)
             }
             Expr::Broadcast(b) => {
-                let u = UberExpr::Bcast { value: ScalarSource::Imm(b.value), ty: b.ty };
+                let u = UberExpr::Bcast { value: ScalarOperand::Imm(b.value), ty: b.ty };
                 self.accept_silently(e, LiftRule::Extend, "leaf.imm-broadcast", &u);
                 Some(u)
             }
             Expr::BroadcastLoad(b) => {
                 let u = UberExpr::Bcast {
-                    value: ScalarSource::Scalar { buffer: b.buffer.clone(), x: b.x, dy: b.dy },
+                    value: ScalarOperand::Load { buffer: b.buffer.clone(), x: b.x, dy: b.dy },
                     ty: b.ty,
                 };
                 self.accept_silently(e, LiftRule::Extend, "leaf.scalar-broadcast", &u);
@@ -262,7 +262,7 @@ impl Lifter<'_> {
                     // Multiplication by an immediate broadcast folds into a
                     // vs-mpy-add weight (Figure 9 step 5, a Replace).
                     for (vec_side, bc_side) in [(0usize, 1usize), (1, 0)] {
-                        if let UberExpr::Bcast { value: ScalarSource::Imm(c), .. } =
+                        if let UberExpr::Bcast { value: ScalarOperand::Imm(c), .. } =
                             &kids[bc_side]
                         {
                             if c.unsigned_abs() < MAX_WEIGHT.unsigned_abs() {
@@ -547,7 +547,7 @@ fn strip_rounding_term(k: &UberExpr, shift: u32) -> Option<UberExpr> {
     let UberExpr::VsMpyAdd(v) = k else { return None };
     let rounding = 1i64 << (shift - 1);
     let pos = v.inputs.iter().zip(&v.kernel).position(|(input, &w)| {
-        matches!(input, UberExpr::Bcast { value: ScalarSource::Imm(c), .. } if c.checked_mul(w) == Some(rounding))
+        matches!(input, UberExpr::Bcast { value: ScalarOperand::Imm(c), .. } if c.checked_mul(w) == Some(rounding))
     })?;
     let mut v2 = v.clone();
     v2.inputs.remove(pos);
@@ -570,7 +570,7 @@ fn average_candidates(k: &UberExpr, ty: ElemType) -> Vec<(LiftRule, &'static str
         if w != 1 {
             return Vec::new();
         }
-        if let UberExpr::Bcast { value: ScalarSource::Imm(1), .. } = input {
+        if let UberExpr::Bcast { value: ScalarOperand::Imm(1), .. } = input {
             if round {
                 return Vec::new();
             }

@@ -13,9 +13,10 @@
 
 use std::time::Instant;
 
-use hvx::{CostModel, HvxExpr, Op, ScalarOperand, SlotBudget};
+use halide_ir::ScalarOperand;
+use hvx::{CostModel, HvxExpr, Op, SlotBudget};
 use lanes::{ElemType, FxHashMap};
-use uber_ir::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
+use uber_ir::{UberExpr, VsMpyAdd, VvMpyAdd};
 
 use crate::stats::SynthStats;
 use crate::swizzle;
@@ -270,10 +271,7 @@ impl Lowerer<'_> {
                 out.push(e2);
             }
             UberExpr::Bcast { value, ty } => {
-                out.push(HvxExpr::op(
-                    Op::Vsplat { value: scalar_operand(value), elem: *ty },
-                    vec![],
-                ));
+                out.push(HvxExpr::op(Op::Vsplat { value: value.clone(), elem: *ty }, vec![]));
             }
             UberExpr::Widen { arg, out: oty } => {
                 if !self.pair_sized(arg.ty()) {
@@ -507,7 +505,7 @@ impl Lowerer<'_> {
         let mut wide: Vec<(UberExpr, i64)> = Vec::new();
         let mut consts: Vec<i64> = Vec::new();
         for (t, w) in &terms {
-            if let UberExpr::Bcast { value: ScalarSource::Imm(c), .. } = t {
+            if let UberExpr::Bcast { value: ScalarOperand::Imm(c), .. } = t {
                 consts.push(c * w);
             } else if t.ty().bits() * 2 == out_ty.bits() {
                 narrow.push((t.clone(), *w));
@@ -680,7 +678,7 @@ impl Lowerer<'_> {
         let mut acc: Option<HvxExpr> = None;
         for (t, w) in &terms {
             // Immediate broadcasts fold the weight into the splat.
-            let (l, w) = if let UberExpr::Bcast { value: ScalarSource::Imm(c), .. } = t {
+            let (l, w) = if let UberExpr::Bcast { value: ScalarOperand::Imm(c), .. } = t {
                 (HvxExpr::vsplat_imm(out_ty.wrap(c * w), out_ty), 1)
             } else {
                 let Some(l) = self.child_in(t, want) else { return Vec::new() };
@@ -762,7 +760,7 @@ impl Lowerer<'_> {
             // Broadcast operands become vector-scalar multiplies.
             let (vecside, scalar) = match (a, b) {
                 (UberExpr::Bcast { value, .. }, x) | (x, UberExpr::Bcast { value, .. }) => {
-                    (x, Some(scalar_operand(value)))
+                    (x, Some(value.clone()))
                 }
                 _ => (a, None),
             };
@@ -839,15 +837,6 @@ fn widen_op(t: ElemType) -> Op {
     }
 }
 
-fn scalar_operand(s: &ScalarSource) -> ScalarOperand {
-    match s {
-        ScalarSource::Imm(v) => ScalarOperand::Imm(*v),
-        ScalarSource::Scalar { buffer, x, dy } => {
-            ScalarOperand::Load { buffer: buffer.clone(), x: *x, dy: *dy }
-        }
-    }
-}
-
 fn contains_swizzle(e: &HvxExpr) -> bool {
     let op = e.root();
     (op.is_swizzle() && !matches!(op, Op::Vmem { .. } | Op::Vsplat { .. }))
@@ -883,7 +872,7 @@ mod tests {
     fn scalar_pair(k: i32) -> (UberExpr, UberExpr) {
         (
             UberExpr::Bcast {
-                value: ScalarSource::Scalar { buffer: "w".into(), x: k, dy: 0 },
+                value: ScalarOperand::Load { buffer: "w".into(), x: k, dy: 0 },
                 ty: ElemType::U8,
             },
             UberExpr::Data(halide_ir::Load {

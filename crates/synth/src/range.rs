@@ -16,8 +16,8 @@ pub fn uber_range(e: &UberExpr) -> Range {
     match e {
         UberExpr::Data(l) => Range::of_type(l.ty),
         UberExpr::Bcast { value, ty } => match value {
-            uber_ir::ScalarSource::Imm(v) => Range::point(*v),
-            uber_ir::ScalarSource::Scalar { .. } => Range::of_type(*ty),
+            halide_ir::ScalarOperand::Imm(v) => Range::point(*v),
+            halide_ir::ScalarOperand::Load { .. } => Range::of_type(*ty),
         },
         UberExpr::VsMpyAdd(v) => {
             let mut lo = 0i128;

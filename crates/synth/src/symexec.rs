@@ -9,11 +9,12 @@
 //! this yields solver-checked lowering verification
 //! ([`Verifier`](crate::Verifier) option `smt_lowering`).
 
+use halide_ir::ScalarOperand;
 use lanes::ElemType;
 use smt::{Context, TermId};
 
-use crate::encode::{cell_var, scalar_var};
-use hvx::{HvxExpr, Op, ScalarOperand};
+use crate::encode::{cell_var, scalar_term, scalar_var};
+use hvx::{HvxExpr, Op};
 
 /// A symbolic register: little-endian bytes, each an 8-bit term.
 #[derive(Debug, Clone)]
@@ -204,12 +205,7 @@ impl SymExec<'_> {
                 Ok(self.source_value(&lanes, *elem))
             }
             Op::Vsplat { value, elem } => {
-                let s = match value {
-                    ScalarOperand::Imm(v) => self.ctx.constant_signed(*v, elem.bits()),
-                    ScalarOperand::Load { buffer, x, dy } => {
-                        self.ctx.var(&scalar_var(buffer, *x, *dy), elem.bits())
-                    }
-                };
+                let s = scalar_term(self.ctx, value, *elem);
                 let lanes = vec![s; self.lanes];
                 Ok(self.source_value(&lanes, *elem))
             }

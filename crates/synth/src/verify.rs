@@ -30,11 +30,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use halide_ir::{Env, EvalCtx, EvalError, Expr};
+use halide_ir::{Env, EvalCtx, EvalError, Expr, ScalarOperand};
 use hvx::{ExecCtx, ExecError, HvxExpr, Op, Value, VecReg};
 use lanes::{ElemType, FxHashMap, Vector};
 use smt::Context;
-use uber_ir::{ScalarSource, UberExpr};
+use uber_ir::UberExpr;
 
 use crate::encode::{encode_halide_lane, encode_uber_lane};
 use crate::envs::{test_envs, BufferSpec};
@@ -397,7 +397,7 @@ fn add_uber_loads(e: &UberExpr, spec: &mut BufferSpec) {
         UberExpr::Data(l) => {
             spec.insert(l.buffer.clone(), l.ty);
         }
-        UberExpr::Bcast { value: ScalarSource::Scalar { buffer, .. }, ty } => {
+        UberExpr::Bcast { value: ScalarOperand::Load { buffer, .. }, ty } => {
             spec.insert(buffer.clone(), *ty);
         }
         _ => {}
@@ -412,7 +412,7 @@ fn add_hvx_loads(e: &HvxExpr, spec: &mut BufferSpec) {
         Op::Vmem { buffer, elem, .. } => {
             spec.insert(buffer.clone(), *elem);
         }
-        Op::Vsplat { value: hvx::ScalarOperand::Load { buffer, .. }, elem } => {
+        Op::Vsplat { value: ScalarOperand::Load { buffer, .. }, elem } => {
             spec.insert(buffer.clone(), *elem);
         }
         _ => {}
@@ -461,7 +461,7 @@ impl Canon {
         });
         visit_uber(u, &mut |n| match n {
             UberExpr::Data(l) => note_load(&l.buffer, l.dx, l.dy),
-            UberExpr::Bcast { value: ScalarSource::Scalar { buffer, x, dy }, .. } => {
+            UberExpr::Bcast { value: ScalarOperand::Load { buffer, x, dy }, .. } => {
                 note_scalar_shifts.push((buffer.clone(), *x, *dy));
             }
             _ => {}
@@ -488,7 +488,7 @@ impl Canon {
         });
         visit_uber(u, &mut |n| match n {
             UberExpr::Data(l) => note(&l.buffer),
-            UberExpr::Bcast { value: ScalarSource::Scalar { buffer, .. }, .. } => note(buffer),
+            UberExpr::Bcast { value: ScalarOperand::Load { buffer, .. }, .. } => note(buffer),
             _ => {}
         });
         self.names =
@@ -509,9 +509,9 @@ impl Canon {
         }
     }
 
-    fn scalar(&self, buffer: &str, x: i32, dy: i32) -> ScalarSource {
+    fn scalar(&self, buffer: &str, x: i32, dy: i32) -> ScalarOperand {
         let (sx, sy) = self.scalar_shift.get(buffer).copied().unwrap_or((0, 0));
-        ScalarSource::Scalar { buffer: self.name(buffer), x: x - sx, dy: dy - sy }
+        ScalarOperand::Load { buffer: self.name(buffer), x: x - sx, dy: dy - sy }
     }
 
     fn halide(&self, e: &Expr) -> Expr {
@@ -520,9 +520,9 @@ impl Canon {
             Expr::Load(l) => Expr::Load(self.load(l)),
             Expr::Broadcast(b) => Expr::Broadcast(b.clone()),
             Expr::BroadcastLoad(b) => {
-                let ScalarSource::Scalar { buffer, x, dy } = self.scalar(&b.buffer, b.x, b.dy)
+                let ScalarOperand::Load { buffer, x, dy } = self.scalar(&b.buffer, b.x, b.dy)
                 else {
-                    unreachable!("scalar() always returns Scalar")
+                    unreachable!("scalar() always returns a load")
                 };
                 Expr::BroadcastLoad(halide_ir::BroadcastLoad { buffer, x, dy, ty: b.ty })
             }
@@ -549,7 +549,7 @@ impl Canon {
         let r = |c: &UberExpr| Box::new(self.uber(c));
         match u {
             UberExpr::Data(l) => UberExpr::Data(self.load(l)),
-            UberExpr::Bcast { value: ScalarSource::Scalar { buffer, x, dy }, ty } => {
+            UberExpr::Bcast { value: ScalarOperand::Load { buffer, x, dy }, ty } => {
                 UberExpr::Bcast { value: self.scalar(buffer, *x, *dy), ty: *ty }
             }
             UberExpr::Bcast { value, ty } => UberExpr::Bcast { value: value.clone(), ty: *ty },
@@ -694,7 +694,7 @@ impl Verifier {
         }
         let values = match u {
             UberExpr::Data(l) => self.halide_values(family, &Expr::Load(l.clone())),
-            UberExpr::Bcast { value: ScalarSource::Scalar { .. }, .. } => {
+            UberExpr::Bcast { value: ScalarOperand::Load { .. }, .. } => {
                 family.pack_lanes(|_, ctx| uber_ir::eval_uber(u, ctx))
             }
             _ => {

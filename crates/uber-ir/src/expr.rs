@@ -1,24 +1,7 @@
 //! The uber-instruction expression AST.
 
-use halide_ir::Load;
+use halide_ir::{Load, ScalarOperand};
 use lanes::ElemType;
-
-/// A scalar source for broadcasts: a compile-time constant or a runtime
-/// scalar read from a buffer (absolute column, tile-relative row).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ScalarSource {
-    /// Immediate constant.
-    Imm(i64),
-    /// Runtime scalar `buffer(x, y0 + dy)`.
-    Scalar {
-        /// Buffer name.
-        buffer: String,
-        /// Absolute column.
-        x: i32,
-        /// Row offset relative to the tile's `y`.
-        dy: i32,
-    },
-}
 
 /// The `vs-mpy-add` uber-instruction: `out[i] = Σ_k inputs[k][i] *
 /// kernel[k]`, accumulated at full precision and wrapped (or saturated)
@@ -61,7 +44,7 @@ pub enum UberExpr {
     /// Scalar broadcast.
     Bcast {
         /// The scalar.
-        value: ScalarSource,
+        value: ScalarOperand,
         /// Lane type.
         ty: ElemType,
     },
@@ -233,7 +216,7 @@ mod tests {
         assert!(d.is_source());
         assert_eq!(d.ty(), ElemType::I16);
         assert!(d.children().is_empty());
-        let b = UberExpr::Bcast { value: ScalarSource::Imm(3), ty: ElemType::U8 };
+        let b = UberExpr::Bcast { value: ScalarOperand::Imm(3), ty: ElemType::U8 };
         assert!(b.is_source());
     }
 }

@@ -7,20 +7,7 @@
 use halide_ir::{EvalCtx, EvalError};
 use lanes::{ElemType, Vector};
 
-use crate::expr::{ScalarSource, UberExpr};
-
-fn scalar(s: &ScalarSource, ctx: &EvalCtx<'_>) -> Result<i64, EvalError> {
-    match s {
-        ScalarSource::Imm(v) => Ok(*v),
-        ScalarSource::Scalar { buffer, x, dy } => {
-            let buf = ctx
-                .env
-                .get(buffer)
-                .ok_or_else(|| EvalError::UnknownBuffer(buffer.clone()))?;
-            Ok(buf.get(i64::from(*x), ctx.y0 + i64::from(*dy)))
-        }
-    }
-}
+use crate::expr::UberExpr;
 
 /// Evaluate an uber-expression at `ctx`, producing one typed vector.
 ///
@@ -61,7 +48,9 @@ pub fn eval_uber_with(
                 buf.get(ctx.x0 + i64::from(l.dx) + i as i64, ctx.y0 + i64::from(l.dy))
             }))
         }
-        UberExpr::Bcast { value, ty } => Ok(Vector::splat(*ty, scalar(value, ctx)?, ctx.lanes)),
+        UberExpr::Bcast { value, ty } => {
+            Ok(Vector::splat(*ty, value.value(ctx.env, ctx.y0)?, ctx.lanes))
+        }
         UberExpr::VsMpyAdd(v) => {
             let inputs = v.inputs.iter().map(&mut kid).collect::<Result<Vec<_>, _>>()?;
             let finish = finisher(v.saturating, v.out);
@@ -161,7 +150,7 @@ fn finisher(saturating: bool, out: ElemType) -> impl Fn(i128) -> i64 {
 mod tests {
     use super::*;
     use crate::expr::VsMpyAdd;
-    use halide_ir::{Buffer2D, Env, Load};
+    use halide_ir::{Buffer2D, Env, Load, ScalarOperand};
 
     fn env() -> Env {
         let mut env = Env::new();
@@ -294,7 +283,7 @@ mod tests {
     #[test]
     fn runtime_scalar_broadcast() {
         let e = UberExpr::Bcast {
-            value: ScalarSource::Scalar { buffer: "in".into(), x: 3, dy: 0 },
+            value: ScalarOperand::Load { buffer: "in".into(), x: 3, dy: 0 },
             ty: ElemType::U8,
         };
         let env = env();

@@ -47,5 +47,5 @@ mod interp;
 mod print;
 pub mod sexpr;
 
-pub use expr::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
+pub use expr::{UberExpr, VsMpyAdd, VvMpyAdd};
 pub use interp::{eval_uber, eval_uber_with};

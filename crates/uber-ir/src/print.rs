@@ -2,16 +2,7 @@
 
 use std::fmt;
 
-use crate::expr::{ScalarSource, UberExpr};
-
-impl fmt::Display for ScalarSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScalarSource::Imm(v) => write!(f, "{v}"),
-            ScalarSource::Scalar { buffer, x, dy } => write!(f, "{buffer}[{x}, y+{dy}]"),
-        }
-    }
-}
+use crate::expr::UberExpr;
 
 fn go(e: &UberExpr, indent: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let pad = "  ".repeat(indent);

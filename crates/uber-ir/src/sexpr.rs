@@ -4,7 +4,8 @@
 //! between processes as S-expressions (§6). This is the Uber-IR side of
 //! that bridge: a canonical machine-readable form (distinct from the
 //! pretty [`std::fmt::Display`] rendering of Figure 5) with an exact
-//! round-tripping parser.
+//! round-tripping parser. The parser is this grammar table over the
+//! reader all three IRs share (`halide_ir::sexpr::Cursor`).
 //!
 //! # Grammar
 //!
@@ -22,26 +23,16 @@
 //! flag   := #t | #f
 //! ```
 
-use std::fmt;
-
+use halide_ir::sexpr::{flag, write_scalar, Cursor, ParseError};
 use halide_ir::Load;
-use lanes::ElemType;
 
-use crate::expr::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
+use crate::expr::{UberExpr, VsMpyAdd, VvMpyAdd};
 
 /// Serialize to the canonical S-expression.
 pub fn to_sexpr(e: &UberExpr) -> String {
     let mut s = String::new();
     write_expr(e, &mut s);
     s
-}
-
-fn flag(b: bool) -> &'static str {
-    if b {
-        "#t"
-    } else {
-        "#f"
-    }
 }
 
 fn write_expr(e: &UberExpr, out: &mut String) {
@@ -51,12 +42,9 @@ fn write_expr(e: &UberExpr, out: &mut String) {
             let _ = write!(out, "(data {} {} {} {})", l.buffer, l.ty, l.dx, l.dy);
         }
         UberExpr::Bcast { value, ty } => {
-            let _ = match value {
-                ScalarSource::Imm(v) => write!(out, "(bcast {v} {ty})"),
-                ScalarSource::Scalar { buffer, x, dy } => {
-                    write!(out, "(bcast (scal {buffer} {x} {dy}) {ty})")
-                }
-            };
+            out.push_str("(bcast ");
+            write_scalar(value, out);
+            let _ = write!(out, " {ty})");
         }
         UberExpr::VsMpyAdd(v) => {
             let _ = write!(out, "(vs-mpy-add {} {}", flag(v.saturating), v.out);
@@ -116,189 +104,63 @@ fn write_call(out: &mut String, head: &str, args: &[&UberExpr]) {
     out.push(')');
 }
 
-/// A parse failure with byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset into the input.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-struct P<'s> {
-    input: &'s str,
-    pos: usize,
-}
-
-impl<'s> P<'s> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError { offset: self.pos, message: message.into() })
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.input.len()
-            && self.input.as_bytes()[self.pos].is_ascii_whitespace()
-        {
-            self.pos += 1;
+fn expr(c: &mut Cursor<'_>) -> Result<UberExpr, ParseError> {
+    c.open()?;
+    let head = c.atom()?;
+    // Struct fields are evaluated in the order written: the grammar's order.
+    let e = match head {
+        "data" => UberExpr::Data(Load {
+            buffer: c.atom()?.to_owned(),
+            ty: c.ty()?,
+            dx: c.int()?,
+            dy: c.int()?,
+        }),
+        "bcast" => UberExpr::Bcast { value: c.scalar()?, ty: c.ty()? },
+        "vs-mpy-add" => {
+            let (saturating, out) = (c.flag()?, c.ty()?);
+            let (mut inputs, mut kernel) = (Vec::new(), Vec::new());
+            while c.at_open() {
+                c.open()?;
+                kernel.push(c.int()?);
+                inputs.push(expr(c)?);
+                c.close()?;
+            }
+            UberExpr::VsMpyAdd(VsMpyAdd { inputs, kernel, saturating, out })
         }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), ParseError> {
-        self.skip_ws();
-        if self.input.as_bytes().get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected `{}`", c as char))
+        "vv-mpy-add" => {
+            let (saturating, out) = (c.flag()?, c.ty()?);
+            let mut pairs = Vec::new();
+            while c.at_open() {
+                c.open()?;
+                pairs.push((expr(c)?, expr(c)?));
+                c.close()?;
+            }
+            UberExpr::VvMpyAdd(VvMpyAdd { pairs, saturating, out })
         }
-    }
-
-    fn peek_open(&mut self) -> bool {
-        self.skip_ws();
-        self.input.as_bytes().get(self.pos) == Some(&b'(')
-    }
-
-    fn atom(&mut self) -> Result<&'s str, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.input.len() {
-            let b = self.input.as_bytes()[self.pos];
-            if b.is_ascii_whitespace() || b == b'(' || b == b')' {
-                break;
+        "abs-diff" | "min" | "max" => {
+            let (a, b) = (Box::new(expr(c)?), Box::new(expr(c)?));
+            match head {
+                "abs-diff" => UberExpr::AbsDiff(a, b),
+                "min" => UberExpr::Min(a, b),
+                _ => UberExpr::Max(a, b),
             }
-            self.pos += 1;
         }
-        if self.pos == start {
-            return self.err("expected atom");
+        "avg" => {
+            UberExpr::Average { round: c.flag()?, a: Box::new(expr(c)?), b: Box::new(expr(c)?) }
         }
-        Ok(&self.input[start..self.pos])
-    }
-
-    fn int(&mut self) -> Result<i64, ParseError> {
-        let a = self.atom()?;
-        a.parse().map_err(|_| ParseError {
-            offset: self.pos,
-            message: format!("expected integer, got `{a}`"),
-        })
-    }
-
-    fn flag(&mut self) -> Result<bool, ParseError> {
-        match self.atom()? {
-            "#t" => Ok(true),
-            "#f" => Ok(false),
-            other => self.err(format!("expected #t or #f, got `{other}`")),
-        }
-    }
-
-    fn ty(&mut self) -> Result<ElemType, ParseError> {
-        let a = self.atom()?;
-        ElemType::ALL.into_iter().find(|t| t.name() == a).ok_or(ParseError {
-            offset: self.pos,
-            message: format!("unknown element type `{a}`"),
-        })
-    }
-
-    fn expr(&mut self) -> Result<UberExpr, ParseError> {
-        self.eat(b'(')?;
-        let head = self.atom()?.to_owned();
-        let e = match head.as_str() {
-            "data" => {
-                let buffer = self.atom()?.to_owned();
-                let ty = self.ty()?;
-                let dx = self.int()? as i32;
-                let dy = self.int()? as i32;
-                UberExpr::Data(Load { buffer, dx, dy, ty })
-            }
-            "bcast" => {
-                let value = if self.peek_open() {
-                    self.eat(b'(')?;
-                    let tag = self.atom()?;
-                    if tag != "scal" {
-                        return self.err(format!("expected `scal`, got `{tag}`"));
-                    }
-                    let buffer = self.atom()?.to_owned();
-                    let x = self.int()? as i32;
-                    let dy = self.int()? as i32;
-                    self.eat(b')')?;
-                    ScalarSource::Scalar { buffer, x, dy }
-                } else {
-                    ScalarSource::Imm(self.int()?)
-                };
-                let ty = self.ty()?;
-                UberExpr::Bcast { value, ty }
-            }
-            "vs-mpy-add" => {
-                let saturating = self.flag()?;
-                let out = self.ty()?;
-                let mut inputs = Vec::new();
-                let mut kernel = Vec::new();
-                while self.peek_open() {
-                    self.eat(b'(')?;
-                    kernel.push(self.int()?);
-                    inputs.push(self.expr()?);
-                    self.eat(b')')?;
-                }
-                UberExpr::VsMpyAdd(VsMpyAdd { inputs, kernel, saturating, out })
-            }
-            "vv-mpy-add" => {
-                let saturating = self.flag()?;
-                let out = self.ty()?;
-                let mut pairs = Vec::new();
-                while self.peek_open() {
-                    self.eat(b'(')?;
-                    let a = self.expr()?;
-                    let b = self.expr()?;
-                    self.eat(b')')?;
-                    pairs.push((a, b));
-                }
-                UberExpr::VvMpyAdd(VvMpyAdd { pairs, saturating, out })
-            }
-            "abs-diff" | "min" | "max" => {
-                let a = Box::new(self.expr()?);
-                let b = Box::new(self.expr()?);
-                match head.as_str() {
-                    "abs-diff" => UberExpr::AbsDiff(a, b),
-                    "min" => UberExpr::Min(a, b),
-                    _ => UberExpr::Max(a, b),
-                }
-            }
-            "avg" => {
-                let round = self.flag()?;
-                let a = Box::new(self.expr()?);
-                let b = Box::new(self.expr()?);
-                UberExpr::Average { a, b, round }
-            }
-            "narrow" => {
-                let shift = self.int()? as u32;
-                let round = self.flag()?;
-                let saturating = self.flag()?;
-                let out = self.ty()?;
-                let arg = Box::new(self.expr()?);
-                UberExpr::Narrow { arg, shift, round, saturating, out }
-            }
-            "widen" => {
-                let out = self.ty()?;
-                let arg = Box::new(self.expr()?);
-                UberExpr::Widen { arg, out }
-            }
-            "shl" => {
-                let amount = self.int()? as u32;
-                let arg = Box::new(self.expr()?);
-                UberExpr::Shl { arg, amount }
-            }
-            other => return self.err(format!("unknown uber-instruction `{other}`")),
-        };
-        self.eat(b')')?;
-        Ok(e)
-    }
+        "narrow" => UberExpr::Narrow {
+            shift: c.int()?,
+            round: c.flag()?,
+            saturating: c.flag()?,
+            out: c.ty()?,
+            arg: Box::new(expr(c)?),
+        },
+        "widen" => UberExpr::Widen { out: c.ty()?, arg: Box::new(expr(c)?) },
+        "shl" => UberExpr::Shl { amount: c.int()?, arg: Box::new(expr(c)?) },
+        other => return Err(c.error(format!("unknown uber-instruction `{other}`"))),
+    };
+    c.close()?;
+    Ok(e)
 }
 
 /// Parse a canonical Uber-IR S-expression.
@@ -307,18 +169,16 @@ impl<'s> P<'s> {
 ///
 /// Returns [`ParseError`] on malformed input.
 pub fn parse(input: &str) -> Result<UberExpr, ParseError> {
-    let mut p = P { input, pos: 0 };
-    let e = p.expr()?;
-    p.skip_ws();
-    if p.pos != input.len() {
-        return p.err("trailing input after expression");
-    }
+    let mut c = Cursor::new(input);
+    let e = expr(&mut c)?;
+    c.end()?;
     Ok(e)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halide_ir::ScalarOperand;
     use lanes::ElemType::{I16, U16, U8};
 
     fn roundtrip(e: &UberExpr) {
@@ -334,9 +194,9 @@ mod tests {
     #[test]
     fn roundtrips_every_node_kind() {
         roundtrip(&d(-2));
-        roundtrip(&UberExpr::Bcast { value: ScalarSource::Imm(-5), ty: I16 });
+        roundtrip(&UberExpr::Bcast { value: ScalarOperand::Imm(-5), ty: I16 });
         roundtrip(&UberExpr::Bcast {
-            value: ScalarSource::Scalar { buffer: "w".into(), x: 3, dy: -1 },
+            value: ScalarOperand::Load { buffer: "w".into(), x: 3, dy: -1 },
             ty: U8,
         });
         roundtrip(&UberExpr::conv("in", U8, -1, 0, &[1, 2, 1], U16));
@@ -376,11 +236,28 @@ mod tests {
     fn errors_are_located() {
         let err = parse("(frob 1)").unwrap_err();
         assert!(err.message.contains("unknown uber-instruction"));
+        assert_eq!(err.offset, 1);
         let err = parse("(narrow 4 #t maybe u8 (data in u8 0 0))").unwrap_err();
         assert!(err.message.contains("expected #t or #f"));
+        assert_eq!(err.offset, 13);
         let err = parse("(data in u8 0 0) junk").unwrap_err();
         assert!(err.message.contains("trailing input"));
+        assert_eq!(err.offset, 17);
         assert!(parse("(data in u8 0").is_err());
+    }
+
+    #[test]
+    fn out_of_range_integers_are_located_errors() {
+        for (text, offset) in [
+            ("(data in u8 4294967296 0)", 12),
+            ("(bcast (scal w 2147483648 0) u8)", 15),
+            ("(narrow 4294967300 #f #f u8 (data in u8 0 0))", 8),
+            ("(shl -1 (data in u16 0 0))", 5),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text}: {err}");
+            assert!(err.message.starts_with("expected "), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide CI gate: formatting, lints on the driver crate, full test
+# Repo-wide CI gate: formatting, lints on the driver and IR crates, full test
 # suite. Everything runs offline against the committed Cargo.lock — the
 # workspace has no external dependencies.
 set -euo pipefail
@@ -10,11 +10,13 @@ echo "== cargo fmt --check (rake-driver)"
 # service layer is rustfmt-clean and stays that way.
 cargo fmt -p rake-driver --check
 
-echo "== cargo clippy (rake-driver, -D warnings)"
-# The new service layer is held to a stricter bar than the older crates.
-# Linted twice: the production build and the chaos (fault-injection) build.
+echo "== cargo clippy (rake-driver and the three IR crates, -D warnings)"
+# The service layer and the IRs whose S-expressions it stores are held to
+# a stricter bar than the other crates. The driver is linted twice: the
+# production build and the chaos (fault-injection) build.
 cargo clippy --offline --locked -p rake-driver --all-targets -- -D warnings
 cargo clippy --offline --locked -p rake-driver --features chaos --all-targets -- -D warnings
+cargo clippy --offline --locked -p halide-ir -p uber-ir -p rake-hvx --all-targets -- -D warnings
 
 echo "== cargo test: fast partition (everything but the socket/e2e suites)"
 # The workspace tests are split so a hang or runaway is localized fast:

@@ -1,17 +1,21 @@
 //! Integration across the solver stack: lifting queries decided while the
 //! query is built (word-level normalization in `smt::Context`) and by the
 //! bit-blasting solver must agree with the full oracle, the end-to-end
-//! verifier must be sound on engineered near-misses, and the one-node
-//! evaluation steps the oracle's value memo runs must be the interpreters.
+//! verifier must be sound on engineered near-misses, the one-node
+//! evaluation steps the oracle's value memo runs must be the interpreters,
+//! and the three IRs' S-expression forms must read back through the one
+//! shared reader.
+
+use std::collections::BTreeSet;
 
 use halide_ir::builder::*;
-use halide_ir::{EvalCtx, Expr, Load};
-use hvx::{HvxExpr, Op, ScalarOperand};
+use halide_ir::{EvalCtx, Expr, Load, ScalarOperand};
+use hvx::{HvxExpr, Op};
 use lanes::rng::Rng;
-use lanes::ElemType::{I16, U16, U8};
+use lanes::ElemType::{I16, I8, U16, U8};
 use synth::encode::{encode_halide_lane, encode_uber_lane};
 use synth::Verifier;
-use uber_ir::{ScalarSource, UberExpr, VsMpyAdd, VvMpyAdd};
+use uber_ir::{UberExpr, VsMpyAdd, VvMpyAdd};
 
 fn v() -> Verifier {
     Verifier::fast()
@@ -164,7 +168,7 @@ fn matmul_sum_against_vv_mpy_add() {
     let prod = |k: i32| mul(widen(load("b", U8, 0, k)), widen(bcast_load("a", k, 0, U8)));
     let h = add(add(add(prod(0), prod(1)), prod(2)), prod(3));
     let scalar = |k: i32| UberExpr::Bcast {
-        value: ScalarSource::Scalar { buffer: "a".into(), x: k, dy: 0 },
+        value: ScalarOperand::Load { buffer: "a".into(), x: k, dy: 0 },
         ty: U8,
     };
     let u = UberExpr::VvMpyAdd(VvMpyAdd {
@@ -310,7 +314,7 @@ fn split_shift_rows_under_vs_mpy_add() {
     let h = add(add(row(-3), mul(row(-2), bcast(6, U16))), mul(row(-1), bcast(15, U16)));
     let row_uber = |dy: i32| {
         let mut inputs: Vec<UberExpr> = (-3..=3).map(|dx| data("input", dx, dy)).collect();
-        inputs.push(UberExpr::Bcast { value: ScalarSource::Imm(8), ty: U16 });
+        inputs.push(UberExpr::Bcast { value: ScalarOperand::Imm(8), ty: U16 });
         let mut kernel = taps.to_vec();
         kernel.push(1);
         UberExpr::Narrow {
@@ -351,6 +355,9 @@ fn prop_node_steps_match_the_recursive_interpreters() {
         let plain = Verifier { memoize: false, ..v() };
         let u = synth::lift_expr(&e, &plain, &mut synth::SynthStats::default()).map(|(u, _)| u);
         lifted += usize::from(u.is_some());
+        if let Some(u) = &u {
+            assert_eq!(uber_ir::sexpr::parse(&uber_ir::sexpr::to_sexpr(u)).as_ref(), Ok(u));
+        }
         for lanes in [1, 16, 128] {
             for env in synth::envs::test_envs(&spec, lanes + 64, 17, 3) {
                 let ctx = EvalCtx { env: &env, x0: 32, y0: 8, lanes };
@@ -421,6 +428,140 @@ fn candidates_that_fail_to_evaluate_are_rejected() {
             assert!(!ver.equiv_halide_uber(&h, &mistyped), "memoize: {memoize}");
             assert!(!ver.equiv_uber_hvx(&u, &unknown, true), "memoize: {memoize}");
             assert!(ver.equiv_uber_hvx(&u, &imm, true), "memoize: {memoize}");
+        }
+    }
+}
+
+/// One instance of every `hvx::Op` variant, with each flag combination,
+/// both scalar forms and non-zero parameters.
+fn every_op() -> Vec<Op> {
+    let w = ScalarOperand::Load { buffer: "w".into(), x: 3, dy: -2 };
+    let mut ops = vec![
+        Op::Vmem { buffer: "a".into(), dx: -1, dy: 2, elem: U8 },
+        Op::Vsplat { value: ScalarOperand::Imm(-7), elem: I16 },
+        Op::Vsplat { value: w.clone(), elem: U8 },
+        Op::Vnavg { elem: U8 },
+        Op::Vabsdiff { elem: U16 },
+        Op::Vmax { elem: I16 },
+        Op::Vmin { elem: I8 },
+        Op::Vand,
+        Op::Vor,
+        Op::Vxor,
+        Op::Vnot,
+        Op::Vasl { elem: U16, shift: 3 },
+        Op::Vasr { elem: I16, shift: 5 },
+        Op::Vlsr { elem: U16, shift: 7 },
+        Op::Vmpy { elem: U8 },
+        Op::Vmpyie,
+        Op::Vmpyio,
+        Op::Vmpa { elem: U8, w0: 2, w1: -3 },
+        Op::VmpaAcc { elem: U8, w0: -4, w1: 5 },
+        Op::Vtmpy { elem: U8, w0: 1, w1: 2 },
+        Op::VtmpyAcc { elem: I8, w0: 3, w1: -1 },
+        Op::Vdmpy { elem: U8, w0: 6, w1: 7 },
+        Op::VdmpyAcc { elem: U8, w0: -6, w1: 8 },
+        Op::Vrmpy { elem: U8, w: [1, -2, 3, -4] },
+        Op::VrmpyAcc { elem: U8, w: [5, 6, -7, 8] },
+        Op::Vcombine,
+        Op::Lo,
+        Op::Hi,
+        Op::VshuffPair { elem: U16 },
+        Op::VdealPair { elem: U8 },
+        Op::Valign { bytes: 3 },
+        Op::Vror { bytes: 5 },
+        Op::Vzxt { elem: U8 },
+        Op::Vsxt { elem: I8 },
+    ];
+    for scalar in [ScalarOperand::Imm(-3), w] {
+        ops.extend([
+            Op::VmpyScalar { elem: U8, scalar: scalar.clone() },
+            Op::VmpyAcc { elem: U8, scalar: scalar.clone() },
+            Op::Vmpyi { elem: I16, scalar: scalar.clone() },
+            Op::VmpyiAcc { elem: I16, scalar },
+        ]);
+    }
+    for flag in [false, true] {
+        ops.extend([
+            Op::Vadd { elem: U8, sat: flag },
+            Op::Vsub { elem: I16, sat: flag },
+            Op::Vavg { elem: U16, round: flag },
+            Op::Vpack { elem: U16, sat: flag, out: U8 },
+        ]);
+        for sat in [false, true] {
+            ops.push(Op::VasrNarrow { elem: I16, shift: 4, round: flag, sat, out: U8 });
+        }
+    }
+    // Naming every variant here makes a new one fail to compile until it
+    // is listed above.
+    for op in &ops {
+        match op {
+            Op::Vmem { .. } | Op::Vsplat { .. } | Op::Vadd { .. } | Op::Vsub { .. }
+            | Op::Vavg { .. } | Op::Vnavg { .. } | Op::Vabsdiff { .. } | Op::Vmax { .. }
+            | Op::Vmin { .. } | Op::Vand | Op::Vor | Op::Vxor | Op::Vnot | Op::Vasl { .. }
+            | Op::Vasr { .. } | Op::Vlsr { .. } | Op::VasrNarrow { .. } | Op::Vmpy { .. }
+            | Op::VmpyScalar { .. } | Op::VmpyAcc { .. } | Op::Vmpyi { .. }
+            | Op::VmpyiAcc { .. } | Op::Vmpyie | Op::Vmpyio | Op::Vmpa { .. }
+            | Op::VmpaAcc { .. } | Op::Vtmpy { .. } | Op::VtmpyAcc { .. } | Op::Vdmpy { .. }
+            | Op::VdmpyAcc { .. } | Op::Vrmpy { .. } | Op::VrmpyAcc { .. } | Op::Vpack { .. }
+            | Op::Vcombine | Op::Lo | Op::Hi | Op::VshuffPair { .. } | Op::VdealPair { .. }
+            | Op::Valign { .. } | Op::Vror { .. } | Op::Vzxt { .. } | Op::Vsxt { .. } => {}
+        }
+    }
+    ops
+}
+
+#[test]
+fn every_hvx_op_roundtrips_through_its_sexpr() {
+    for op in every_op() {
+        let e = HvxExpr::op(op.clone(), vec![HvxExpr::vmem("b", U8, 1, 0); op.arity()]);
+        let text = hvx::sexpr::to_sexpr(&e);
+        assert_eq!(hvx::sexpr::parse(&text).as_ref(), Ok(&e), "{text}");
+    }
+}
+
+/// The coverage report's opcode catalog is exactly the set of mnemonics
+/// the ISA model renders.
+#[test]
+fn opcode_catalog_matches_the_isa() {
+    let rendered: BTreeSet<String> = every_op().iter().map(Op::mnemonic).collect();
+    let catalog: BTreeSet<String> =
+        synth::coverage::OPCODES.iter().map(|m| (*m).to_owned()).collect();
+    assert_eq!(rendered, catalog);
+}
+
+/// The uber and HVX programs compiled for two suite workloads read back
+/// as themselves.
+#[test]
+fn compiled_suite_programs_roundtrip_through_their_sexprs() {
+    let rake = rake::Rake::new(rake::Target::hvx_small(16));
+    for name in ["median", "gaussian7x7"] {
+        for e in workloads::by_name(name).expect("a suite workload").exprs {
+            let c = rake.compile(&e).unwrap_or_else(|err| panic!("{name}: {err:?}"));
+            let uber = uber_ir::sexpr::to_sexpr(&c.uber);
+            assert_eq!(uber_ir::sexpr::parse(&uber).as_ref(), Ok(&c.uber), "{uber}");
+            let hvx = hvx::sexpr::to_sexpr(&c.hvx);
+            assert_eq!(hvx::sexpr::parse(&hvx).as_ref(), Ok(&c.hvx), "{hvx}");
+        }
+    }
+}
+
+/// Each IR's reader locates an unknown head, a bad element type and a bad
+/// integer at the start of that token.
+#[test]
+fn every_reader_locates_errors_at_the_offending_token() {
+    type ErrorOffset = fn(&str) -> Option<usize>;
+    let readers: [(&str, ErrorOffset); 3] = [
+        ("load", |t| halide_ir::sexpr::parse(t).err().map(|e| e.offset)),
+        ("data", |t| uber_ir::sexpr::parse(t).err().map(|e| e.offset)),
+        ("vmem", |t| hvx::sexpr::parse(t).err().map(|e| e.offset)),
+    ];
+    for (load, parse) in readers {
+        for (text, token) in [
+            ("(frob 1)".to_owned(), "frob"),
+            (format!("({load} a u9 0 0)"), "u9"),
+            (format!("({load} a u8 1x 0)"), "1x"),
+        ] {
+            assert_eq!(parse(&text), text.find(token), "{text}");
         }
     }
 }
