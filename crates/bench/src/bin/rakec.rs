@@ -17,9 +17,7 @@
 //!   --trace        print the lifting trace (Figure 9 style)
 //!   --uber         print the lifted Uber-Instruction IR
 //!   --cache DIR    persistent synthesis cache (via the rake-driver layer)
-//!   --log FILE     append the JSONL event stream / write-ahead journal
-//!   --resume       replay completed jobs from the --log journal and
-//!                  recompile only the remainder (needs --log)
+//!   --log FILE     append the JSONL event stream
 //!   --timeout SEC  wall-clock synthesis budget; past it the baseline
 //!                  program is printed instead
 //!   --validate     differentially validate the compiled program against
@@ -59,7 +57,6 @@ fn main() -> ExitCode {
     let mut trace = false;
     let mut uber = false;
     let mut validate = false;
-    let mut resume = false;
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut log_path: Option<std::path::PathBuf> = None;
     let mut timeout: Option<Duration> = None;
@@ -77,7 +74,6 @@ fn main() -> ExitCode {
             "--trace" => trace = true,
             "--uber" => uber = true,
             "--validate" => validate = true,
-            "--resume" => resume = true,
             "--cache" => match it.next() {
                 Some(dir) => cache_dir = Some(dir.into()),
                 None => return usage("--cache needs a directory"),
@@ -103,10 +99,6 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown option `{other}`")),
         }
     }
-    if resume && log_path.is_none() {
-        return usage("--resume needs --log FILE (the journal to replay)");
-    }
-
     let input = match path {
         Some(p) => match std::fs::read_to_string(&p) {
             Ok(s) => s,
@@ -150,13 +142,12 @@ fn main() -> ExitCode {
             trace::set_slow_threshold_us(ms.saturating_mul(1000));
         }
     }
-    let batch = [expr.clone()];
     let report = {
         let mut root = trace::span_root("rakec.compile", "cli", trace::new_trace_id());
         if root.is_active() {
             root.arg("lanes", lanes);
         }
-        if resume { driver.resume(&batch) } else { driver.compile_batch(&batch) }
+        driver.compile_batch(std::slice::from_ref(&expr))
     };
     if let Some(out) = &trace_out {
         let records = trace::drain();
@@ -170,9 +161,6 @@ fn main() -> ExitCode {
     let result = &report.results[0];
     if result.cache_hit {
         println!("; served from synthesis cache ({})", result.key);
-    }
-    if result.replayed {
-        println!("; replayed from the journal");
     }
     match &result.outcome {
         JobOutcome::Compiled(c) => {
@@ -270,7 +258,7 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: rakec [--lanes N] [--baseline] [--trace] [--uber] [--validate] \
-         [--cache DIR] [--log FILE] [--resume] [--timeout SEC] \
+         [--cache DIR] [--log FILE] [--timeout SEC] \
          [--trace-out FILE] [--trace-slow-ms N] [file.sexp]\n\
          exit codes: 0 compiled, 1 usage/input error, 2 synthesis failed, \
          3 timed out, 4 validation mismatch, 5 selector panicked, \

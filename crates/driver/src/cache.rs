@@ -357,8 +357,10 @@ impl SynthCache {
                             state.insert(key, entry, (*line).to_owned());
                         }
                         // A torn final line is the expected artifact of a
-                        // crash mid-append, not corruption.
-                        None if i + 1 == lines.len() => {}
+                        // crash mid-append, not corruption. The next append
+                        // would be glued onto it and lost with it, so the
+                        // next flush compacts the log away instead.
+                        None if i + 1 == lines.len() => force_compact = true,
                         None => {
                             stats.corrupted += 1;
                             force_compact = true;
@@ -542,9 +544,9 @@ impl SynthCache {
     /// tmp + rename and remove the log. With nothing pending this returns
     /// before the persist lock, so all-cache-hit batches (the serving
     /// layer's warm path) neither touch the disk nor wait behind another
-    /// batch's flush. A caller whose lines that flush took returns before
-    /// they are synced; the driver's journal tolerates that (a record
-    /// whose entry is missing recompiles on resume).
+    /// batch's flush. A caller whose lines another thread's flush took
+    /// returns before they are synced; a crash in that window loses the
+    /// entry, and rerunning the batch against the directory recompiles it.
     ///
     /// # Errors
     ///

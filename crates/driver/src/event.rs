@@ -1,38 +1,33 @@
-//! Structured driver events, the write-ahead [`Journal`], and the batch
-//! summary table.
+//! Structured driver events, the JSONL [`Journal`], and the batch summary
+//! table.
 //!
 //! Every batch produces a stream of [`DriverEvent`]s: one `batch_started`,
-//! one `job_completed` per *unique* job in completion order (appended and
-//! flushed as each worker finishes — the write-ahead journal records that
-//! [`crate::Driver::resume`] replays), one `job_finished` per input
-//! expression in input order (with stage timings, cache outcome and queue
-//! wait), and one `batch_finished`. The stream serializes to JSON Lines —
-//! one self-describing object per line, keyed by an `"event"`
-//! discriminator — so logs can be tailed, grepped, and post-processed
-//! without this crate.
+//! one `job_finished` per input expression in input order (with stage
+//! timings, cache outcome and queue wait), and one `batch_finished`. The
+//! stream serializes to JSON Lines — one self-describing object per line,
+//! keyed by an `"event"` discriminator — so logs can be tailed, grepped,
+//! and post-processed without this crate.
 //!
-//! The [`Journal`] is the on-disk form of that stream and doubles as the
-//! write-ahead log. To keep restart cost bounded it *rotates* at a
-//! configurable size: the file is folded into one compact `job_completed`
-//! snapshot record per key (exactly the information replay consumes,
-//! marked `"snapshot":true` and preceded by a `journal_rotated` marker)
-//! written via tmp + rename, and subsequent events append as the tail.
-//! Replay of snapshot + tail is byte-identical to replaying the unrotated
-//! stream, because rotation preserves the latest record per key and
-//! replay is last-record-wins. Rotation assumes a single writing process
-//! per journal path (the serving layer shares one [`Journal`] across its
-//! per-request drivers for exactly this reason).
+//! The [`Journal`] appends that stream to a file. It is telemetry only:
+//! nothing reads it back. Crash recovery is a rerun against the same
+//! synthesis-cache directory, which persists every fresh verdict as its
+//! job finishes. To stay bounded the journal *rolls over* at a
+//! configurable size: the full file is renamed to `<path>.1`, replacing
+//! the previous one, and a new file is started, so the log on disk stays
+//! within about twice the bound and a roll-over costs one rename. The
+//! rename pulls the file out from under any other open handle, so a
+//! journal path has one writing process (the serving layer shares one
+//! [`Journal`] across its per-request drivers for exactly this reason).
 
-use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use synth::SynthStats;
 
-use crate::json::{self, Json};
+use crate::json::Json;
 
 /// How one job concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +41,7 @@ pub enum OutcomeKind {
     /// The selector panicked; the job was isolated and the batch continued.
     Panicked,
     /// The batch's cancellation flag was raised before the job finished;
-    /// not a verdict — resume recompiles these.
+    /// not a verdict, so it is never cached and a rerun recompiles it.
     Cancelled,
     /// The key is a known poison pill (it crashed isolated workers past
     /// the configured threshold) and was answered from its cached crash
@@ -64,19 +59,6 @@ impl OutcomeKind {
             OutcomeKind::Panicked => "panicked",
             OutcomeKind::Cancelled => "cancelled",
             OutcomeKind::Quarantined => "quarantined",
-        }
-    }
-
-    /// Inverse of [`OutcomeKind::name`] (journal replay).
-    pub fn from_name(name: &str) -> Option<OutcomeKind> {
-        match name {
-            "compiled" => Some(OutcomeKind::Compiled),
-            "failed" => Some(OutcomeKind::Failed),
-            "timed_out" => Some(OutcomeKind::TimedOut),
-            "panicked" => Some(OutcomeKind::Panicked),
-            "cancelled" => Some(OutcomeKind::Cancelled),
-            "quarantined" => Some(OutcomeKind::Quarantined),
-            _ => None,
         }
     }
 }
@@ -106,8 +88,6 @@ pub struct JobRecord {
     pub stats: SynthStats,
     /// Whether the chaos plane injected a fault into this job.
     pub fault_injected: bool,
-    /// Whether the outcome was replayed from a prior run's journal.
-    pub replayed: bool,
 }
 
 /// One entry of the driver's event stream.
@@ -123,26 +103,6 @@ pub enum DriverEvent {
         workers: usize,
         /// Cache entries available at submission time.
         cache_entries: usize,
-    },
-    /// One *unique* (deduplicated) job concluded — the write-ahead journal
-    /// record, appended and flushed the moment a worker finishes, in
-    /// completion (not input) order. [`crate::Driver::resume`] replays a
-    /// batch from these.
-    JobCompleted {
-        /// The content-addressed cache key of the unique job.
-        key: String,
-        /// How the job concluded.
-        outcome: OutcomeKind,
-        /// Stable error name (`lift_failed`, ...) for failures, the panic
-        /// description for panics.
-        detail: Option<String>,
-        /// Whether the chaos plane injected a fault.
-        fault_injected: bool,
-        /// Whether this outcome was itself replayed from an earlier
-        /// journal.
-        replayed: bool,
-        /// Worker time spent on the job.
-        run_time: Duration,
     },
     /// One job concluded.
     JobFinished(JobRecord),
@@ -181,8 +141,7 @@ pub enum DriverEvent {
     },
     /// Crash forensics from the supervision layer: an isolated worker
     /// subprocess died while (or shortly after) running a job. Emitted by
-    /// the serving layer's supervisor, not by the in-process driver;
-    /// journal replay ignores it (it is not a `job_completed` verdict).
+    /// the serving layer's supervisor, not by the in-process driver.
     WorkerCrashed {
         /// The cache key of the job the worker was running, if any.
         key: Option<String>,
@@ -207,7 +166,7 @@ impl DriverEvent {
     /// The JSON object form used for JSONL logging. Every record carries a
     /// `t_rel_us` field: microseconds on the process-wide monotonic trace
     /// clock at serialization time, so interleaved streams can be ordered
-    /// without trusting the wall clock. Replay ignores it.
+    /// without trusting the wall clock.
     pub fn to_json(&self) -> Json {
         let mut v = self.to_json_inner();
         if let Json::Obj(obj) = &mut v {
@@ -231,29 +190,6 @@ impl DriverEvent {
                 ("workers", (*workers).into()),
                 ("cache_entries", (*cache_entries).into()),
             ]),
-            DriverEvent::JobCompleted {
-                key,
-                outcome,
-                detail,
-                fault_injected,
-                replayed,
-                run_time,
-            } => {
-                let mut obj = vec![
-                    ("event".to_owned(), "job_completed".into()),
-                    ("key".to_owned(), key.as_str().into()),
-                    ("outcome".to_owned(), outcome.name().into()),
-                ];
-                if let Some(detail) = detail {
-                    obj.push(("detail".to_owned(), detail.as_str().into()));
-                }
-                obj.push(("fault_injected".to_owned(), (*fault_injected).into()));
-                if *replayed {
-                    obj.push(("replayed".to_owned(), true.into()));
-                }
-                obj.push(("run_ms".to_owned(), ms(*run_time)));
-                Json::Obj(obj)
-            }
             DriverEvent::JobFinished(r) => {
                 let mut obj = vec![
                     ("event".to_owned(), "job_finished".into()),
@@ -268,9 +204,6 @@ impl DriverEvent {
                     obj.push(("detail".to_owned(), detail.as_str().into()));
                 }
                 obj.push(("fault_injected".to_owned(), r.fault_injected.into()));
-                if r.replayed {
-                    obj.push(("replayed".to_owned(), true.into()));
-                }
                 obj.push(("cache_hit".to_owned(), r.cache_hit.into()));
                 obj.push(("queue_wait_ms".to_owned(), ms(r.queue_wait)));
                 obj.push(("run_ms".to_owned(), ms(r.run_time)));
@@ -342,66 +275,28 @@ impl DriverEvent {
     }
 }
 
-/// A journal record replayed by [`crate::Driver::resume`].
-#[derive(Debug, Clone)]
-pub(crate) struct ReplayRecord {
-    pub(crate) outcome: OutcomeKind,
-    pub(crate) detail: Option<String>,
-}
-
-/// Parse the write-ahead journal at `path` into the latest
-/// `job_completed` record per key. Torn or malformed lines — the final
-/// append of a crashed run, a corrupted span — are skipped, never fatal.
-/// Returns `None` when the file does not exist.
-pub(crate) fn parse_journal(path: &Path) -> Option<HashMap<String, ReplayRecord>> {
-    let bytes = std::fs::read(path).ok()?;
-    Some(replay_records(&String::from_utf8_lossy(&bytes)))
-}
-
-/// The replay map of a journal text: last `job_completed` record per key,
-/// unknown events (including rotation markers) and torn lines skipped.
-/// Fields replay does not read, such as the `tier` and `retries` that
-/// older builds wrote, are ignored.
-fn replay_records(text: &str) -> HashMap<String, ReplayRecord> {
-    let mut map = HashMap::new();
-    for line in text.lines() {
-        let Ok(v) = json::parse(line) else { continue };
-        if v.get("event").and_then(Json::as_str) != Some("job_completed") {
-            continue;
-        }
-        let Some(key) = v.get("key").and_then(Json::as_str) else { continue };
-        let Some(outcome) =
-            v.get("outcome").and_then(Json::as_str).and_then(OutcomeKind::from_name)
-        else {
-            continue;
-        };
-        let detail = v.get("detail").and_then(Json::as_str).map(str::to_owned);
-        map.insert(key.to_owned(), ReplayRecord { outcome, detail });
-    }
-    map
-}
-
-/// The streaming JSONL journal: one line per event, with write-ahead
-/// durability for the records that gate recovery and size-triggered
-/// rotation keeping replay cost bounded (see the module docs).
+/// The JSONL event log: one line per event, written whole under a lock so
+/// concurrent appenders never tear a line, rolled over at a size bound
+/// (see the module docs).
 #[derive(Debug)]
 pub struct Journal {
     inner: Mutex<JournalInner>,
     path: PathBuf,
-    /// Rotate once the file exceeds this many bytes; `None` never rotates.
+    /// Where a roll-over moves the full file: `<path>.1`.
+    rolled: PathBuf,
+    /// Roll over once the file exceeds this many bytes; `None` never does.
     rotate_bytes: Option<u64>,
     rotations: AtomicU64,
 }
 
 #[derive(Debug)]
 struct JournalInner {
-    /// Shared so a durable append can sync after releasing the lock.
-    file: Arc<std::fs::File>,
+    file: std::fs::File,
     bytes: u64,
 }
 
 impl Journal {
-    /// Open (appending) or create the journal at `path`, rotating at
+    /// Open (appending) or create the journal at `path`, rolling over at
     /// `rotate_bytes` if given.
     ///
     /// # Errors
@@ -416,111 +311,57 @@ impl Journal {
         }
         let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
         let bytes = file.metadata()?.len();
+        let mut rolled = path.as_os_str().to_owned();
+        rolled.push(".1");
         Ok(Journal {
-            inner: Mutex::new(JournalInner { file: Arc::new(file), bytes }),
+            inner: Mutex::new(JournalInner { file, bytes }),
             path: path.to_owned(),
+            rolled: rolled.into(),
             rotate_bytes,
             rotations: AtomicU64::new(0),
         })
     }
 
-    /// The journal file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Current size of the journal file in bytes.
+    /// Current size of the live journal file in bytes (the rolled-over
+    /// `<path>.1` not counted).
     pub fn bytes(&self) -> u64 {
-        self.inner.lock().unwrap().bytes
+        self.inner.lock().expect("no appender panics holding the journal").bytes
     }
 
-    /// Rotations performed since this handle was opened.
+    /// Roll-overs performed since this handle was opened.
     pub fn rotations(&self) -> u64 {
         self.rotations.load(Ordering::Relaxed)
     }
 
-    /// Append one record and fsync it (write-ahead semantics: a record
-    /// is only promised once it survives a crash). Reserve this for
-    /// records that gate recovery — `job_completed` for fresh work.
+    /// Append one record. It is not synced: the journal is telemetry, and
+    /// a crash that loses its tail loses nothing a rerun needs. A write
+    /// error is reported to stderr, never to the batch.
     pub fn append(&self, event: &DriverEvent) {
-        self.write(event, true);
-    }
-
-    /// Append one record without forcing it to disk. For informational
-    /// records (batch markers, per-input stats, cache-hit completions):
-    /// losing them to a crash costs nothing on resume, and skipping the
-    /// fsync keeps all-cache-hit batches off the disk's commit path.
-    pub fn append_relaxed(&self, event: &DriverEvent) {
-        self.write(event, false);
-    }
-
-    /// Records are written in order under the writer lock; a durable
-    /// record's fsync runs after the lock is released, on a shared handle
-    /// to the file it was written to, so a relaxed append never waits
-    /// behind another writer's sync. The caller still returns only once
-    /// its record is synced (or folded into a synced rotation).
-    fn write(&self, event: &DriverEvent, durable: bool) {
         let mut line = event.to_jsonl();
         line.push('\n');
-        let file = {
-            let mut inner = self.inner.lock().unwrap();
-            if let Err(err) = (&*inner.file).write_all(line.as_bytes()) {
-                eprintln!("warning: failed to append event journal {}: {err}", self.path.display());
-                return;
+        let mut inner = self.inner.lock().expect("no appender panics holding the journal");
+        if let Err(err) = inner.file.write_all(line.as_bytes()) {
+            eprintln!("warning: failed to append event journal {}: {err}", self.path.display());
+            return;
+        }
+        inner.bytes += line.len() as u64;
+        if self.rotate_bytes.is_some_and(|limit| inner.bytes > limit) {
+            if let Err(err) = self.roll_over(&mut inner) {
+                eprintln!(
+                    "warning: failed to roll over event journal {}: {err}",
+                    self.path.display()
+                );
             }
-            inner.bytes += line.len() as u64;
-            let file = durable.then(|| Arc::clone(&inner.file));
-            if self.rotate_bytes.is_some_and(|limit| inner.bytes > limit) {
-                if let Err(err) = self.rotate(&mut inner) {
-                    eprintln!(
-                        "warning: failed to rotate event journal {}: {err}",
-                        self.path.display()
-                    );
-                }
-            }
-            file
-        };
-        if let Some(Err(err)) = file.map(|f| f.sync_data()) {
-            eprintln!("warning: failed to sync event journal {}: {err}", self.path.display());
         }
     }
 
-    /// Fold the journal into its replay snapshot: one `job_completed`
-    /// record per key (sorted, marked `"snapshot":true`) behind a
-    /// `journal_rotated` marker, written tmp + fsync + rename. Replaying
-    /// the rotated file yields exactly the same map as the original —
-    /// informational events are dropped, which is the point (bounded
-    /// restart cost). Called with the writer lock held.
-    fn rotate(&self, inner: &mut JournalInner) -> io::Result<()> {
-        let text = std::fs::read_to_string(&self.path)?;
-        let records: BTreeMap<String, ReplayRecord> = replay_records(&text).into_iter().collect();
-        let mut doc =
-            Json::obj([("event", "journal_rotated".into()), ("records", records.len().into())])
-                .to_string();
-        doc.push('\n');
-        for (key, rec) in records {
-            let mut obj = vec![
-                ("event".to_owned(), "job_completed".into()),
-                ("key".to_owned(), Json::Str(key)),
-                ("outcome".to_owned(), rec.outcome.name().into()),
-            ];
-            if let Some(detail) = rec.detail {
-                obj.push(("detail".to_owned(), Json::Str(detail)));
-            }
-            obj.push(("snapshot".to_owned(), true.into()));
-            doc.push_str(&Json::Obj(obj).to_string());
-            doc.push('\n');
-        }
-        let tmp = self.path.with_extension(format!("rotate.tmp.{}", std::process::id()));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(doc.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        inner.file =
-            Arc::new(std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?);
-        inner.bytes = inner.file.metadata()?.len();
+    /// Move the full file to `<path>.1`, replacing the previous one, and
+    /// start a new file. Called with the writer lock held, so no append
+    /// lands between the rename and the reopen.
+    fn roll_over(&self, inner: &mut JournalInner) -> io::Result<()> {
+        std::fs::rename(&self.path, &self.rolled)?;
+        inner.file = std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
+        inner.bytes = 0;
         self.rotations.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -595,7 +436,6 @@ mod tests {
             instructions: Some(7),
             stats: SynthStats::default(),
             fault_injected: false,
-            replayed: false,
         }
     }
 
@@ -630,42 +470,15 @@ mod tests {
     }
 
     #[test]
-    fn job_completed_journal_record_round_trips() {
-        let ev = DriverEvent::JobCompleted {
-            key: "(vadd ...)|l8v8".to_owned(),
-            outcome: OutcomeKind::TimedOut,
-            detail: None,
-            fault_injected: true,
-            replayed: false,
-            run_time: Duration::from_millis(5),
-        };
-        let v = json::parse(&ev.to_jsonl()).unwrap();
-        assert_eq!(v.get("event").unwrap().as_str(), Some("job_completed"));
-        assert_eq!(v.get("key").unwrap().as_str(), Some("(vadd ...)|l8v8"));
-        assert_eq!(v.get("outcome").unwrap().as_str(), Some("timed_out"));
-        assert_eq!(v.get("fault_injected").unwrap().as_bool(), Some(true));
-        assert!(v.get("replayed").is_none(), "replayed is emitted only when true");
-    }
-
-    #[test]
-    fn records_carry_monotonic_t_rel_us_and_replay_ignores_it() {
-        let ev = DriverEvent::JobCompleted {
-            key: "k".to_owned(),
-            outcome: OutcomeKind::Compiled,
-            detail: None,
-            fault_injected: false,
-            replayed: false,
-            run_time: Duration::from_millis(1),
-        };
+    fn records_carry_monotonic_t_rel_us() {
+        let ev = DriverEvent::BatchStarted { jobs: 1, unique: 1, workers: 1, cache_entries: 0 };
         let a = json::parse(&ev.to_jsonl()).unwrap().get("t_rel_us").unwrap().as_i64().unwrap();
         let b = json::parse(&ev.to_jsonl()).unwrap().get("t_rel_us").unwrap().as_i64().unwrap();
         assert!(a >= 0 && b >= a, "t_rel_us is monotone non-decreasing: {a} then {b}");
-        let replay = replay_records(&ev.to_jsonl());
-        assert_eq!(replay.get("k").unwrap().outcome, OutcomeKind::Compiled);
     }
 
     #[test]
-    fn worker_crash_forensics_serialize_and_are_replay_invisible() {
+    fn worker_crash_forensics_serialize() {
         let ev = DriverEvent::WorkerCrashed {
             key: Some("(vadd ...)|l8v8".to_owned()),
             cause: "signal".to_owned(),
@@ -678,66 +491,52 @@ mod tests {
         assert_eq!(v.get("signal").unwrap().as_i64(), Some(9));
         assert_eq!(v.get("crashes_for_key").unwrap().as_i64(), Some(2));
         assert_eq!(v.get("stderr_tail").unwrap().as_str(), Some("thread panicked"));
-        // Forensics never pollute the replay map: only `job_completed`
-        // records carry verdicts.
-        let replay = replay_records(&ev.to_jsonl());
-        assert!(replay.is_empty());
     }
 
+    /// A roll-over moves the whole file to `<path>.1` (replacing the last
+    /// one) and starts an empty file; a reopened journal counts the bytes
+    /// already on disk toward its bound.
     #[test]
-    fn rotation_folds_the_journal_and_preserves_replay() {
-        let dir = std::env::temp_dir().join("rake-driver-journal-rotate");
+    fn rotation_rolls_the_full_log_over_to_dot_one() {
+        let dir = std::env::temp_dir().join(format!("rake-journal-roll-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
-
-        let completed = |key: &str, outcome: OutcomeKind| DriverEvent::JobCompleted {
-            key: key.to_owned(),
-            outcome,
-            detail: (outcome == OutcomeKind::Failed).then(|| "lower_failed".to_owned()),
-            fault_injected: false,
-            replayed: false,
-            run_time: Duration::from_millis(1),
+        let rolled = dir.join("events.jsonl.1");
+        let started =
+            |jobs| DriverEvent::BatchStarted { jobs, unique: 1, workers: 1, cache_entries: 0 };
+        let jobs_in = |path: &Path| -> Vec<i64> {
+            std::fs::read_to_string(path)
+                .unwrap()
+                .lines()
+                .map(|l| json::parse(l).unwrap().get("jobs").unwrap().as_i64().unwrap())
+                .collect()
         };
+
         let journal = Journal::open(&path, Some(512)).unwrap();
-        for i in 0..12 {
-            // Informational noise interleaved with recovery records: the
-            // noise must be dropped by rotation, the records kept.
-            journal.append_relaxed(&DriverEvent::BatchStarted {
-                jobs: i,
-                unique: i,
-                workers: 1,
-                cache_entries: 0,
-            });
-            let outcome = if i % 3 == 0 { OutcomeKind::Failed } else { OutcomeKind::Compiled };
-            journal.append(&completed(&format!("key-{i:02}"), outcome));
+        let mut next = 0;
+        while journal.rotations() < 2 {
+            journal.append(&started(next));
+            next += 1;
         }
-        // Re-complete one key: last record wins through rotation too.
-        journal.append(&completed("key-00", OutcomeKind::Compiled));
-        assert!(journal.rotations() >= 1, "512-byte threshold must have rotated");
-        assert!(journal.bytes() < 4096, "rotated journal stays bounded");
+        // The second roll-over replaced the first `.1`: it holds the
+        // records from just after the first roll-over up to the one that
+        // crossed the bound again, and the live file starts empty.
+        assert_eq!(journal.bytes(), 0);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        let held = jobs_in(&rolled);
+        assert!(held[0] > 0, "the first roll-over's file was replaced: {held:?}");
+        assert_eq!(held.last(), Some(&(next as i64 - 1)));
+        assert!(held.windows(2).all(|w| w[1] == w[0] + 1), "records stay in order: {held:?}");
+        let rolled_bytes = std::fs::metadata(&rolled).unwrap().len();
+        assert!(rolled_bytes > 512);
+        let last_line = std::fs::read_to_string(&rolled).unwrap().lines().last().unwrap().len();
+        assert!(rolled_bytes - (last_line as u64 + 1) <= 512, "only the crossing line overshoots");
 
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"event\":\"journal_rotated\""));
-        assert!(text.contains("\"snapshot\":true"));
-        assert!(!text.contains("batch_started"), "informational events are folded away");
-
-        let replay = parse_journal(&path).unwrap();
-        assert_eq!(replay.len(), 12);
-        for i in 0..12 {
-            let rec = replay.get(&format!("key-{i:02}")).unwrap();
-            let expect =
-                if i == 0 || i % 3 != 0 { OutcomeKind::Compiled } else { OutcomeKind::Failed };
-            assert_eq!(rec.outcome, expect, "key-{i:02}");
-            if rec.outcome == OutcomeKind::Failed {
-                assert_eq!(rec.detail.as_deref(), Some("lower_failed"));
-            }
-        }
-
-        // Appends continue cleanly on the reopened handle.
-        journal.append(&completed("key-99", OutcomeKind::Compiled));
-        assert!(parse_journal(&path).unwrap().contains_key("key-99"));
-
+        journal.append(&started(next));
+        assert_eq!(jobs_in(&path), [next as i64]);
+        drop(journal);
+        let reopened = Journal::open(&path, Some(512)).unwrap();
+        assert_eq!(reopened.bytes(), std::fs::metadata(&path).unwrap().len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

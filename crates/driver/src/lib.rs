@@ -22,11 +22,11 @@
 //!   budget and panic isolation. A deterministic failure is
 //!   negative-cached; a deadline or a panic is not, and every job that
 //!   did not compile carries the baseline selector's program.
-//! * **Crash-safe resume**: the JSONL event stream doubles as a
-//!   write-ahead journal — one flushed `job_completed` record per unique
-//!   job — and [`Driver::resume`] replays completed jobs from journal +
-//!   cache, recompiling only the remainder (tolerating a torn final
-//!   record).
+//! * **Crash recovery is a rerun**: each fresh compiled or failed verdict
+//!   is persisted to the cache directory as its job finishes, so a killed
+//!   batch rerun against the same [`DriverConfig::cache_dir`] serves those
+//!   from the cache and recompiles only what timed out, panicked, was
+//!   cancelled or never finished.
 //! * **Fault injection** (feature `chaos`, [`chaos`]): a seeded,
 //!   deterministic fault plan for panics, forced deadline exhaustion,
 //!   latency, and cache corruption — the harness that proves the
@@ -72,7 +72,7 @@ use synth::{LoweringOptions, SynthStats};
 pub use cache::CacheLimits;
 use cache::{CacheEntry, CacheStats, CachedArtifacts, SynthCache};
 pub use event::Journal;
-use event::{DriverEvent, JobRecord, OutcomeKind, ReplayRecord};
+use event::{DriverEvent, JobRecord, OutcomeKind};
 
 /// Service-layer configuration.
 #[derive(Debug, Clone)]
@@ -92,19 +92,12 @@ pub struct DriverConfig {
     /// eviction) and the segment-log compaction threshold. The default is
     /// unbounded, the historical behavior.
     pub cache_limits: CacheLimits,
-    /// File to append the JSONL event stream to. Doubles as the
-    /// write-ahead journal: `job_completed` records are appended and
-    /// flushed as workers finish, and [`Driver::resume`] replays them.
-    /// `None` disables logging to disk (events are still collected on the
-    /// [`BatchReport`]).
-    pub log_path: Option<PathBuf>,
-    /// Rotate the journal once it exceeds this many bytes: fold it into
-    /// one snapshot record per key so restart replay stays bounded (see
-    /// [`Journal`]). `None` (the default) never rotates. Rotation assumes
-    /// this process is the journal's only writer; a server sharing one
-    /// journal across drivers should install it via
+    /// File to append the JSONL event stream to (telemetry; nothing reads
+    /// it back). `None` disables logging to disk (events are still
+    /// collected on the [`BatchReport`]). A journal that should roll over
+    /// at a size bound is opened once and installed with
     /// [`Driver::with_shared_journal`].
-    pub journal_rotate_bytes: Option<u64>,
+    pub log_path: Option<PathBuf>,
     /// Run every compiled program through the differential oracle after
     /// synthesis: execute it on adversarial inputs and compare against the
     /// Halide IR interpreter. Mismatch counts land on
@@ -135,7 +128,6 @@ impl Default for DriverConfig {
             cache_dir: None,
             cache_limits: CacheLimits::default(),
             log_path: None,
-            journal_rotate_bytes: None,
             validate: false,
             cancel: None,
         }
@@ -167,7 +159,7 @@ pub enum JobOutcome {
     Panicked(String),
     /// The batch's cancellation flag was raised before the job finished
     /// (e.g. the requesting client disconnected). Proves nothing about the
-    /// tile: never cached, recompiled on resume.
+    /// tile: never cached, so a rerun recompiles it.
     Cancelled,
     /// The key is a known poison pill: its jobs crashed isolated workers
     /// past the serving layer's threshold and a cached crash verdict
@@ -205,9 +197,6 @@ pub struct JobResult {
     /// Whether the chaos plane injected a fault into this job (always
     /// `false` without the `chaos` feature).
     pub fault_injected: bool,
-    /// Whether the outcome was replayed from a prior run's journal by
-    /// [`Driver::resume`] instead of recompiled.
-    pub replayed: bool,
     /// Baseline-selector program for non-compiled outcomes, so callers
     /// always have *something* to emit. `None` when the job compiled (use
     /// the synthesized program) or when the baseline also has no rule.
@@ -282,8 +271,7 @@ pub type EventSink = Arc<dyn Fn(&DriverEvent) + Send + Sync>;
 
 /// The batch compilation service. Construct with [`Driver::new`], then
 /// submit work with [`Driver::compile_batch`] /
-/// [`Driver::compile_batch_named`], or resume an interrupted batch with
-/// [`Driver::resume`].
+/// [`Driver::compile_batch_named`].
 pub struct Driver {
     rake: Rake,
     cache: Arc<SynthCache>,
@@ -336,12 +324,11 @@ impl Driver {
         self
     }
 
-    /// Share a pre-opened [`Journal`] across drivers. Journal rotation
+    /// Share a pre-opened [`Journal`] across drivers. A journal roll-over
     /// renames the file out from under any other open handle, so a server
     /// running many per-request drivers against one log path must open the
     /// journal once at startup and hand the same handle to every driver —
-    /// this installs it. Takes precedence over [`DriverConfig::log_path`]
-    /// for both appending and [`Driver::resume`] replay.
+    /// this installs it. Takes precedence over [`DriverConfig::log_path`].
     pub fn with_shared_journal(mut self, journal: Arc<Journal>) -> Driver {
         self.journal = Some(journal);
         self
@@ -411,7 +398,7 @@ impl Driver {
     /// Compile a batch of prepared expressions. Results come back in input
     /// order.
     pub fn compile_prepared(&self, jobs: Vec<Prepared>) -> BatchReport {
-        self.run(jobs.into_iter().map(|p| (None, p)).collect(), None)
+        self.run(jobs.into_iter().map(|p| (None, p)).collect())
     }
 
     /// Compile a batch of expressions. Results come back in input order.
@@ -422,46 +409,10 @@ impl Driver {
     /// Compile a batch of labeled expressions (labels show up in events
     /// and the summary table). Results come back in input order.
     pub fn compile_batch_named(&self, jobs: Vec<(String, Expr)>) -> BatchReport {
-        self.run(self.prepare_named(jobs), None)
+        self.run(jobs.into_iter().map(|(name, e)| (Some(name), self.prepare(e))).collect())
     }
 
-    fn prepare_named(&self, jobs: Vec<(String, Expr)>) -> Vec<(Option<String>, Prepared)> {
-        jobs.into_iter().map(|(name, e)| (Some(name), self.prepare(e))).collect()
-    }
-
-    /// Resume an interrupted batch: replay every job whose `job_completed`
-    /// record survives in the journal at [`DriverConfig::log_path`]
-    /// (compiled jobs are served from the synthesis cache; failed,
-    /// timed-out and panicked jobs are replayed verbatim) and recompile
-    /// only the remainder. A torn final record — the crash happened
-    /// mid-append — is skipped, and a journal-says-compiled job whose
-    /// cache entry was lost is transparently recompiled. With no journal
-    /// on disk this is an ordinary [`Driver::compile_batch`].
-    pub fn resume(&self, exprs: &[Expr]) -> BatchReport {
-        let replay = self.load_journal();
-        self.run(exprs.iter().map(|e| (None, self.prepare(e.clone()))).collect(), replay)
-    }
-
-    /// [`Driver::resume`] over labeled expressions.
-    pub fn resume_named(&self, jobs: Vec<(String, Expr)>) -> BatchReport {
-        let replay = self.load_journal();
-        self.run(self.prepare_named(jobs), replay)
-    }
-
-    fn load_journal(&self) -> Option<HashMap<String, ReplayRecord>> {
-        let path = match (&self.journal, &self.config.log_path) {
-            (Some(journal), _) => journal.path().to_owned(),
-            (None, Some(path)) => path.clone(),
-            (None, None) => return None,
-        };
-        event::parse_journal(&path)
-    }
-
-    fn run(
-        &self,
-        inputs: Vec<(Option<String>, Prepared)>,
-        replay: Option<HashMap<String, ReplayRecord>>,
-    ) -> BatchReport {
+    fn run(&self, inputs: Vec<(Option<String>, Prepared)>) -> BatchReport {
         let batch_start = Instant::now();
 
         // Deduplicate by cache key. The first occurrence of each key
@@ -478,20 +429,18 @@ impl Driver {
             unique_of.push((u, u == next));
         }
 
-        // The journal streams from here on: the batch header immediately,
-        // one flushed job_completed record per unique job as workers
-        // finish, the per-input records at the end.
+        // The batch header is logged now, the per-input records at the end.
         let journal: Option<Arc<Journal>> = match &self.journal {
             Some(journal) => Some(Arc::clone(journal)),
-            None => self.config.log_path.as_ref().and_then(|path| {
-                match Journal::open(path, self.config.journal_rotate_bytes) {
+            None => {
+                self.config.log_path.as_ref().and_then(|path| match Journal::open(path, None) {
                     Ok(j) => Some(Arc::new(j)),
                     Err(err) => {
                         eprintln!("warning: cannot open event journal {}: {err}", path.display());
                         None
                     }
-                }
-            }),
+                })
+            }
         };
         let journal = journal.as_deref();
         let mut batch_span = trace::span("driver.batch", "driver");
@@ -507,18 +456,13 @@ impl Driver {
             cache_entries: self.cache.len(),
         };
         if let Some(journal) = &journal {
-            journal.append_relaxed(&started);
+            journal.append(&started);
         }
         if let Some(sink) = &self.sink {
             sink(&started);
         }
         let mut events = vec![started];
-
-        let completed: Mutex<Vec<DriverEvent>> = Mutex::new(Vec::new());
-        let unique_results =
-            self.drain_queue(&unique, batch_start, replay.as_ref(), journal, &completed);
-        events.extend(completed.into_inner().unwrap());
-        let tail_start = events.len();
+        let unique_results = self.drain_queue(&unique, batch_start);
 
         // Assemble per-input results in input order, renaming the
         // canonical artifacts back to each input's own buffer names.
@@ -608,7 +552,6 @@ impl Driver {
                 instructions,
                 stats: job_stats,
                 fault_injected: ur.fault_injected,
-                replayed: ur.replayed,
             }));
             results.push(JobResult {
                 index,
@@ -617,7 +560,6 @@ impl Driver {
                 cache_hit,
                 outcome,
                 fault_injected: ur.fault_injected,
-                replayed: ur.replayed,
                 fallback,
                 queue_wait: ur.queue_wait,
                 run_time: ur.run_time,
@@ -641,9 +583,9 @@ impl Driver {
         if let Err(err) = self.cache.persist() {
             eprintln!("warning: failed to persist synthesis cache: {err}");
         }
-        for event in &events[tail_start..] {
+        for event in &events[1..] {
             if let Some(journal) = &journal {
-                journal.append_relaxed(event);
+                journal.append(event);
             }
             if let Some(sink) = &self.sink {
                 sink(event);
@@ -675,17 +617,11 @@ impl Driver {
 
     /// Run the unique jobs; results indexed like `jobs`. The calling thread
     /// works the queue beside `min(workers, jobs) - 1` spawned threads, so
-    /// a one-job batch spawns none. Each completed job is journaled
-    /// (append + flush) and its fresh cache entries persisted before the
-    /// next job is picked up, so a crash loses at most the in-flight jobs.
-    fn drain_queue(
-        &self,
-        jobs: &[&Prepared],
-        batch_start: Instant,
-        replay: Option<&HashMap<String, ReplayRecord>>,
-        journal: Option<&Journal>,
-        completed: &Mutex<Vec<DriverEvent>>,
-    ) -> Vec<UniqueResult> {
+    /// a one-job batch spawns none. A job's fresh verdict is persisted
+    /// before its worker picks up the next job: the cache directory is the
+    /// only crash-recovery record, so a crash loses at most the jobs in
+    /// flight.
+    fn drain_queue(&self, jobs: &[&Prepared], batch_start: Instant) -> Vec<UniqueResult> {
         let queue: Mutex<std::collections::VecDeque<usize>> = Mutex::new((0..jobs.len()).collect());
         let slots: Mutex<Vec<Option<UniqueResult>>> = Mutex::new(vec![None; jobs.len()]);
         let workers = self.config.workers.max(1).min(jobs.len().max(1));
@@ -695,12 +631,7 @@ impl Driver {
             else {
                 break;
             };
-            let job = jobs[job_index];
-            let result = self.run_unique(job, batch_start, replay);
-            // WAL ordering: make the artifacts durable first, then the
-            // journal record that promises them. (A record without its
-            // cache entry is self-healing on resume; a cache entry without
-            // its record is just a warm hit.)
+            let result = self.run_unique(jobs[job_index], batch_start);
             if !result.cache_hit
                 && matches!(
                     result.outcome,
@@ -711,33 +642,6 @@ impl Driver {
                     eprintln!("warning: failed to persist synthesis cache: {err}");
                 }
             }
-            let event = DriverEvent::JobCompleted {
-                key: job.key.clone(),
-                outcome: result.kind(),
-                detail: match &result.outcome {
-                    UniqueOutcome::Failed(err) => Some(cache::error_name(err).to_owned()),
-                    UniqueOutcome::Panicked(msg) => Some(msg.clone()),
-                    UniqueOutcome::Quarantined(reason) => Some(reason.clone()),
-                    _ => None,
-                },
-                fault_injected: result.fault_injected,
-                replayed: result.replayed,
-                run_time: result.run_time,
-            };
-            if let Some(journal) = journal {
-                // WAL durability is only worth an fsync when the record
-                // prevents redoing real work on resume; a cache-hit
-                // completion is re-derivable instantly.
-                if result.cache_hit {
-                    journal.append_relaxed(&event);
-                } else {
-                    journal.append(&event);
-                }
-            }
-            if let Some(sink) = &self.sink {
-                sink(&event);
-            }
-            completed.lock().expect("no worker panics holding the events").push(event);
             slots.lock().expect("no worker panics holding the slots")[job_index] = Some(result);
         };
         // Spawned workers inherit the batch's span context explicitly:
@@ -761,100 +665,53 @@ impl Driver {
             .collect()
     }
 
-    /// Execute one unique job: journal replay, cache lookup, then one
-    /// compile under the job's whole deadline with panic isolation,
-    /// storing the (canonicalized) result.
-    fn run_unique(
-        &self,
-        job: &Prepared,
-        batch_start: Instant,
-        replay: Option<&HashMap<String, ReplayRecord>>,
-    ) -> UniqueResult {
+    /// Execute one unique job: cache lookup, then one compile under the
+    /// job's whole deadline with panic isolation, storing the
+    /// (canonicalized) result.
+    fn run_unique(&self, job: &Prepared, batch_start: Instant) -> UniqueResult {
         let mut sp = trace::span("driver.job", "driver");
-        let result = self.run_unique_inner(job, batch_start, replay);
+        let result = self.run_unique_inner(job, batch_start);
         if sp.is_active() {
             sp.arg("key", job.key.clone());
             sp.arg("outcome", result.kind().name());
             sp.arg("cache_hit", result.cache_hit);
-            sp.arg("replayed", result.replayed);
         }
         result
     }
 
-    fn run_unique_inner(
-        &self,
-        job: &Prepared,
-        batch_start: Instant,
-        replay: Option<&HashMap<String, ReplayRecord>>,
-    ) -> UniqueResult {
+    fn run_unique_inner(&self, job: &Prepared, batch_start: Instant) -> UniqueResult {
         let picked = Instant::now();
         let queue_wait = picked.duration_since(batch_start);
-        let finish = |outcome, cache_hit, replayed, fault_injected| UniqueResult {
+        let finish = |outcome, cache_hit, fault_injected| UniqueResult {
             queue_wait,
             run_time: picked.elapsed(),
             cache_hit,
-            replayed,
             fault_injected,
             outcome,
         };
 
         // A raised cancellation flag concludes queued jobs outright:
-        // nothing about the tile is learned, nothing is cached, and resume
-        // recompiles them.
+        // nothing about the tile is learned, nothing is cached, and a
+        // rerun recompiles them.
         if synth::cancel::cancelled(self.config.cancel) {
-            return finish(UniqueOutcome::Cancelled, false, false, false);
+            return finish(UniqueOutcome::Cancelled, false, false);
         }
 
-        // Journal replay: terminal non-compiled outcomes are replayed
-        // verbatim; compiled ones fall through to the cache lookup below
-        // (and to a fresh compile — self-healing — if the entry is gone).
-        let replay_rec = replay.and_then(|m| m.get(&job.key));
-        if let Some(rec) = replay_rec {
-            match rec.outcome {
-                OutcomeKind::Compiled => {}
-                OutcomeKind::Failed => {
-                    if let Some(err) = rec.detail.as_deref().and_then(cache::error_from) {
-                        self.cache.store(&job.key, CacheEntry::Failed(err.clone()));
-                        return finish(UniqueOutcome::Failed(err), false, true, false);
-                    }
-                    // Unrecognized error name: recompile rather than guess.
-                }
-                OutcomeKind::TimedOut => {
-                    return finish(UniqueOutcome::TimedOut, false, true, false);
-                }
-                OutcomeKind::Panicked => {
-                    let msg = rec
-                        .detail
-                        .clone()
-                        .unwrap_or_else(|| "replayed panic (detail lost)".to_owned());
-                    return finish(UniqueOutcome::Panicked(msg), false, true, false);
-                }
-                // A cancelled record is not a verdict: recompile.
-                OutcomeKind::Cancelled => {}
-                // A quarantined record's authoritative verdict lives in the
-                // cache (with its TTL); fall through to the lookup below.
-                // If the entry expired or was lost, the key has earned a
-                // fresh attempt — exactly what recompiling does.
-                OutcomeKind::Quarantined => {}
-            }
-        }
-
-        let replayed = replay_rec.is_some();
         match self.cache.lookup(&job.key) {
             Some(CacheEntry::Compiled(artifacts)) => {
                 let outcome = UniqueOutcome::Compiled {
                     artifacts: Box::new(artifacts),
                     stats: SynthStats::default(),
                 };
-                return finish(outcome, true, replayed, false);
+                return finish(outcome, true, false);
             }
             Some(CacheEntry::Failed(err)) => {
-                return finish(UniqueOutcome::Failed(err), true, replayed, false);
+                return finish(UniqueOutcome::Failed(err), true, false);
             }
             Some(CacheEntry::Quarantined(q)) => {
                 // A poison pill answers from its cached crash verdict:
                 // re-running it would only kill another worker.
-                return finish(UniqueOutcome::Quarantined(q.reason), true, replayed, false);
+                return finish(UniqueOutcome::Quarantined(q.reason), true, false);
             }
             None => {}
         }
@@ -886,7 +743,7 @@ impl Driver {
             }
             Err(msg) => UniqueOutcome::Panicked(msg),
         };
-        finish(outcome, false, false, fault_injected)
+        finish(outcome, false, fault_injected)
     }
 
     /// One compile attempt under panic isolation, with the chaos plane's
@@ -965,7 +822,6 @@ struct UniqueResult {
     queue_wait: Duration,
     run_time: Duration,
     cache_hit: bool,
-    replayed: bool,
     fault_injected: bool,
     outcome: UniqueOutcome,
 }

@@ -372,17 +372,12 @@ fn jsonl_event_log_is_written_and_parseable() {
 
     let text = std::fs::read_to_string(&log).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    // batch_started, the WAL job_completed record, job_finished,
-    // batch_finished.
-    assert_eq!(lines.len(), 4);
     let kinds: Vec<String> = lines
         .iter()
         .map(|l| json::parse(l).unwrap().get("event").unwrap().as_str().unwrap().to_owned())
         .collect();
-    assert_eq!(kinds, ["batch_started", "job_completed", "job_finished", "batch_finished"]);
-    let wal = json::parse(lines[1]).unwrap();
-    assert_eq!(wal.get("outcome").unwrap().as_str(), Some("compiled"));
-    let job = json::parse(lines[2]).unwrap();
+    assert_eq!(kinds, ["batch_started", "job_finished", "batch_finished"]);
+    let job = json::parse(lines[1]).unwrap();
     assert_eq!(job.get("name").unwrap().as_str(), Some("pair"));
     assert_eq!(job.get("outcome").unwrap().as_str(), Some("compiled"));
     assert_eq!(job.get("cache_hit").unwrap().as_bool(), Some(false));
@@ -458,147 +453,70 @@ fn early_deadline_is_not_retried() {
     assert!(driver.cache().is_empty(), "a timeout is not a verdict: nothing is cached");
 }
 
+/// Crash recovery is a rerun against the same cache directory: compiled
+/// and failed jobs come back from the cache, a timed-out job compiles,
+/// and the results equal a clean run's. The "crash" leaves a torn final
+/// line in the segment log, as a process killed mid-append would.
 #[test]
-fn resume_replays_journal_and_recompiles_only_the_remainder() {
-    let dir = tmp_dir("resume");
-    let log = dir.join("events.jsonl");
-    let config = || DriverConfig {
-        workers: 1,
-        cache_dir: Some(dir.clone()),
-        log_path: Some(log.clone()),
-        ..DriverConfig::default()
-    };
-    let jobs = |n: usize| {
-        vec![
-            ("pair".to_owned(), pair_sum("in")),
-            ("absd".to_owned(), absd(load("a", U8, 0, 0), load("b", U8, 0, 0))),
-            ("madd".to_owned(), add(tile("in", 0), mul(tile("in", 1), bcast(3, U16)))),
-        ][..n]
-            .to_vec()
-    };
-    let counting_driver = |count: &Arc<AtomicUsize>| {
-        let rake = rake8();
-        let inner = rake.clone();
-        let count = Arc::clone(count);
-        Driver::new(rake).with_config(config()).with_compile_fn(move |e: &Expr, _, _| {
-            count.fetch_add(1, Ordering::SeqCst);
-            inner.compile(e)
-        })
-    };
-
-    // The "crashed" run: two of three jobs completed and journaled, then
-    // the process died mid-append, leaving a torn final record.
-    let partial = Arc::new(AtomicUsize::new(0));
-    let report = counting_driver(&partial).compile_batch_named(jobs(2));
-    assert_eq!(report.compiled(), 2);
-    assert_eq!(partial.load(Ordering::SeqCst), 2);
-    let mut journal = std::fs::read_to_string(&log).unwrap();
-    journal.push_str("{\"event\":\"job_completed\",\"key\":\"(add (cast u16"); // torn
-    std::fs::write(&log, &journal).unwrap();
-
-    // Resume with the full batch: the two journaled jobs replay (no new
-    // synthesis), only the remainder compiles.
-    let resumed_count = Arc::new(AtomicUsize::new(0));
-    let resumed = counting_driver(&resumed_count).resume_named(jobs(3));
-    assert_eq!(resumed.compiled(), 3);
-    assert_eq!(resumed_count.load(Ordering::SeqCst), 1, "only the third job recompiles");
-    assert!(resumed.results[0].replayed && resumed.results[1].replayed);
-    assert!(resumed.results[0].cache_hit && resumed.results[1].cache_hit);
-    assert!(!resumed.results[2].replayed && !resumed.results[2].cache_hit);
-
-    // The resumed report is byte-identical, in order, to a clean run of
-    // the full batch in a fresh directory.
-    let clean_dir = tmp_dir("resume-clean");
-    let clean = Driver::new(rake8())
-        .with_config(DriverConfig {
-            workers: 1,
-            cache_dir: Some(clean_dir.clone()),
-            ..DriverConfig::default()
-        })
-        .compile_batch_named(jobs(3));
-    let fingerprint = |rep: &rake_driver::BatchReport| {
-        rep.results
-            .iter()
-            .map(|r| {
-                let program = match &r.outcome {
-                    JobOutcome::Compiled(c) => c.hvx.to_string(),
-                    other => format!("{other:?}"),
-                };
-                format!("{}|{}|{}|{program}\n", r.index, r.name.as_deref().unwrap_or(""), r.key)
-            })
-            .collect::<String>()
-    };
-    assert_eq!(fingerprint(&resumed), fingerprint(&clean));
-
-    // Self-heal: if the cache files are lost, a journal-says-compiled job
-    // is transparently recompiled rather than trusted blindly.
-    std::fs::remove_file(dir.join(CACHE_FILE)).unwrap();
-    if let Err(e) = std::fs::remove_file(dir.join(LOG_FILE)) {
-        assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
-    }
-    let healed_count = Arc::new(AtomicUsize::new(0));
-    let healed = counting_driver(&healed_count).resume_named(jobs(3));
-    assert_eq!(healed.compiled(), 3);
-    assert_eq!(healed_count.load(Ordering::SeqCst), 3, "lost cache entries recompile");
-    assert_eq!(fingerprint(&healed), fingerprint(&clean));
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&clean_dir);
-}
-
-#[test]
-fn resume_over_a_rotated_journal_is_byte_identical() {
-    let dir = tmp_dir("resume-rotated");
-    let log = dir.join("events.jsonl");
-    // A journal limit far below one batch's event volume: the journal
-    // rotates (possibly several times) during the run.
-    let config = || DriverConfig {
-        workers: 1,
-        cache_dir: Some(dir.clone()),
-        log_path: Some(log.clone()),
-        journal_rotate_bytes: Some(256),
-        ..DriverConfig::default()
-    };
+fn rerun_after_a_crash_serves_verdicts_from_the_cache() {
+    let dir = tmp_dir("rerun");
+    let pair = pair_sum("in");
+    let fail = absd(load("a", U8, 0, 0), load("b", U8, 0, 0));
+    let slow = add(tile("in", 0), mul(tile("in", 1), bcast(3, U16)));
     let jobs = || {
         vec![
-            ("pair".to_owned(), pair_sum("in")),
-            ("absd".to_owned(), absd(load("a", U8, 0, 0), load("b", U8, 0, 0))),
-            ("madd".to_owned(), add(tile("in", 0), mul(tile("in", 1), bcast(3, U16)))),
+            ("pair".to_owned(), pair.clone()),
+            ("fail".to_owned(), fail.clone()),
+            ("slow".to_owned(), slow.clone()),
         ]
     };
-    let first = Driver::new(rake8()).with_config(config()).compile_batch_named(jobs());
-    assert_eq!(first.compiled(), 3);
-    let text = std::fs::read_to_string(&log).unwrap();
-    assert!(text.contains("\"event\":\"journal_rotated\""), "no rotation in:\n{text}");
-
-    // Resume over the rotated journal: every job replays, zero recompiles.
-    let resumed_count = Arc::new(AtomicUsize::new(0));
-    let resumed = {
+    // Each run logs the expressions it compiled. `fail` fails
+    // deterministically; `slow` times out unless a second of budget is left.
+    let run = |dir: &PathBuf, budget: Duration| {
+        let calls = Arc::new(Mutex::new(Vec::new()));
         let rake = rake8();
         let inner = rake.clone();
-        let count = Arc::clone(&resumed_count);
-        Driver::new(rake)
-            .with_config(config())
-            .with_compile_fn(move |e: &Expr, _, _| {
-                count.fetch_add(1, Ordering::SeqCst);
+        let (log, fail, slow) = (Arc::clone(&calls), fail.clone(), slow.clone());
+        let report = Driver::new(rake)
+            .with_config(DriverConfig {
+                workers: 1,
+                job_timeout: Some(budget),
+                cache_dir: Some(dir.clone()),
+                ..DriverConfig::default()
+            })
+            .with_compile_fn(move |e: &Expr, deadline: Option<Instant>, _| {
+                log.lock().unwrap().push(halide_ir::sexpr::to_sexpr(e));
+                if *e == fail {
+                    return Err(rake::CompileError::LowerFailed);
+                }
+                let budget_left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                if *e == slow && budget_left.is_some_and(|left| left < Duration::from_secs(1)) {
+                    return Err(rake::CompileError::DeadlineExceeded);
+                }
                 inner.compile(e)
             })
-            .resume_named(jobs())
+            .compile_batch_named(jobs());
+        let calls = calls.lock().unwrap().clone();
+        (report, calls)
     };
-    assert_eq!(resumed.compiled(), 3);
-    assert_eq!(resumed_count.load(Ordering::SeqCst), 0, "rotation must not lose replay records");
-    assert!(resumed.results.iter().all(|r| r.replayed));
 
-    // And the resumed report is byte-identical to an uninterrupted run in
-    // a fresh directory with rotation disabled.
-    let clean_dir = tmp_dir("resume-rotated-clean");
-    let clean = Driver::new(rake8())
-        .with_config(DriverConfig {
-            workers: 1,
-            cache_dir: Some(clean_dir.clone()),
-            ..DriverConfig::default()
-        })
-        .compile_batch_named(jobs());
+    let (first, _) = run(&dir, Duration::from_millis(10));
+    assert!(matches!(first.results[0].outcome, JobOutcome::Compiled(_)));
+    assert!(matches!(first.results[1].outcome, JobOutcome::Failed(_)));
+    assert!(matches!(first.results[2].outcome, JobOutcome::TimedOut));
+    let log = dir.join(LOG_FILE);
+    let mut text = std::fs::read_to_string(&log).expect("the failure was appended to the log");
+    text.push_str("{\"key\":\"(add (cast u16"); // torn
+    std::fs::write(&log, text).unwrap();
+
+    let (rerun, calls) = run(&dir, Duration::from_secs(60));
+    assert_eq!(calls, [halide_ir::sexpr::to_sexpr(&slow)], "only the timed-out job compiles");
+    assert!(rerun.results[0].cache_hit && rerun.results[1].cache_hit);
+    assert!(!rerun.results[2].cache_hit);
+    assert_eq!(rerun.compiled(), 2);
+
+    let clean_dir = tmp_dir("rerun-clean");
+    let (clean, _) = run(&clean_dir, Duration::from_secs(60));
     let fingerprint = |rep: &rake_driver::BatchReport| {
         rep.results
             .iter()
@@ -611,55 +529,60 @@ fn resume_over_a_rotated_journal_is_byte_identical() {
             })
             .collect::<String>()
     };
-    assert_eq!(fingerprint(&resumed), fingerprint(&clean));
+    assert_eq!(fingerprint(&rerun), fingerprint(&clean));
+
+    // The rerun's own verdict survived the torn tail it appended after:
+    // a third run compiles nothing.
+    let (third, calls) = run(&dir, Duration::from_secs(60));
+    assert!(calls.is_empty(), "third run compiled {calls:?}");
+    assert_eq!(fingerprint(&third), fingerprint(&clean));
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&clean_dir);
 }
 
+/// Per-job durability, the whole crash-safety guarantee: by the time job
+/// `k` starts compiling, the verdicts of jobs `0..k` (compiled and
+/// failed alike) are already in the cache files.
 #[test]
-fn resume_replays_failures_and_timeouts_verbatim() {
-    let dir = tmp_dir("resume-verbatim");
-    let log = dir.join("events.jsonl");
-    // A hand-written journal: one deterministic failure, one timeout, one
-    // panic — none backed by cache entries. Its records carry the `tier`
-    // and `retries` fields older builds wrote; replay ignores them.
-    let driver = Driver::new(rake8()).with_config(DriverConfig {
-        workers: 1,
-        cache_dir: Some(dir.clone()),
-        log_path: Some(log.clone()),
-        ..DriverConfig::default()
-    });
-    let batch = vec![
-        ("f".to_owned(), pair_sum("in")),
-        ("t".to_owned(), absd(load("a", U8, 0, 0), load("b", U8, 0, 0))),
-        ("p".to_owned(), add(tile("in", 0), mul(tile("in", 1), bcast(3, U16)))),
+fn each_verdict_is_on_disk_before_the_next_job_starts() {
+    let dir = tmp_dir("per-job-durable");
+    let exprs = vec![
+        pair_sum("in"),
+        absd(load("a", U8, 0, 0), load("b", U8, 0, 0)),
+        add(tile("in", 0), mul(tile("in", 1), bcast(3, U16))),
+        sub(tile("in", 0), tile("in", 1)),
     ];
-    let keys: Vec<String> = batch.iter().map(|(_, e)| driver.cache_key(e)).collect();
-    let journal = format!(
-        concat!(
-            "{{\"event\":\"batch_started\",\"jobs\":3,\"unique\":3,\"workers\":1,\"cache_entries\":0}}\n",
-            "{{\"event\":\"job_completed\",\"key\":\"{}\",\"outcome\":\"failed\",\"detail\":\"lower_failed\",\"tier\":\"baseline\",\"retries\":0,\"fault_injected\":false,\"run_ms\":1.0}}\n",
-            "{{\"event\":\"job_completed\",\"key\":\"{}\",\"outcome\":\"timed_out\",\"tier\":\"baseline\",\"retries\":2,\"fault_injected\":false,\"run_ms\":1.0}}\n",
-            "{{\"event\":\"job_completed\",\"key\":\"{}\",\"outcome\":\"panicked\",\"detail\":\"injected selector bug\",\"tier\":\"baseline\",\"retries\":0,\"fault_injected\":true,\"run_ms\":1.0}}\n",
-        ),
-        keys[0], keys[1], keys[2]
-    );
-    std::fs::write(&log, journal).unwrap();
-
-    let report = driver.resume_named(batch);
-    assert!(matches!(report.results[0].outcome, JobOutcome::Failed(_)));
-    assert!(matches!(report.results[1].outcome, JobOutcome::TimedOut));
-    let JobOutcome::Panicked(msg) = &report.results[2].outcome else {
-        panic!("panic outcome must replay");
-    };
-    assert!(msg.contains("injected selector bug"));
-    for r in &report.results {
-        assert!(r.replayed, "job {} must come from the journal", r.index);
-    }
-    // Replayed non-compiles still get the baseline fallback.
-    assert!(report.results[0].fallback.is_some());
-    assert!(report.results[1].fallback.is_some());
+    let keys: Vec<String> = exprs.iter().map(|e| Driver::new(rake8()).cache_key(e)).collect();
+    // One line per compile call: the job and which batch keys were on disk.
+    let seen: Arc<Mutex<Vec<String>>> = Arc::default();
+    let rake = rake8();
+    let inner = rake.clone();
+    let (record, probe_dir, probe_exprs) = (Arc::clone(&seen), dir.clone(), exprs.clone());
+    let driver = Driver::new(rake)
+        .with_config(DriverConfig {
+            workers: 1,
+            cache_dir: Some(dir.clone()),
+            ..DriverConfig::default()
+        })
+        .with_compile_fn(move |e: &Expr, _, _| {
+            let job = probe_exprs.iter().position(|x| x == e).expect("a batch expression");
+            let on_disk = SynthCache::persistent(&probe_dir);
+            let found: Vec<bool> = keys.iter().map(|k| on_disk.contains(k)).collect();
+            record.lock().unwrap().push(format!("job {job} found {found:?}"));
+            if job == 1 {
+                return Err(rake::CompileError::LowerFailed);
+            }
+            inner.compile(e)
+        });
+    let report = driver.compile_batch(&exprs);
+    assert!(matches!(report.results[1].outcome, JobOutcome::Failed(_)));
+    let expect: Vec<String> = (0..exprs.len())
+        .map(|job| {
+            format!("job {job} found {:?}", (0..exprs.len()).map(|k| k < job).collect::<Vec<_>>())
+        })
+        .collect();
+    assert_eq!(*seen.lock().unwrap(), expect);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

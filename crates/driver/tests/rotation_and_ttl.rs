@@ -1,56 +1,57 @@
 //! Lifecycle edges that only show under concurrency or at exact instants:
-//! journal rotation racing a stampede of relaxed appenders, and
-//! quarantine-TTL expiry precisely at the deadline (clock injected — no
-//! test here ever sleeps).
+//! journal roll-over racing a stampede of appenders, and quarantine-TTL
+//! expiry precisely at the deadline (clock injected — no test here ever
+//! sleeps).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use rake_driver::cache::{CacheEntry, SynthCache};
-use rake_driver::event::{DriverEvent, Journal, OutcomeKind};
+use rake_driver::event::{DriverEvent, JobRecord, Journal, OutcomeKind};
 use rake_driver::json::{self, Json};
 
-fn completed(key: String) -> DriverEvent {
-    DriverEvent::JobCompleted {
+fn finished(key: String) -> DriverEvent {
+    DriverEvent::JobFinished(JobRecord {
+        index: 0,
+        name: None,
         key,
+        cache_hit: false,
+        queue_wait: Duration::from_micros(20),
+        run_time: Duration::from_millis(1),
         outcome: OutcomeKind::Compiled,
         detail: None,
+        instructions: Some(4),
+        stats: Default::default(),
         fault_injected: false,
-        replayed: false,
-        run_time: Duration::from_millis(1),
-    }
+    })
 }
 
-/// Many threads hammering `append_relaxed` while the size trigger forces
-/// repeated inline rotations: the folded snapshot plus the post-rotation
-/// tail must still contain a `job_completed` record for every key, and
-/// every line of the final file must be well-formed JSON (no torn or
-/// interleaved writes).
+/// Threads racing distinct-key appends through one journal while the size
+/// trigger rolls it over dozens of times: both files end within the bound
+/// plus the one line that crossed it, and every line is whole JSON (no
+/// torn or interleaved writes). A journal that kept one record per key
+/// ever seen would hold every key here, about half a megabyte.
 #[test]
-fn rotation_races_concurrent_relaxed_appenders_without_losing_records() {
+fn rollover_bounds_both_files_under_concurrent_appenders() {
     let dir = std::env::temp_dir().join(format!("rake-journal-race-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("events.jsonl");
+    let path = dir.join("journal.jsonl");
+    let rolled = dir.join("journal.jsonl.1");
 
-    const THREADS: usize = 8;
-    const PER_THREAD: usize = 50;
-    // Small enough that rotation fires dozens of times mid-stampede.
-    let journal = Arc::new(Journal::open(&path, Some(2 * 1024)).unwrap());
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 1000;
+    const BOUND: u64 = 32 * 1024;
+    let journal = Arc::new(Journal::open(&path, Some(BOUND)).unwrap());
+    let start = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let journal = Arc::clone(&journal);
+            let (journal, start) = (Arc::clone(&journal), Arc::clone(&start));
             std::thread::spawn(move || {
+                start.wait();
                 for i in 0..PER_THREAD {
-                    let key = format!("key_{t}_{i}");
-                    if i % 10 == 0 {
-                        // A sprinkling of durable appends keeps the fsync
-                        // path in the race too.
-                        journal.append(&completed(key));
-                    } else {
-                        journal.append_relaxed(&completed(key));
-                    }
+                    journal.append(&finished(format!("key_{t}_{i}")));
                 }
             })
         })
@@ -58,23 +59,21 @@ fn rotation_races_concurrent_relaxed_appenders_without_losing_records() {
     for h in handles {
         h.join().unwrap();
     }
+    assert!(journal.rotations() >= 10, "only {} roll-overs", journal.rotations());
 
-    assert!(journal.rotations() >= 1, "rotation never fired: {} bytes", journal.bytes());
-
-    let text = std::fs::read_to_string(&path).unwrap();
-    let mut seen = std::collections::HashSet::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let doc = json::parse(line).unwrap_or_else(|e| panic!("torn journal line {line:?}: {e}"));
-        if doc.get("event").and_then(Json::as_str) == Some("job_completed") {
-            if let Some(key) = doc.get("key").and_then(Json::as_str) {
-                seen.insert(key.to_owned());
-            }
-        }
-    }
-    for t in 0..THREADS {
-        for i in 0..PER_THREAD {
-            let key = format!("key_{t}_{i}");
-            assert!(seen.contains(&key), "rotation lost the record for {key}");
+    for file in [&path, &rolled] {
+        let text = std::fs::read_to_string(file).unwrap();
+        let last_line = text.lines().last().map_or(0, |l| l.len() + 1) as u64;
+        assert!(
+            text.len() as u64 - last_line <= BOUND,
+            "{} holds {} bytes, past the bound before its last line",
+            file.display(),
+            text.len()
+        );
+        for line in text.lines() {
+            let doc =
+                json::parse(line).unwrap_or_else(|e| panic!("torn journal line {line:?}: {e}"));
+            assert_eq!(doc.get("event").and_then(Json::as_str), Some("job_finished"));
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -17,9 +17,11 @@
 //!                      sizes (default unbounded; 0 = unbounded)
 //!   --cache-log-max-bytes N  segment-log size that triggers compaction
 //!                      into the snapshot (default 4 MiB)
-//!   --log FILE         JSONL event journal (write-ahead log)
-//!   --journal-rotate-bytes N  journal size that triggers rotation into a
-//!                      replay snapshot (default 8 MiB; 0 = never rotate)
+//!   --log FILE         JSONL event journal (telemetry; a restart recovers
+//!                      from --cache)
+//!   --journal-rotate-bytes N  journal size past which FILE rolls over to
+//!                      FILE.1, replacing the previous one (default 8 MiB;
+//!                      0 = never roll over)
 //!   --timeout SEC      default per-job synthesis budget (default 30)
 //!   --read-timeout-ms N  slow-loris guard: a started request must arrive
 //!                      whole within N ms or the connection is answered

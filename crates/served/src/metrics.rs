@@ -109,9 +109,9 @@ pub struct CacheSnapshot {
     pub snapshot_bytes: u64,
     /// On-disk segment-log size in bytes.
     pub log_bytes: u64,
-    /// Event-journal file size in bytes.
+    /// Size of the live event-journal file in bytes.
     pub journal_bytes: u64,
-    /// Journal rotations performed since startup.
+    /// Journal roll-overs performed since startup.
     pub journal_rotations: u64,
     /// Keys currently quarantined as poison pills (crashed workers past
     /// the threshold).
@@ -222,7 +222,7 @@ impl Metrics {
         self.in_flight.load(Ordering::Relaxed)
     }
 
-    /// Total fresh (non-cache, non-replay) synthesis runs observed.
+    /// Total fresh (non-cache) synthesis runs observed.
     pub fn synth_fresh(&self) -> u64 {
         self.synth_fresh.load(Ordering::Relaxed)
     }
@@ -235,7 +235,7 @@ impl Metrics {
             match event {
                 DriverEvent::JobFinished(r) => {
                     *metrics.jobs.lock().unwrap().entry(r.outcome.name()).or_insert(0) += 1;
-                    if r.cache_hit || r.replayed {
+                    if r.cache_hit {
                         metrics.cache_served.fetch_add(1, Ordering::Relaxed);
                     } else {
                         metrics.synth_fresh.fetch_add(1, Ordering::Relaxed);
@@ -344,8 +344,8 @@ impl Metrics {
         }
 
         out.push_str(
-            "# HELP rake_served_synth_fresh_total Jobs that ran a fresh synthesis (not cache, \
-             not journal replay).\n\
+            "# HELP rake_served_synth_fresh_total Jobs that ran a fresh synthesis (not served \
+             from cache or dedup).\n\
              # TYPE rake_served_synth_fresh_total counter\n",
         );
         out.push_str(&format!(
@@ -354,7 +354,7 @@ impl Metrics {
         ));
 
         out.push_str(
-            "# HELP rake_served_cache_served_total Jobs served from cache, dedup or journal.\n\
+            "# HELP rake_served_cache_served_total Jobs served from cache or dedup.\n\
              # TYPE rake_served_cache_served_total counter\n",
         );
         out.push_str(&format!(
@@ -435,12 +435,13 @@ impl Metrics {
         );
         out.push_str(&format!("rake_served_cache_log_bytes {}\n", cache.log_bytes));
         out.push_str(
-            "# HELP rake_served_journal_bytes Event-journal file size.\n\
+            "# HELP rake_served_journal_bytes Live event-journal file size (<log>.1 excluded).\n\
              # TYPE rake_served_journal_bytes gauge\n",
         );
         out.push_str(&format!("rake_served_journal_bytes {}\n", cache.journal_bytes));
         out.push_str(
-            "# HELP rake_served_journal_rotations_total Journal rotations since startup.\n\
+            "# HELP rake_served_journal_rotations_total Journal roll-overs to <log>.1 since \
+             startup.\n\
              # TYPE rake_served_journal_rotations_total counter\n",
         );
         out.push_str(&format!(
@@ -605,7 +606,6 @@ mod tests {
                 outcome: OutcomeKind::Compiled,
                 detail: None,
                 fault_injected: false,
-                replayed: false,
                 cache_hit,
                 queue_wait: Duration::ZERO,
                 run_time: Duration::ZERO,

@@ -114,12 +114,14 @@ pub struct ServerConfig {
     /// that leaves the log above it folds log + snapshot into a fresh
     /// snapshot.
     pub cache_log_compact_bytes: u64,
-    /// JSONL event journal (the driver's write-ahead log). `None`
-    /// disables journaling. One [`driver::Journal`] handle is shared by
-    /// every request, so size-triggered rotation is safe.
+    /// JSONL event journal: telemetry only, since a restart recovers from
+    /// `cache_dir`. `None` disables journaling. One [`driver::Journal`]
+    /// handle is shared by every request, so a roll-over never renames
+    /// the file out from under another writer.
     pub log_path: Option<PathBuf>,
-    /// Rotate the shared journal once it exceeds this many bytes,
-    /// folding it into one replay record per key. `None` never rotates.
+    /// Roll the shared journal over to `<log_path>.1`, replacing the
+    /// previous one, once it exceeds this many bytes. `None` never rolls
+    /// over.
     pub journal_rotate_bytes: Option<u64>,
     /// Per-connection idle read timeout.
     pub idle_timeout: Duration,
@@ -318,7 +320,7 @@ impl InFlight {
 struct Shared {
     config: ServerConfig,
     cache: Arc<SynthCache>,
-    /// The one journal handle every request appends through (rotation
+    /// The one journal handle every request appends through (a roll-over
     /// assumes a single writer). `None` when journaling is disabled.
     journal: Option<Arc<Journal>>,
     metrics: Arc<Metrics>,

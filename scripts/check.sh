@@ -161,13 +161,15 @@ rm -rf "$smoke_dir"
 echo "== soak smoke (bounded cache lifecycle: eviction, compaction, bounded files)"
 # A tightly-capped server under a soak workload where every request is a
 # unique cache key: the entry cap must evict (cost-aware LRU), the tiny
-# segment-log threshold must compact, and the on-disk snapshot/log/journal
-# must stay bounded while the server stays healthy.
+# segment-log threshold must compact, the on-disk snapshot and log must stay
+# bounded, and the journal (about 11 KB of records) must roll over, each of
+# its two files within the 4 KiB bound plus the one line that crossed it,
+# while the server stays healthy.
 cargo build -q --release --offline --locked -p rake-bench
 soak_dir="$(mktemp -d /tmp/rake-soak-XXXXXX)"
 ./target/release/rake-served --addr 127.0.0.1:0 --port-file "$soak_dir/port" \
   --cache "$soak_dir/cache" --log "$soak_dir/journal.jsonl" \
-  --cache-max-entries 6 --cache-log-max-bytes 16384 --journal-rotate-bytes 32768 \
+  --cache-max-entries 6 --cache-log-max-bytes 16384 --journal-rotate-bytes 4096 \
   >"$soak_dir/server.log" 2>&1 &
 soak_pid=$!
 cleanup_soak() {
@@ -189,7 +191,7 @@ evicted="$(soak_metric rake_served_cache_evicted_total)"
 entries="$(soak_metric rake_served_cache_entries)"
 compactions="$(soak_metric rake_served_cache_compactions_total)"
 log_bytes="$(soak_metric rake_served_cache_log_bytes)"
-journal_bytes="$(soak_metric rake_served_journal_bytes)"
+rollovers="$(soak_metric rake_served_journal_rotations_total)"
 [ "${evicted:-0}" -ge 1 ] \
   || { echo "soak smoke: 18 unique keys into 6 slots must evict (got ${evicted:-none})"; exit 1; }
 [ "${entries:-99}" -le 6 ] \
@@ -198,8 +200,13 @@ journal_bytes="$(soak_metric rake_served_journal_bytes)"
   || { echo "soak smoke: the segment log never compacted"; exit 1; }
 [ "${log_bytes:-999999}" -le 65536 ] \
   || { echo "soak smoke: segment log unbounded (${log_bytes} bytes)"; exit 1; }
-[ "${journal_bytes:-999999}" -le 131072 ] \
-  || { echo "soak smoke: journal unbounded (${journal_bytes} bytes)"; exit 1; }
+[ "${rollovers:-0}" -ge 1 ] \
+  || { echo "soak smoke: the journal never rolled over"; exit 1; }
+for f in "$soak_dir/journal.jsonl" "$soak_dir/journal.jsonl.1"; do
+  before_last=$(( $(wc -c <"$f") - $(tail -n 1 "$f" | wc -c) ))
+  [ "$before_last" -le 4096 ] \
+    || { echo "soak smoke: $f holds $before_last bytes before its last line (bound 4096)"; exit 1; }
+done
 ./target/release/rake-client --addr "$addr" --healthz | grep -qx ok \
   || { echo "soak smoke: /healthz went red under soak"; exit 1; }
 kill "$soak_pid"
