@@ -42,9 +42,7 @@ fn main() {
                 .exprs
                 .iter()
                 .map(|e| match rake.compile(e) {
-                    Ok(c) => {
-                        c.program.schedule(cfg.lanes, cfg.vec_bytes, SlotBudget::hvx()).cycles
-                    }
+                    Ok(c) => c.program.schedule(cfg.lanes, cfg.vec_bytes, SlotBudget::hvx()).cycles,
                     Err(_) => u64::MAX, // lowering failed under this ablation
                 })
                 .sum();

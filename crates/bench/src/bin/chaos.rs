@@ -68,8 +68,7 @@ fn main() -> ExitCode {
     for i in 0..seeds {
         let seed = base + i;
         let plan = FaultPlan::seeded(seed);
-        let dir = std::env::temp_dir()
-            .join(format!("rake-chaos-{}-{seed}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("rake-chaos-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         println!("== schedule seed {seed} ({} workloads) ==", workloads.len());
 
@@ -114,7 +113,10 @@ fn main() -> ExitCode {
             if report.results.len() != n
                 || report.results.iter().enumerate().any(|(j, r)| r.index != j)
             {
-                eprintln!("VIOLATION [{}, seed {seed}]: results incomplete or out of order", w.name);
+                eprintln!(
+                    "VIOLATION [{}, seed {seed}]: results incomplete or out of order",
+                    w.name
+                );
                 violations += 1;
             }
             // Invariant 2: no injected fault may corrupt a compiled program.

@@ -89,8 +89,7 @@ fn main() -> ExitCode {
             },
             "--relations" => match it.next() {
                 Some(v) => {
-                    cfg.relations =
-                        Some(v.split(',').map(|s| s.trim().to_owned()).collect());
+                    cfg.relations = Some(v.split(',').map(|s| s.trim().to_owned()).collect());
                 }
                 None => return usage("--relations needs a comma-separated list"),
             },
@@ -228,12 +227,9 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if check {
-        let applied_relations =
-            summary.per_relation.values().filter(|s| s.applied > 0).count();
+        let applied_relations = summary.per_relation.values().filter(|s| s.applied > 0).count();
         if applied_relations < 8 {
-            eprintln!(
-                "conform --check: only {applied_relations} relations applied (need >= 8)"
-            );
+            eprintln!("conform --check: only {applied_relations} relations applied (need >= 8)");
             return ExitCode::FAILURE;
         }
         if summary.truncated {

@@ -17,10 +17,8 @@ fn show(group: &str, bench: &str, e: &Expr, lanes: usize) {
     println!("Halide IR:  {e}\n");
     let bo = halide_opt::BaselineOptions { lanes, vec_bytes: 128 };
     let baseline = halide_opt::select(e, bo).expect("baseline covers").to_program();
-    let rake = Rake::new(Target { lanes, vec_bytes: 128 })
-        .compile(e)
-        .expect("rake compiles")
-        .program;
+    let rake =
+        Rake::new(Target { lanes, vec_bytes: 128 }).compile(e).expect("rake compiles").program;
     let cost = |p: &Program| {
         let cycles = p.schedule(lanes, 128, SlotBudget::hvx()).cycles;
         format!("/* Latency: {}, cycles: {cycles} */", p.latency_sum(lanes, 128))

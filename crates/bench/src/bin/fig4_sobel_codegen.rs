@@ -21,10 +21,7 @@ fn show(label: &str, e: &Expr) {
     let baseline = halide_opt::select(e, halide_opt::BaselineOptions::hvx())
         .expect("baseline covers sobel")
         .to_program();
-    let rake = Rake::new(Target::hvx())
-        .compile(e)
-        .expect("rake compiles sobel")
-        .program;
+    let rake = Rake::new(Target::hvx()).compile(e).expect("rake compiles sobel").program;
     let stat = |p: &Program| {
         format!("Latency: {}, Loads: {}", p.latency_sum(LANES, 128), p.load_units(LANES, 128))
     };

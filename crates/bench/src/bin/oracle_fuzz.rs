@@ -259,7 +259,10 @@ fn fuzz_workloads(opts: &Opts, t0: Instant) -> usize {
                 program.run(env, x0, y0, l).ok().map(|v| v.typed_lanes(ty))
             });
             let Some(f) = check.failures.first() else { continue };
-            println!("  MISMATCH {}[{}]: lane {} want {} got {}", w.name, r.index, f.lane, f.want, f.got);
+            println!(
+                "  MISMATCH {}[{}]: lane {} want {} got {}",
+                w.name, r.index, f.lane, f.want, f.got
+            );
             match shrink_and_emit(w.name, e, f, lanes, &run, &opts.out) {
                 Ok(paths) => println!("  repro: {}", paths.test.display()),
                 Err(err) => eprintln!("  failed to write repro: {err}"),

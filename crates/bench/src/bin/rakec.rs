@@ -174,9 +174,11 @@ fn main() -> ExitCode {
                 println!("\n; uber-instruction IR\n{}", c.uber);
                 println!("; canonical: {}", uber_ir::sexpr::to_sexpr(&c.uber));
             }
-            println!("\n; rake codegen (cost: latency {}, loads {})",
+            println!(
+                "\n; rake codegen (cost: latency {}, loads {})",
                 c.program.latency_sum(lanes, vec_bytes),
-                c.program.load_units(lanes, vec_bytes));
+                c.program.load_units(lanes, vec_bytes)
+            );
             print!("{}", c.program);
             println!(
                 "; cycles/tile: {}",
@@ -193,10 +195,7 @@ fn main() -> ExitCode {
                 }
             }
             if baseline {
-                match halide_opt::select(
-                    &expr,
-                    halide_opt::BaselineOptions { lanes, vec_bytes },
-                ) {
+                match halide_opt::select(&expr, halide_opt::BaselineOptions { lanes, vec_bytes }) {
                     Ok(b) => {
                         let p = b.to_program();
                         println!("\n; baseline codegen");
@@ -245,10 +244,7 @@ fn print_fallback(result: &driver::JobResult, lanes: usize, vec_bytes: usize) {
     if let Some(p) = &result.fallback {
         println!("\n; baseline fallback codegen");
         print!("{p}");
-        println!(
-            "; cycles/tile: {}",
-            p.schedule(lanes, vec_bytes, SlotBudget::hvx()).cycles
-        );
+        println!("; cycles/tile: {}", p.schedule(lanes, vec_bytes, SlotBudget::hvx()).cycles);
     }
 }
 

@@ -173,7 +173,9 @@ fn main() -> ExitCode {
                     .map_err(|e| e.to_string())
             });
         match result {
-            Ok((status, headers, resp_body)) if matches!(status, 429 | 503) && attempt < retries => {
+            Ok((status, headers, resp_body))
+                if matches!(status, 429 | 503) && attempt < retries =>
+            {
                 let hinted = headers
                     .iter()
                     .find(|(name, _)| name == "retry-after")

@@ -69,10 +69,7 @@ impl Histogram {
         let mut cumulative = 0u64;
         for (i, &bound) in BUCKETS_MS.iter().enumerate() {
             cumulative += self.counts[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                bound as f64 / 1e3
-            ));
+            out.push_str(&format!("{name}_bucket{{le=\"{}\"}} {cumulative}\n", bound as f64 / 1e3));
         }
         cumulative += self.counts[BUCKETS_MS.len()].load(Ordering::Relaxed);
         out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
@@ -231,23 +228,19 @@ impl Metrics {
     /// per-request driver via [`driver::Driver::with_event_sink`].
     pub fn sink(self: &Arc<Metrics>) -> EventSink {
         let metrics = Arc::clone(self);
-        Arc::new(move |event: &DriverEvent| {
-            match event {
-                DriverEvent::JobFinished(r) => {
-                    *metrics.jobs.lock().unwrap().entry(r.outcome.name()).or_insert(0) += 1;
-                    if r.cache_hit {
-                        metrics.cache_served.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        metrics.synth_fresh.fetch_add(1, Ordering::Relaxed);
-                    }
+        Arc::new(move |event: &DriverEvent| match event {
+            DriverEvent::JobFinished(r) => {
+                *metrics.jobs.lock().unwrap().entry(r.outcome.name()).or_insert(0) += 1;
+                if r.cache_hit {
+                    metrics.cache_served.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    metrics.synth_fresh.fetch_add(1, Ordering::Relaxed);
                 }
-                DriverEvent::JobValidated { mismatches, .. } => {
-                    metrics
-                        .validation_mismatches
-                        .fetch_add(*mismatches as u64, Ordering::Relaxed);
-                }
-                _ => {}
             }
+            DriverEvent::JobValidated { mismatches, .. } => {
+                metrics.validation_mismatches.fetch_add(*mismatches as u64, Ordering::Relaxed);
+            }
+            _ => {}
         })
     }
 
@@ -267,10 +260,7 @@ impl Metrics {
             "# HELP rake_served_uptime_seconds Seconds since the server started.\n\
              # TYPE rake_served_uptime_seconds gauge\n",
         );
-        out.push_str(&format!(
-            "rake_served_uptime_seconds {}\n",
-            started.elapsed().as_secs_f64()
-        ));
+        out.push_str(&format!("rake_served_uptime_seconds {}\n", started.elapsed().as_secs_f64()));
 
         out.push_str(
             "# HELP rake_served_requests_total Requests received, by endpoint.\n\
@@ -444,10 +434,7 @@ impl Metrics {
              startup.\n\
              # TYPE rake_served_journal_rotations_total counter\n",
         );
-        out.push_str(&format!(
-            "rake_served_journal_rotations_total {}\n",
-            cache.journal_rotations
-        ));
+        out.push_str(&format!("rake_served_journal_rotations_total {}\n", cache.journal_rotations));
         out.push_str(
             "# HELP rake_served_quarantined_keys Keys currently quarantined as poison pills \
              (they crashed workers past the threshold; served as structured failures).\n\

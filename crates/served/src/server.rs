@@ -517,12 +517,12 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 stream.set_nodelay(true).ok();
                 let shared = Arc::clone(shared);
                 shared.connections.fetch_add(1, Ordering::SeqCst);
-                let result = std::thread::Builder::new()
-                    .name("rake-served-conn".to_owned())
-                    .spawn(move || {
+                let result = std::thread::Builder::new().name("rake-served-conn".to_owned()).spawn(
+                    move || {
                         handle_connection(&shared, stream);
                         shared.connections.fetch_sub(1, Ordering::SeqCst);
-                    });
+                    },
+                );
                 if result.is_err() {
                     eprintln!("rake-served: failed to spawn connection thread");
                 }
@@ -573,34 +573,33 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         let per_read = shared.config.read_timeout.unwrap_or(shared.config.idle_timeout);
         let _ = write_half.set_read_timeout(Some(per_read));
         let deadline = shared.config.read_timeout.map(|t| Instant::now() + t);
-        let req =
-            match read_request_deadline(&mut reader, shared.config.max_body_bytes, deadline) {
-                Ok(req) => req,
-                Err(ReadError::Closed) => return,
-                Err(ReadError::Io(_)) => return,
-                Err(ReadError::TimedOut) => {
-                    let resp =
-                        Response::text(408, "request did not complete within the read timeout\n");
-                    shared.metrics.response(resp.status);
-                    let _ = resp.write_to(&mut write_half, true);
-                    return;
-                }
-                Err(ReadError::Malformed(why)) => {
-                    let resp = Response::text(400, format!("{why}\n"));
-                    shared.metrics.response(resp.status);
-                    let _ = resp.write_to(&mut write_half, true);
-                    return;
-                }
-                Err(ReadError::BodyTooLarge { declared, limit }) => {
-                    let resp = Response::text(
-                        413,
-                        format!("request body {declared} bytes exceeds the {limit}-byte limit\n"),
-                    );
-                    shared.metrics.response(resp.status);
-                    let _ = resp.write_to(&mut write_half, true);
-                    return;
-                }
-            };
+        let req = match read_request_deadline(&mut reader, shared.config.max_body_bytes, deadline) {
+            Ok(req) => req,
+            Err(ReadError::Closed) => return,
+            Err(ReadError::Io(_)) => return,
+            Err(ReadError::TimedOut) => {
+                let resp =
+                    Response::text(408, "request did not complete within the read timeout\n");
+                shared.metrics.response(resp.status);
+                let _ = resp.write_to(&mut write_half, true);
+                return;
+            }
+            Err(ReadError::Malformed(why)) => {
+                let resp = Response::text(400, format!("{why}\n"));
+                shared.metrics.response(resp.status);
+                let _ = resp.write_to(&mut write_half, true);
+                return;
+            }
+            Err(ReadError::BodyTooLarge { declared, limit }) => {
+                let resp = Response::text(
+                    413,
+                    format!("request body {declared} bytes exceeds the {limit}-byte limit\n"),
+                );
+                shared.metrics.response(resp.status);
+                let _ = resp.write_to(&mut write_half, true);
+                return;
+            }
+        };
         let close = req.wants_close() || shared.draining.load(Ordering::SeqCst);
         // One disconnect count per connection, whichever side sees it
         // first: the compile path's monitor (a small response to a
@@ -698,9 +697,7 @@ fn parse_compile_request(shared: &Shared, body: &[u8]) -> Result<CompileRequest,
             let items = list.as_arr().ok_or_else(|| bad("`exprs` must be an array"))?;
             for item in items {
                 raw.push(
-                    item.as_str()
-                        .ok_or_else(|| bad("`exprs` items must be strings"))?
-                        .to_owned(),
+                    item.as_str().ok_or_else(|| bad("`exprs` items must be strings"))?.to_owned(),
                 );
             }
         }
@@ -718,8 +715,8 @@ fn parse_compile_request(shared: &Shared, body: &[u8]) -> Result<CompileRequest,
 
     let mut exprs = Vec::with_capacity(raw.len());
     for (i, s) in raw.iter().enumerate() {
-        let expr = halide_ir::sexpr::parse(s.trim())
-            .map_err(|e| bad(format!("expression {i}: {e}")))?;
+        let expr =
+            halide_ir::sexpr::parse(s.trim()).map_err(|e| bad(format!("expression {i}: {e}")))?;
         exprs.push(expr);
     }
 
@@ -1061,10 +1058,7 @@ fn isolated_compile_fn(
                     );
                     metrics.key_quarantined();
                 }
-                std::panic::resume_unwind(Box::new(format!(
-                    "worker crashed: {}",
-                    report.summary()
-                )))
+                std::panic::resume_unwind(Box::new(format!("worker crashed: {}", report.summary())))
             }
             DispatchOutcome::Unavailable(why) => {
                 std::panic::resume_unwind(Box::new(format!("worker pool unavailable: {why}")))

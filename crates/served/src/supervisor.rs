@@ -234,7 +234,10 @@ enum Slot {
         killed: Option<&'static str>,
     },
     /// No live process; respawn not before `retry_at`.
-    Dead { retry_at: Instant, failures: u32 },
+    Dead {
+        retry_at: Instant,
+        failures: u32,
+    },
 }
 
 struct PoolState {
@@ -386,9 +389,7 @@ impl WorkerPool {
     /// one way or another (see [`DispatchOutcome`] — this never panics
     /// and never blocks past the job's wall-clock cap + scheduling).
     pub fn dispatch(&self, job: &WorkerJob, cancel: Option<synth::CancelFlag>) -> DispatchOutcome {
-        let kill_at = job
-            .deadline
-            .unwrap_or_else(|| Instant::now() + self.config.max_job_wall)
+        let kill_at = job.deadline.unwrap_or_else(|| Instant::now() + self.config.max_job_wall)
             + self.config.job_grace;
         let (slot_idx, mut proc_) = match self.claim_worker(kill_at, cancel) {
             Ok(claimed) => claimed,
@@ -687,15 +688,7 @@ fn spawn_worker(config: &PoolConfig) -> std::io::Result<WorkerProc> {
         })
         .expect("spawn worker stderr reader");
 
-    Ok(WorkerProc {
-        child,
-        pid,
-        stdin,
-        rx,
-        stderr_tail,
-        next_id: 0,
-        last_used: Instant::now(),
-    })
+    Ok(WorkerProc { child, pid, stdin, rx, stderr_tail, next_id: 0, last_used: Instant::now() })
 }
 
 /// Worker stdout → parsed reply frames, until EOF. Dropping the sender
@@ -851,10 +844,7 @@ fn monitor_loop(pool: &Arc<WorkerPool>) {
                     if now.duration_since(proc_.last_used) >= pool.config.heartbeat {
                         proc_.last_used = now;
                         proc_.next_id += 1;
-                        let ping = Json::obj([
-                            ("id", proc_.next_id.into()),
-                            ("op", "ping".into()),
-                        ]);
+                        let ping = Json::obj([("id", proc_.next_id.into()), ("op", "ping".into())]);
                         let _ = write_frame(&mut proc_.stdin, &ping.to_string());
                     }
                     continue;

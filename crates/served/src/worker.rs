@@ -72,10 +72,9 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Vec<u8>>> {
     if r.read_line(&mut line)? == 0 {
         return Ok(None);
     }
-    let len: usize = line
-        .trim()
-        .parse()
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame length {line:?}")))?;
+    let len: usize = line.trim().parse().map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("bad frame length {line:?}"))
+    })?;
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -105,10 +104,7 @@ pub fn worker_main() -> ! {
                 std::process::exit(2);
             }
         };
-        let reply = match std::str::from_utf8(&payload)
-            .ok()
-            .and_then(|text| parse_job(text).ok())
-        {
+        let reply = match std::str::from_utf8(&payload).ok().and_then(|text| parse_job(text).ok()) {
             Some(job) => handle_job(&job),
             None => Json::obj([
                 ("id", 0u64.into()),
@@ -365,10 +361,8 @@ mod tests {
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("pong"));
         assert_eq!(reply.get("id").and_then(Json::as_i64), Some(3));
 
-        let job = parse_job(
-            r#"{"id":4,"expr":"(add (load a u8 0 0) (load b u8 0 0))","lanes":8}"#,
-        )
-        .unwrap();
+        let job = parse_job(r#"{"id":4,"expr":"(add (load a u8 0 0) (load b u8 0 0))","lanes":8}"#)
+            .unwrap();
         let reply = handle_job(&job);
         assert_eq!(reply.get("status").and_then(Json::as_str), Some("compiled"), "{reply}");
         assert!(reply.get("hvx").and_then(Json::as_str).is_some());

@@ -56,11 +56,7 @@ struct Span {
 fn load_trace(path: &Path) -> Vec<Span> {
     let text = std::fs::read_to_string(path).expect("read trace file");
     let doc = json::parse(&text).expect("trace file parses as JSON");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("rake-trace-v1"),
-        "schema tag"
-    );
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("rake-trace-v1"), "schema tag");
     let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
     assert!(!events.is_empty(), "trace must not be empty");
     events
@@ -137,20 +133,11 @@ fn isolated_compile_stitches_worker_smt_spans_under_the_job() {
         .find(|s| s.name == "http.request")
         .expect("server-side http.request root span");
     assert_eq!(root.parent, 0, "http.request must be the root");
-    let job = spans
-        .iter()
-        .find(|s| s.name == "driver.job")
-        .expect("driver.job span");
-    assert!(
-        has_ancestor(&by_id, job, root.span),
-        "driver.job must sit under http.request"
-    );
+    let job = spans.iter().find(|s| s.name == "driver.job").expect("driver.job span");
+    assert!(has_ancestor(&by_id, job, root.span), "driver.job must sit under http.request");
     // A one-expression batch runs its job on the connection thread itself,
     // whose span stack already holds the batch span.
-    let batch = spans
-        .iter()
-        .find(|s| s.name == "driver.batch")
-        .expect("driver.batch span");
+    let batch = spans.iter().find(|s| s.name == "driver.batch").expect("driver.batch span");
     assert_eq!(job.parent, batch.span, "driver.job must nest under driver.batch");
 
     // The worker subprocess contributed its spans into the same tree:
@@ -169,10 +156,8 @@ fn isolated_compile_stitches_worker_smt_spans_under_the_job() {
 
     // Individual SMT queries from inside the worker, parented under its
     // compile span.
-    let worker_smt: Vec<&Span> = spans
-        .iter()
-        .filter(|s| s.cat == "smt" && s.pid == worker.pid)
-        .collect();
+    let worker_smt: Vec<&Span> =
+        spans.iter().filter(|s| s.cat == "smt" && s.pid == worker.pid).collect();
     assert!(
         !worker_smt.is_empty(),
         "worker-side SMT spans must appear in the stitched trace; spans: {:?}",
@@ -206,10 +191,7 @@ fn isolated_compile_stitches_worker_smt_spans_under_the_job() {
     assert_eq!(outcome, "panicked", "{doc}");
     let crash_spans = load_trace(&trace_file(&dir, &doc));
     let crash_ids: HashSet<u64> = crash_spans.iter().map(|s| s.span).collect();
-    assert!(
-        crash_spans.iter().any(|s| s.name == "http.request"),
-        "crash trace keeps its root"
-    );
+    assert!(crash_spans.iter().any(|s| s.name == "http.request"), "crash trace keeps its root");
     assert!(
         crash_spans.iter().any(|s| s.name == "driver.job"),
         "crash trace keeps the server-side job span"

@@ -5,9 +5,9 @@
 use halide_ir::builder::*;
 use halide_ir::{Buffer2D, Env, EvalCtx, Expr};
 use hvx::CostModel;
+use lanes::rng::Rng;
 use lanes::ElemType::{U16, U8};
 use rake::{Rake, Target};
-use lanes::rng::Rng;
 use synth::Verifier;
 
 const LANES: usize = 8;

@@ -495,16 +495,48 @@ fn every_op() -> Vec<Op> {
     // is listed above.
     for op in &ops {
         match op {
-            Op::Vmem { .. } | Op::Vsplat { .. } | Op::Vadd { .. } | Op::Vsub { .. }
-            | Op::Vavg { .. } | Op::Vnavg { .. } | Op::Vabsdiff { .. } | Op::Vmax { .. }
-            | Op::Vmin { .. } | Op::Vand | Op::Vor | Op::Vxor | Op::Vnot | Op::Vasl { .. }
-            | Op::Vasr { .. } | Op::Vlsr { .. } | Op::VasrNarrow { .. } | Op::Vmpy { .. }
-            | Op::VmpyScalar { .. } | Op::VmpyAcc { .. } | Op::Vmpyi { .. }
-            | Op::VmpyiAcc { .. } | Op::Vmpyie | Op::Vmpyio | Op::Vmpa { .. }
-            | Op::VmpaAcc { .. } | Op::Vtmpy { .. } | Op::VtmpyAcc { .. } | Op::Vdmpy { .. }
-            | Op::VdmpyAcc { .. } | Op::Vrmpy { .. } | Op::VrmpyAcc { .. } | Op::Vpack { .. }
-            | Op::Vcombine | Op::Lo | Op::Hi | Op::VshuffPair { .. } | Op::VdealPair { .. }
-            | Op::Valign { .. } | Op::Vror { .. } | Op::Vzxt { .. } | Op::Vsxt { .. } => {}
+            Op::Vmem { .. }
+            | Op::Vsplat { .. }
+            | Op::Vadd { .. }
+            | Op::Vsub { .. }
+            | Op::Vavg { .. }
+            | Op::Vnavg { .. }
+            | Op::Vabsdiff { .. }
+            | Op::Vmax { .. }
+            | Op::Vmin { .. }
+            | Op::Vand
+            | Op::Vor
+            | Op::Vxor
+            | Op::Vnot
+            | Op::Vasl { .. }
+            | Op::Vasr { .. }
+            | Op::Vlsr { .. }
+            | Op::VasrNarrow { .. }
+            | Op::Vmpy { .. }
+            | Op::VmpyScalar { .. }
+            | Op::VmpyAcc { .. }
+            | Op::Vmpyi { .. }
+            | Op::VmpyiAcc { .. }
+            | Op::Vmpyie
+            | Op::Vmpyio
+            | Op::Vmpa { .. }
+            | Op::VmpaAcc { .. }
+            | Op::Vtmpy { .. }
+            | Op::VtmpyAcc { .. }
+            | Op::Vdmpy { .. }
+            | Op::VdmpyAcc { .. }
+            | Op::Vrmpy { .. }
+            | Op::VrmpyAcc { .. }
+            | Op::Vpack { .. }
+            | Op::Vcombine
+            | Op::Lo
+            | Op::Hi
+            | Op::VshuffPair { .. }
+            | Op::VdealPair { .. }
+            | Op::Valign { .. }
+            | Op::Vror { .. }
+            | Op::Vzxt { .. }
+            | Op::Vsxt { .. } => {}
         }
     }
     ops
