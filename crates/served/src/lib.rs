@@ -23,8 +23,8 @@
 //! process-wide.
 //!
 //! The companion binary `rake-client` speaks the same protocol from the
-//! command line, and the `loadgen` bench drives a server closed-loop for
-//! the `BENCH_5` latency baseline.
+//! command line; rakebench's serving workloads drive a server for its
+//! latency and throughput.
 
 pub mod http;
 pub mod metrics;

@@ -5,10 +5,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --check (rake-driver)"
+echo "== cargo fmt --check (rake-driver, rake-served, rake-bench)"
 # The seed crates predate the fmt gate and keep their original style; the
-# service layer is rustfmt-clean and stays that way.
-cargo fmt -p rake-driver --check
+# service layer, the server and the harness (with the workspace tests/*.rs
+# files, which are rake-bench targets) are rustfmt-clean and stay that way.
+cargo fmt -p rake-driver -p rake-served -p rake-bench --check
 
 echo "== cargo clippy (rake-driver and the three IR crates, -D warnings)"
 # The service layer and the IRs whose S-expressions it stores are held to
@@ -46,7 +47,10 @@ echo "== release-only tests (goldens, heavy end-to-end runs, memoization equival
 # partitions above skip them. The goldens pin every suite program and its
 # scheduled cycles; a codegen change that is not regenerated fails here.
 # hot_path compiles generated streams memoized and unmemoized and demands
-# the same programs.
+# the same programs, and checks the ledger: over the traced quick suite,
+# the SMT query and proof-cache hit counts equal their spans, and no proof
+# ends unknown or sat. end_to_end also runs `full_eval --quick`, which
+# must leave results/ alone.
 cargo test -q --release --offline --locked -p rake-bench --test golden --test end_to_end --test hot_path
 cargo test -q --release --offline --locked -p rake-synth
 
@@ -66,11 +70,15 @@ echo "== conform gate (metamorphic relations, full catalog, every proof decided)
 # is a lifting step accepted on differential evidence alone. "sat" stays
 # allowed: the sweep's refuted candidates are correctly rejected. The
 # report is deterministic for its seed, so it must match the committed
-# results/conform-coverage.json byte for byte.
+# results/conform-coverage.json byte for byte. trace_report --check
+# validates every event of the whole-sweep trace.
 conform_dir="$(mktemp -d /tmp/rake-conform-XXXXXX)"
 cargo run -q --release --offline --locked -p rake-bench --bin conform -- \
   --seed 0xRAKE --check --coverage-out "$conform_dir/coverage.json" \
   --trace-out "$conform_dir/trace.json"
+cargo run -q --release --offline --locked -p rake-bench --bin trace_report -- \
+  --check "$conform_dir/trace.json" \
+  || { echo "conform gate: trace_report --check rejected the sweep's trace"; exit 1; }
 grep -q '"schema":"rake-conform-coverage-v1"' "$conform_dir/coverage.json" \
   || { echo "conform gate: coverage report missing its schema tag"; exit 1; }
 cmp "$conform_dir/coverage.json" results/conform-coverage.json \
@@ -82,17 +90,6 @@ if grep -o '"outcome":"unknown"' "$conform_dir/trace.json"; then
   exit 1
 fi
 rm -rf "$conform_dir"
-
-echo "== perf smoke (3 workloads, snapshot structure only)"
-# Runs the synthesis performance harness on the first three workloads and
-# validates the emitted snapshot's structure (schema tag, totals keys,
-# verified flags). No timing thresholds — machine speed must not fail CI.
-perf_snapshot="$(mktemp /tmp/rake-perf-XXXXXX.json)"
-cargo run -q --release --offline --locked -p rake-bench --bin perf -- \
-  --workloads 3 --out "$perf_snapshot"
-cargo run -q --release --offline --locked -p rake-bench --bin perf -- \
-  --check "$perf_snapshot"
-rm -f "$perf_snapshot"
 
 echo "== rakebench (unit tests + fuzz-batch, full-width paper-suite, serve-mixed and serve-warm smokes)"
 # The benchmark of record is a package of its own, outside the workspace,
@@ -159,13 +156,13 @@ trap - EXIT
 rm -rf "$smoke_dir"
 
 echo "== soak smoke (bounded cache lifecycle: eviction, compaction, bounded files)"
-# A tightly-capped server under a soak workload where every request is a
-# unique cache key: the entry cap must evict (cost-aware LRU), the tiny
-# segment-log threshold must compact, the on-disk snapshot and log must stay
-# bounded, and the journal (about 11 KB of records) must roll over, each of
-# its two files within the 4 KiB bound plus the one line that crossed it,
-# while the server stays healthy.
-cargo build -q --release --offline --locked -p rake-bench
+# A tightly-capped server under 18 sequential requests, each a unique
+# cache key (load offsets survive canonicalization): every one must
+# compile and be counted, the entry cap must evict (cost-aware LRU), the
+# tiny segment-log threshold must compact, the on-disk snapshot and log
+# must stay bounded, and the journal (about 11 KB of records) must roll
+# over, each of its two files within the 4 KiB bound plus the one line
+# that crossed it, while the server stays healthy.
 soak_dir="$(mktemp -d /tmp/rake-soak-XXXXXX)"
 ./target/release/rake-served --addr 127.0.0.1:0 --port-file "$soak_dir/port" \
   --cache "$soak_dir/cache" --log "$soak_dir/journal.jsonl" \
@@ -183,10 +180,16 @@ for _ in $(seq 100); do
   sleep 0.1
 done
 addr="$(cat "$soak_dir/port")"
-./target/release/loadgen --addr "$addr" --connections 4 --soak 18 \
-  --out "$soak_dir/soak.json" --check
+for i in $(seq 0 17); do
+  echo "(add (cast u16 (load a u8 $i 0)) (cast u16 (load a u8 $((i + 19)) 0)))" \
+    | ./target/release/rake-client --addr "$addr" --lanes 64 >/dev/null \
+    || { echo "soak smoke: soak request $i did not compile"; exit 1; }
+done
 soak_metrics="$(./target/release/rake-client --addr "$addr" --metrics)"
 soak_metric() { echo "$soak_metrics" | awk -v n="$1" '$1 == n { print int($2) }'; }
+compiles="$(soak_metric 'rake_served_requests_total{endpoint="compile"}')"
+[ "${compiles:-0}" -eq 18 ] \
+  || { echo "soak smoke: /metrics counts ${compiles:-no} compile requests, the client sent 18"; exit 1; }
 evicted="$(soak_metric rake_served_cache_evicted_total)"
 entries="$(soak_metric rake_served_cache_entries)"
 compactions="$(soak_metric rake_served_cache_compactions_total)"
@@ -220,9 +223,9 @@ echo "== crash smoke (worker isolation: abort containment, quarantine, respawn)"
 # (rake-client exit 5), /healthz must stay green, a repeat of the key must
 # be answered from the quarantine (exit 7) without risking another worker,
 # a fresh key must still compile, and the supervisor must have recorded
-# the respawn. A crash-storm loadgen then mixes poison and healthy keys
-# and asserts containment end to end (zero transport errors, every poison
-# key quarantined, crash/restart counters moved).
+# the respawn. The storm of poison and healthy keys from concurrent
+# clients is crates/served/tests/isolate.rs's
+# a_crash_storm_is_contained_and_every_poison_key_quarantined.
 crash_dir="$(mktemp -d /tmp/rake-crash-XXXXXX)"
 ./target/release/rake-served --addr 127.0.0.1:0 --port-file "$crash_dir/port" \
   --cache "$crash_dir/cache" --log "$crash_dir/journal.jsonl" \
@@ -266,8 +269,6 @@ for _ in $(seq 50); do
 done
 respawned \
   || { echo "crash smoke: the supervisor never recorded a respawn within 5 s"; exit 1; }
-./target/release/loadgen --addr "$addr" --connections 4 --crash-storm 24 \
-  --out "$crash_dir/storm.json" --check
 kill "$crash_pid"
 wait "$crash_pid" 2>/dev/null || true
 trap - EXIT
@@ -278,6 +279,7 @@ echo "== trace smoke (end-to-end spans: CLI, isolated server, trace_report)"
 # trace must be one stitched tree: the worker subprocess's spans (pid !=
 # server pid) riding back over the job frame into the request's file.
 # trace_report --check strictly validates every event in both files.
+cargo build -q --release --offline --locked -p rake-bench
 trace_dir="$(mktemp -d /tmp/rake-trace-XXXXXX)"
 # The absd lift is verified by an SMT query, so the trace must show an
 # smt.prove_unsat span, even though word-level normalization decides that
@@ -288,23 +290,11 @@ grep -q '"rake-trace-v1"' "$trace_dir/cli.json" \
   || { echo "trace smoke: rakec trace missing its schema tag"; exit 1; }
 grep -q '"smt.prove_unsat"' "$trace_dir/cli.json" \
   || { echo "trace smoke: rakec trace has no SMT query spans"; exit 1; }
-# The whole quick suite through the perf harness, one trace file.
-./target/release/perf \
-  --out "$trace_dir/perf-snapshot.json" --trace-out "$trace_dir/perf.json" >/dev/null
-grep -q '"perf.workload"' "$trace_dir/perf.json" \
-  || { echo "trace smoke: perf trace has no per-workload spans"; exit 1; }
-# The ledger adds up: perf's SMT query total must equal the number of
-# smt.prove_unsat spans in the trace of the same run.
-perf_queries="$(grep -o '"totals":{[^}]*}' "$trace_dir/perf-snapshot.json" \
-  | grep -o '"smt_queries":[0-9]*' | cut -d: -f2)"
-traced_queries="$(grep -o '"name":"smt.prove_unsat"' "$trace_dir/perf.json" | wc -l)"
-[ "$perf_queries" -eq "$traced_queries" ] \
-  || { echo "trace smoke: perf counts ${perf_queries:-no} SMT queries," \
-         "its trace holds $traced_queries smt.prove_unsat spans"; exit 1; }
-# Every proof in those traces must be decided. An "unknown" is a lifting
+# Every proof in that trace must be decided. An "unknown" is a lifting
 # step accepted on differential evidence alone; a "sat" is a compiler bug
 # (minimize it through the oracle and fix it; never regenerate a golden).
-if grep -oE '"outcome":"(unknown|sat)"' "$trace_dir/cli.json" "$trace_dir/perf.json"; then
+# The whole quick suite gets the same check, with its ledger, in hot_path.
+if grep -oE '"outcome":"(unknown|sat)"' "$trace_dir/cli.json"; then
   echo "trace smoke: SMT proofs above ended unknown or sat"
   exit 1
 fi
@@ -334,8 +324,7 @@ served_trace="$(ls "$trace_dir"/served/trace-*.json 2>/dev/null | head -1)"
   || { echo "trace smoke: the server wrote no trace file"; exit 1; }
 grep -q '"worker.compile"' "$served_trace" \
   || { echo "trace smoke: worker spans did not stitch into the request trace"; exit 1; }
-./target/release/trace_report --check \
-  "$trace_dir/cli.json" "$trace_dir/perf.json" "$trace_dir/served" \
+./target/release/trace_report --check "$trace_dir/cli.json" "$trace_dir/served" \
   || { echo "trace smoke: trace_report --check rejected the traces"; exit 1; }
 ./target/release/trace_report "$trace_dir/served" | grep -q 'per-stage' \
   || { echo "trace smoke: trace_report rendered no breakdown"; exit 1; }
